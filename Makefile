@@ -20,14 +20,10 @@
 # the shard/batch equivalence matrix (internal/hierarchy), the
 # bounded-parallelism pools (internal/par), and the concurrent
 # observability registry (internal/obs).
-# `make bench-smoke` regenerates BENCH_throughput.json with a short run.
-# `make bench` writes a fresh throughput snapshot to benchmarks/latest;
-# `make bench-gate` fails if it regressed >$(BENCH_TOL) against the
-# committed benchmarks/baseline; `make bench-promote` blesses the
-# latest snapshot as the new baseline (commit the result). Workflow:
-#   make bench          # measure (single worker, repeats, median)
-#   make bench-gate     # compare against benchmarks/baseline
-#   make bench-promote  # intentional perf change: update the baseline
+# `make bench-smoke` runs each workload of the repo benchmark
+# (cmd/ldbench, declared in BENCHMARK.json) for one second and fails
+# unless every run reports "correct":true. Throughput regressions are
+# judged by comparing full BENCHMARK.json runs, not by this target.
 # `make microbench` runs the Go testing benchmarks (per-figure,
 # hot-path, and scheduler fan-out).
 # `make fuzz-smoke` runs the trace-codec and checkpoint-scan fuzzers
@@ -63,17 +59,10 @@
 GO ?= go
 
 .PHONY: all build vet lint lint-vet lint-json lint-fix-check \
-	lint-install test check race test-race microbench bench \
-	bench-gate bench-promote bench-smoke chaos fuzz-smoke mrc-smoke \
+	lint-install test check race test-race microbench bench-smoke \
+	chaos fuzz-smoke mrc-smoke \
 	obs-smoke ldisd-smoke partition-smoke orgs-smoke examples govulncheck profile \
 	clean
-
-# Allowed fractional slowdown per experiment before bench-gate fails.
-BENCH_TOL ?= 0.05
-# The pinned gate workload: the four headline experiments, single
-# worker (so decode CPU time equals its wall share), three repeats
-# with the median reported.
-BENCH_FLAGS = -accesses 200000 -parallel 1 -bench-repeats 3 fig6 fig7 fig8 table5 partition orgs
 
 all: check
 
@@ -233,32 +222,18 @@ govulncheck:
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Measure: write a fresh throughput snapshot to benchmarks/latest.
-bench:
-	mkdir -p benchmarks/latest
-	$(GO) run ./cmd/ldisexp -throughput benchmarks/latest/BENCH_throughput.json \
-		$(BENCH_FLAGS) > /dev/null
-
-# Gate: regenerate the latest snapshot and fail on any experiment (or
-# the total) more than BENCH_TOL slower than the committed baseline.
-bench-gate: bench
-	$(GO) run ./cmd/benchgate -tolerance $(BENCH_TOL)
-
-# Promote: bless benchmarks/latest as the committed baseline. Run this
-# only for intentional performance changes, then commit the result.
-bench-promote:
-	@test -f benchmarks/latest/BENCH_throughput.json || \
-		{ echo "bench-promote: run 'make bench' first"; exit 1; }
-	mkdir -p benchmarks/baseline
-	cp benchmarks/latest/BENCH_throughput.json benchmarks/baseline/BENCH_throughput.json
-	@echo "bench-promote: baseline updated; commit benchmarks/baseline"
-
-# Short throughput run: regenerates the committed BENCH_throughput.json.
-# Sized to finish in well under a minute on one core.
+# Benchmark smoke: one short, fixed-seed run of every BENCHMARK.json
+# workload through the benchmark's own build script. The last line of
+# each run is its JSON summary; any workload whose summary is not
+# "correct":true (a failed cell or a digest mismatch) fails the target.
 bench-smoke:
-	$(GO) run ./cmd/ldisexp -accesses 200000 -throughput BENCH_throughput.json \
-		fig6 fig7 fig8 table5 partition > /dev/null
-	@tail -n +2 BENCH_throughput.json | head -n 12
+	@for w in sweep replay timing tenants; do \
+		out=$$(bash cmd/ldbench/run.sh --workload $$w --seed 1 --seconds 1) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; \
+		*) echo "bench-smoke: workload $$w did not report \"correct\":true" >&2; exit 1 ;; esac; \
+	done
 
 # CPU + heap profiles of the headline experiment, written to ./profiles.
 profile:
@@ -269,4 +244,4 @@ profile:
 	@echo "inspect with: go tool pprof profiles/cpu.prof"
 
 clean:
-	rm -rf profiles benchmarks/latest bin lint-report.json
+	rm -rf profiles bin lint-report.json

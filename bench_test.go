@@ -221,14 +221,14 @@ func BenchmarkSchedulerFanOut(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			o := benchOpts("ammp", "twolf", "swim")
 			o.Parallel = workers
-			exp.ResetSimAccesses()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := exp.Fig6(o); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(exp.SimAccesses())/b.Elapsed().Seconds(), "accesses/s")
+			// 4 Fig 6 cells (baseline + 3 configs) per benchmark.
+			reportAccesses(b, 4*len(o.Benchmarks)*o.Accesses)
 		})
 	}
 }

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,11 +20,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
-	"ldis/internal/benchgate"
 	"ldis/internal/exp"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
@@ -49,8 +46,6 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "chaos testing: deterministically panic a seeded subset of cells (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	throughput := flag.String("throughput", "", "measure simulated accesses/sec per experiment and write a JSON report to this file (e.g. BENCH_throughput.json)")
-	benchRepeats := flag.Int("bench-repeats", 3, "with -throughput: run each experiment this many times and report the median simulate time, damping scheduler noise")
 	mrcFlag := flag.String("mrc", "", "mrc experiment knobs, comma-separated key=value items: "+mrcGroup.usage())
 	partitionFlag := flag.String("partition", "", "partition experiment knobs, comma-separated key=value items: "+partitionGroup.usage())
 	orgsFlag := flag.String("orgs", "", "orgs experiment knobs, comma-separated key=value items: "+orgsGroup.usage())
@@ -104,12 +99,6 @@ func main() {
 	}
 	if *resume && *outDir == "" {
 		problems = append(problems, "-resume requires -out (the checkpoint lives in the output directory)")
-	}
-	if *benchRepeats < 1 {
-		problems = append(problems, "-bench-repeats must be >= 1")
-	}
-	if *throughput != "" && *benchRepeats > 1 && *resume {
-		problems = append(problems, "-bench-repeats > 1 with -resume would time checkpoint replays, not simulation; use -bench-repeats 1 or drop -resume")
 	}
 	if err := o.Validate(); err != nil {
 		problems = append(problems, strings.Split(err.Error(), "\n")...)
@@ -179,29 +168,9 @@ func main() {
 			}
 		}()
 	}
-	report := benchgate.Report{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    o.Parallel,
-		Accesses:   o.Accesses,
-	}
-	if report.Workers == 0 {
-		report.Workers = report.GoMaxProcs
-	}
-	if *throughput != "" {
-		report.Shards = *shards
-		if report.Shards < 1 {
-			report.Shards = 1
-		}
-		report.Repeats = *benchRepeats
-		// Throughput mode measures the simulator, not the collector: the
-		// hot path is allocation-free, so the only GC work is scanning the
-		// per-cell construction garbage. A higher GC target keeps most of
-		// those cycles (write barriers, mark assists) out of the timed
-		// window while still recycling memory between cells — disabling
-		// collection outright measures slower, because every cell then
-		// runs on cold, freshly-faulted pages.
-		debug.SetGCPercent(400)
+	workers := o.Parallel
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	mpath := *manifestPath
 	if mpath == "" {
@@ -217,7 +186,7 @@ func main() {
 			GoVersion:   runtime.Version(),
 			GitDescribe: gitDescribe(),
 			Generated:   time.Now().UTC().Format(time.RFC3339),
-			Workers:     report.Workers,
+			Workers:     workers,
 			Fingerprint: o.Fingerprint(),
 			Experiments: ids,
 			Params:      o.ManifestParams(),
@@ -255,8 +224,6 @@ func main() {
 		ext = ".md"
 	}
 	for _, id := range ids {
-		exp.ResetSimAccesses()
-		exp.ResetDecodeNanos()
 		start := time.Now()
 		tables, err := exp.Run(id, o)
 		if err != nil {
@@ -282,96 +249,15 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if *throughput != "" {
-			e := measureRepeats(id, o, *benchRepeats, timing{
-				wall: elapsed.Seconds(), decode: float64(exp.DecodeNanos()) / 1e9,
-			})
-			report.Results = append(report.Results, e)
-			report.Total.SimAccesses += e.SimAccesses
-			report.Total.Seconds += e.Seconds
-			report.Total.DecodeSeconds += e.DecodeSeconds
-			report.Total.SimSeconds += e.SimSeconds
-		}
 		fmt.Printf("[%s done in %v]\n\n", id, elapsed.Round(time.Millisecond))
 	}
 	emitManifest()
-	if *throughput != "" {
-		report.Total.ID = "total"
-		if report.Total.SimSeconds > 0 {
-			report.Total.AccessesPerSec = float64(report.Total.SimAccesses) / report.Total.SimSeconds
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ldisexp:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*throughput, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ldisexp:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("throughput report: %s (%.0f accesses/s overall)\n", *throughput, report.Total.AccessesPerSec)
-	}
 	if ck != nil {
 		fmt.Printf("[checkpoint: %d cells replayed, %d newly recorded]\n", ck.Replayed(), ck.Recorded())
 	}
 	if o.Failures != nil && o.Failures.Len() > 0 {
 		failuresExit(o, ck)
 	}
-}
-
-// timing is one repeat's wall and decode time.
-type timing struct{ wall, decode float64 }
-
-// sim returns the simulate-only time: wall minus record generation.
-// The bench targets pin -parallel 1, where the decode counter (a CPU
-// sum across workers) equals its wall share; at higher worker counts
-// the subtraction over-corrects, so fall back to wall time if it goes
-// nonpositive.
-func (t timing) sim() float64 {
-	if s := t.wall - t.decode; s > 0 {
-		return s
-	}
-	return t.wall
-}
-
-// measureRepeats turns one completed (already timed) run plus repeats-1
-// silent re-runs into the experiment's throughput entry, reporting the
-// repeat with the median simulate time. Re-runs disable observability
-// and checkpointing so they time pure simulation and leave the first
-// run's manifest and checkpoint untouched.
-func measureRepeats(id string, o exp.Options, repeats int, first timing) benchgate.Entry {
-	accesses := exp.SimAccesses()
-	times := []timing{first}
-	o.Obs = nil
-	o.Checkpoint = nil
-	for r := 1; r < repeats; r++ {
-		exp.ResetSimAccesses()
-		exp.ResetDecodeNanos()
-		start := time.Now()
-		if _, err := exp.Run(id, o); err != nil {
-			// The first run of the same options succeeded; treat a
-			// repeat failure as fatal rather than reporting a timing
-			// that measured a crash.
-			fmt.Fprintf(os.Stderr, "ldisexp: %s: repeat %d: %v\n", id, r+1, err)
-			os.Exit(1)
-		}
-		times = append(times, timing{
-			wall: time.Since(start).Seconds(), decode: float64(exp.DecodeNanos()) / 1e9,
-		})
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i].sim() < times[j].sim() })
-	med := times[len(times)/2]
-	e := benchgate.Entry{
-		ID:            id,
-		SimAccesses:   accesses,
-		Seconds:       med.wall,
-		DecodeSeconds: med.decode,
-		SimSeconds:    med.sim(),
-	}
-	if e.SimSeconds > 0 {
-		e.AccessesPerSec = float64(e.SimAccesses) / e.SimSeconds
-	}
-	return e
 }
 
 // failuresExit renders the failure table and exits nonzero; split out

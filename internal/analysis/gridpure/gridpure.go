@@ -48,7 +48,6 @@ var cellTakers = map[string]map[string]bool{
 	},
 	"ldis/internal/exp": {
 		"runGrid": true, "runNamedGrid": true, "mapBenchmarks": true,
-		"runOrgGrid": true,
 	},
 	// The intra-run shard scheduler: its trailing build closure runs
 	// once per shard and the systems it returns are driven

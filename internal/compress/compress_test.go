@@ -287,3 +287,19 @@ func TestIncompressibleCMPREquivalentToLRU(t *testing.T) {
 		t.Errorf("incompressible CMPR misses %d != LRU reference %d", got, refMisses)
 	}
 }
+
+// The steady-state access path, compressed install included, must not
+// allocate.
+func TestAccessZeroAllocs(t *testing.T) {
+	c := NewCMPR(CMPRConfig{Name: "c", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8, TagFactor: 2},
+		values.NewModel(7, values.Mix{Zero: 0.4, Half: 0.3, Full: 0.3}))
+	access := func() {
+		for i := 0; i < 256; i++ {
+			c.Access(mem.LineAddr(i%1024), i%8, i%5 == 0)
+		}
+	}
+	access() // steady state: sets at tag capacity
+	if n := testing.AllocsPerRun(500, access); n != 0 {
+		t.Errorf("Access allocates %.1f per 256 accesses", n)
+	}
+}

@@ -215,7 +215,7 @@ func AblationTraffic(o Options) ([]*stats.Table, error) {
 	names, rows, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) ([2]float64, error) {
 		if col == 0 {
 			sysB, cb := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
-			countSimAccesses(sysB.Run(prof.Stream(), o.Accesses))
+			sysB.Run(prof.Stream(), o.Accesses)
 			kinst := float64(sysB.Instructions) / 1000
 			return [2]float64{
 				float64(cb.Stats().Misses) / kinst,
@@ -223,7 +223,7 @@ func AblationTraffic(o Options) ([]*stats.Table, error) {
 			}, nil
 		}
 		sysD, cd := distillSystem(ldisMTRC(2, prof.Seed), co)
-		countSimAccesses(sysD.Run(prof.Stream(), o.Accesses))
+		sysD.Run(prof.Stream(), o.Accesses)
 		kinst := float64(sysD.Instructions) / 1000
 		return [2]float64{
 			float64(cd.Stats().Misses()) / kinst,

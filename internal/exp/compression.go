@@ -38,7 +38,6 @@ func Fig10(o Options) ([]Fig10Row, error) {
 		}
 		for s := 0; s < samples; s++ {
 			n := sys.Run(st, chunk)
-			countSimAccesses(n)
 			if n == 0 {
 				break
 			}

@@ -352,21 +352,17 @@ func ldisMTRC(wocWays int, seed uint64) distill.Config {
 }
 
 // timedStream wraps a cell's record stream so every NextBatch refill is
-// charged to the cell's decode span and the package-wide decode-time
-// counter: manifests report record generation separately from
-// simulation, and -throughput mode subtracts it from the simulate
-// figure.
+// charged to the cell's decode span: manifests report record
+// generation separately from simulation.
 type timedStream struct {
 	bs trace.BatchStream
 	sp *obs.Spans
 }
 
 func (t *timedStream) NextBatch(dst []trace.Record) int {
-	start := decodeClock.Nanos()
 	tok := t.sp.Begin(obs.StageDecode)
 	n := t.bs.NextBatch(dst)
 	t.sp.End(obs.StageDecode, tok)
-	countDecodeNanos(decodeClock.Nanos() - start)
 	return n
 }
 
@@ -376,10 +372,9 @@ func cellStream(prof *workload.Profile, co *obs.Cell) *timedStream {
 }
 
 // driveBatches feeds up to n records from bs into sys in buf-sized
-// blocks, returning the count actually driven (short on stream end).
-func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trace.Record) int {
-	done := 0
-	for done < n {
+// blocks, stopping early if the stream ends.
+func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trace.Record) {
+	for done := 0; done < n; {
 		want := len(buf)
 		if want > n-done {
 			want = n - done
@@ -388,10 +383,9 @@ func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trac
 		sys.DoBatch(buf[:got])
 		done += got
 		if got < want {
-			break
+			return
 		}
 	}
-	return done
 }
 
 // runWindowed drives a profile through a system with warmup, returning
@@ -402,10 +396,9 @@ func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trac
 func runWindowed(sys *hierarchy.System, prof *workload.Profile, o Options, co *obs.Cell) *hierarchy.Window {
 	bs := cellStream(prof, co)
 	buf := make([]trace.Record, o.batchSize())
-	n := driveBatches(sys, bs, o.warmup(), buf)
+	driveBatches(sys, bs, o.warmup(), buf)
 	w := sys.StartWindow()
-	n += driveBatches(sys, bs, o.measure(), buf)
-	countSimAccesses(n)
+	driveBatches(sys, bs, o.measure(), buf)
 	return w
 }
 
@@ -431,7 +424,6 @@ func runTradWindowed(cfg cache.Config, prof *workload.Profile, o Options, co *ob
 		// failure.
 		panic(err)
 	}
-	countSimAccesses(run.Done)
 	return run.Window, run.Systems[0].L2.(*hierarchy.TradL2).C
 }
 

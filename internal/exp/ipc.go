@@ -28,12 +28,10 @@ func Fig9(o Options) ([]Fig9Row, error) {
 		if col == 0 {
 			sysB, _ := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
 			r := cpu.New(cpu.DefaultConfig()).Run(sysB, prof, prof.Stream(), o.Accesses)
-			countSimAccesses(o.Accesses)
 			return r.IPC(), nil
 		}
 		sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
 		r := cpu.New(cpu.DistillConfig()).Run(sysD, prof, prof.Stream(), o.Accesses)
-		countSimAccesses(o.Accesses)
 		return r.IPC(), nil
 	})
 	if err != nil {

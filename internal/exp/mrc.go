@@ -80,7 +80,6 @@ func MRC(o Options) ([]MRCResult, error) {
 		drive(o.warmup())
 		eng.ResetCounts()
 		drive(o.measure())
-		countSimAccesses(o.Accesses)
 		return mrcCell{
 			Line: eng.LineCurve("line " + label),
 			Word: eng.WordCurve("word " + label),

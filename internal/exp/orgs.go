@@ -86,18 +86,10 @@ func runOrgTrad(cfg cache.Config, prof *workload.Profile, o Options, co *obs.Cel
 		// shard-exact; only a panicking shard worker lands here.
 		panic(err)
 	}
-	countSimAccesses(run.Done)
 	// RunSharded folds every sibling shard into Systems[0] before
 	// returning, and the memo counters are shard-owned per-set sums, so
 	// the merged statistics are byte-identical to the sequential run's.
 	return run.Window, *run.Systems[0].L2.(*hierarchy.TradL2).C.Stats()
-}
-
-// runOrgGrid is the orgs experiment's cell scheduler: a named wrapper
-// over runGrid so the gridpure analyzer covers the orgs cells exactly
-// like every other experiment's.
-func runOrgGrid(o Options, cols int, fn func(prof *workload.Profile, col int, co *obs.Cell) (orgCell, error)) ([]string, [][]orgCell, error) {
-	return runGrid(o, cols, fn)
 }
 
 // OrgsRow is one benchmark's cells across the five organizations.
@@ -111,7 +103,7 @@ func Orgs(o Options) ([]OrgsRow, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runOrgGrid(o, len(orgColumns), func(prof *workload.Profile, col int, co *obs.Cell) (orgCell, error) {
+	names, grid, err := runGrid(o, len(orgColumns), func(prof *workload.Profile, col int, co *obs.Cell) (orgCell, error) {
 		return orgCellRun(o, prof, col, co)
 	})
 	if err != nil {

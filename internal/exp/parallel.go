@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ldis/internal/faultinject"
 	"ldis/internal/obs"
@@ -186,34 +185,3 @@ func mapBenchmarks[T any](o Options, fn func(prof *workload.Profile, co *obs.Cel
 	}
 	return names, out, nil
 }
-
-// simAccesses counts processor-side accesses driven through simulated
-// systems, across all workers, since the last reset. cmd/ldisexp's
-// -throughput mode divides it by wall time for an accesses/sec figure.
-var simAccesses atomic.Uint64
-
-func countSimAccesses(n int) { simAccesses.Add(uint64(n)) }
-
-// SimAccesses returns the cumulative simulated-access count.
-func SimAccesses() uint64 { return simAccesses.Load() }
-
-// ResetSimAccesses zeroes the counter (call before a measured run).
-func ResetSimAccesses() { simAccesses.Store(0) }
-
-// decodeClock times record generation; it is the observability clock,
-// so timings stay out of simulation logic per the nowallclock rule.
-var decodeClock = obs.SystemClock()
-
-// decodeNanos accumulates time spent refilling record blocks (trace
-// decode / synthetic record generation), across all workers, since the
-// last reset. -throughput mode subtracts it from wall time so the
-// reported accesses/sec measures simulation, not record generation.
-var decodeNanos atomic.Int64
-
-func countDecodeNanos(d int64) { decodeNanos.Add(d) }
-
-// DecodeNanos returns the cumulative record-generation time.
-func DecodeNanos() int64 { return decodeNanos.Load() }
-
-// ResetDecodeNanos zeroes the counter (call before a measured run).
-func ResetDecodeNanos() { decodeNanos.Store(0) }

@@ -70,25 +70,6 @@ func TestGridErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSimAccessCounter: runWindowed feeds the throughput counter.
-func TestSimAccessCounter(t *testing.T) {
-	ResetSimAccesses()
-	o := Options{Accesses: 20_000, WarmupFrac: 0.25, Benchmarks: []string{"ammp"}}
-	if _, err := Fig6(o); err != nil {
-		t.Fatal(err)
-	}
-	// 4 cells (baseline + 3 configs), each driving Accesses through the
-	// simulated system.
-	want := uint64(4 * o.Accesses)
-	if got := SimAccesses(); got != want {
-		t.Errorf("SimAccesses = %d, want %d", got, want)
-	}
-	ResetSimAccesses()
-	if SimAccesses() != 0 {
-		t.Error("reset did not zero the counter")
-	}
-}
-
 // TestNegativeParallelRejected: validate refuses Parallel < 0 instead
 // of letting the scheduler misbehave.
 func TestNegativeParallelRejected(t *testing.T) {

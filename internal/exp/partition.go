@@ -285,7 +285,6 @@ func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.
 			return partitionCell{}, fmt.Errorf("exp: tenant stream ended after %d of %d accesses", done, o.Accesses)
 		}
 	}
-	countSimAccesses(o.Accesses)
 
 	for t, w := range ctrl.Alloc() {
 		cell.FinalWays[t] = uint8(w)

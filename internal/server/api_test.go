@@ -131,6 +131,8 @@ func TestRejectedSpecsAreStructured400s(t *testing.T) {
 			[]string{"unknown experiment", "accesses", "retries"}},
 		{"exp+trace mixed", `{"kind":"exp","experiments":["fig6"],"trace":"t0123456789abcdef"}`, 400,
 			[]string{"only valid with kind tracesim"}},
+		{"mrc geometry the engine rejects", `{"experiments":["mrc"],"mrc_resolution":8388608}`, 400,
+			[]string{"mrc_max_bytes", "below MRCResolution 8388608"}},
 		{"traversal trace id", `{"kind":"tracesim","trace":"../../etc/passwd"}`, 400,
 			[]string{"malformed trace id"}},
 	}

@@ -115,7 +115,9 @@ var jobIDPattern = regexp.MustCompile(`^j[0-9a-f]{16}$`)
 // *SpecError values — every problem found, never just the first.
 func (s *Spec) Validate(cfg *Config) error {
 	var problems []error
+	seen := map[string]bool{}
 	bad := func(field, format string, args ...any) {
+		seen[field] = true
 		problems = append(problems, &SpecError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
 	switch s.Kind {
@@ -145,12 +147,6 @@ func (s *Spec) Validate(cfg *Config) error {
 	case "text", "csv", "markdown":
 	default:
 		bad("format", "unknown format %q (want text, csv, or markdown)", s.Format)
-	}
-	if (s.MRCSampleRate < 0 || s.MRCSampleRate >= 1) && s.MRCSampleRate != 0 {
-		bad("mrc_sample_rate", "%v outside (0,1)", s.MRCSampleRate)
-	}
-	if s.MRCResolution < 0 || s.MRCMaxBytes < 0 {
-		bad("mrc_resolution", "MRC curve geometry must be >= 0")
 	}
 	for _, b := range s.Benchmarks {
 		if _, err := workload.ByName(b); err != nil {
@@ -191,13 +187,46 @@ func (s *Spec) Validate(cfg *Config) error {
 			bad("experiments", "only valid with kind exp")
 		}
 	}
+
+	// The engine's option check is the one authority on the knobs a
+	// spec passes through (the MRC curve geometry): a spec it would
+	// refuse is refused here, on the matching JSON field, instead of
+	// failing later as a job. Fields diagnosed above and the engine's
+	// benchmark-name errors are not repeated.
+	o := s.expOptions(cfg)
+	if errs, ok := o.Validate().(interface{ Unwrap() []error }); ok {
+		for _, e := range errs.Unwrap() {
+			oe, ok := e.(*exp.OptionError)
+			if !ok {
+				continue
+			}
+			field, ok := specFields[oe.Field]
+			if !ok {
+				field = oe.Field
+			}
+			if !seen[field] {
+				bad(field, "%s", oe.Msg)
+			}
+		}
+	}
 	return errors.Join(problems...)
 }
 
-// expOptions builds the experiment-engine options a validated exp-kind
-// spec asks for. Scheduling knobs (cell workers) come from the server
-// config, not the request — clients size the work, the operator sizes
-// the parallelism.
+// specFields names the JSON field behind each exp.Options field a spec
+// sets, so engine-side problems reach the client in its own terms.
+var specFields = map[string]string{
+	"Accesses":      "accesses",
+	"WarmupFrac":    "warmup_frac",
+	"Retries":       "retries",
+	"MRCSampleRate": "mrc_sample_rate",
+	"MRCResolution": "mrc_resolution",
+	"MRCMaxBytes":   "mrc_max_bytes",
+}
+
+// expOptions builds the experiment-engine options a spec asks for:
+// Validate checks them, and exp-kind jobs run with them. Scheduling
+// knobs (cell workers) come from the server config, not the request —
+// clients size the work, the operator sizes the parallelism.
 func (s *Spec) expOptions(cfg *Config) exp.Options {
 	o := exp.DefaultOptions()
 	o.Accesses = s.Accesses

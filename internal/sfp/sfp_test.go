@@ -212,3 +212,19 @@ func TestStressInvariants(t *testing.T) {
 		t.Errorf("hits %d + misses %d != accesses %d", st.Hits, st.Misses(), st.Accesses)
 	}
 }
+
+// The steady-state access path, predictor lookups and training
+// included, must not allocate.
+func TestAccessZeroAllocs(t *testing.T) {
+	c := New(Config{Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
+		PredictorEntries: 256, TagsPerSet: 22, Seed: 3})
+	access := func() {
+		for i := 0; i < 256; i++ {
+			c.Access(mem.LineAddr(i%1024), i%8, mem.Addr(0x400+4*(i%97)), i%5 == 0)
+		}
+	}
+	access() // steady state: meta tables at capacity
+	if n := testing.AllocsPerRun(500, access); n != 0 {
+		t.Errorf("Access allocates %.1f per 256 accesses", n)
+	}
+}
