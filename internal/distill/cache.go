@@ -292,7 +292,7 @@ func (c *Cache) tagOf(la mem.LineAddr) uint64   { return uint64(la) >> c.tagShif
 func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int) AccessResult {
 	c.st.Accesses++
 	if c.cb != nil {
-		c.cb.observe(la, word)
+		c.cb.eng.Access(la, word)
 	}
 	si := c.setIndexOf(la)
 	s := &c.sets[si]

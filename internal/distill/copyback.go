@@ -28,10 +28,6 @@ type CopyBackConfig struct {
 	// MaxSamples bounds the predictor's tracked lines (SHARDS
 	// fixed-size mode). Default 8192.
 	MaxSamples int
-	// AccessBudget sizes the predictor's logical clock. Default 1<<22
-	// observed accesses; past the budget the predictor freezes (stops
-	// observing, keeps answering) instead of growing.
-	AccessBudget int
 	// Seed perturbs the predictor's spatial hash.
 	Seed uint64
 }
@@ -45,9 +41,6 @@ func (c CopyBackConfig) withDefaults(cacheBytes int) CopyBackConfig {
 	}
 	if c.MaxSamples == 0 {
 		c.MaxSamples = 8192
-	}
-	if c.AccessBudget == 0 {
-		c.AccessBudget = 1 << 22
 	}
 	return c
 }
@@ -63,9 +56,6 @@ func (c CopyBackConfig) Validate() error {
 	if c.MaxSamples < 0 {
 		return fmt.Errorf("copy-back: negative MaxSamples %d", c.MaxSamples)
 	}
-	if c.AccessBudget < 0 {
-		return fmt.Errorf("copy-back: negative AccessBudget %d", c.AccessBudget)
-	}
 	return nil
 }
 
@@ -76,8 +66,6 @@ func (c CopyBackConfig) Validate() error {
 type copyBack struct {
 	eng      *mrc.Engine
 	maxBytes float64
-	seen     int
-	budget   int
 }
 
 func newCopyBack(cfg CopyBackConfig, cacheBytes int) *copyBack {
@@ -89,27 +77,14 @@ func newCopyBack(cfg CopyBackConfig, cacheBytes int) *copyBack {
 		SampleRate: cfg.SampleRate,
 		MaxSamples: cfg.MaxSamples,
 		Seed:       cfg.Seed,
-	}, cfg.AccessBudget)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("copy-back: %v", err))
 	}
 	return &copyBack{
 		eng:      eng,
 		maxBytes: float64(cfg.MaxReuseBytes),
-		budget:   cfg.AccessBudget,
 	}
-}
-
-// observe feeds one demand access into the predictor's stack; past the
-// access budget the stack freezes rather than growing its clock.
-//
-//ldis:noalloc
-func (cb *copyBack) observe(la mem.LineAddr, word int) {
-	if cb.seen >= cb.budget {
-		return
-	}
-	cb.seen++
-	cb.eng.Access(la, word)
 }
 
 // predict returns whether the predictor has information about the line

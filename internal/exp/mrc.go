@@ -56,7 +56,7 @@ func MRC(o Options) ([]MRCResult, error) {
 			cfg.Seed = prof.Seed ^ 0x5ac0ffee
 			label = "shards"
 		}
-		eng, err := mrc.New(cfg, o.Accesses)
+		eng, err := mrc.New(cfg)
 		if err != nil {
 			return mrcCell{}, err
 		}

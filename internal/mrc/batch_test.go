@@ -29,13 +29,13 @@ func batchRecords(n, lines int) []trace.Record {
 func TestAccessBatchMatchesScalar(t *testing.T) {
 	recs := batchRecords(20_000, 2048)
 
-	batched, err := New(Config{}, len(recs))
+	batched, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batched.AccessBatch(recs)
 
-	scalar, err := New(Config{}, len(recs))
+	scalar, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 
 func TestAccessBatchZeroAllocs(t *testing.T) {
 	recs := batchRecords(256, 1024)
-	e, err := New(Config{}, 1<<20)
+	e, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

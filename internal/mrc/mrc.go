@@ -3,8 +3,12 @@
 // The engine is a Mattson stack implemented over an order-statistic
 // Fenwick tree: each tracked line holds a weight at its last-touch
 // time, and the reuse distance of an access is the total weight of
-// lines touched since — an O(log M) prefix-sum query instead of an
-// O(M) stack scan. Because LRU has the inclusion property, one
+// lines touched since — the running live total minus one O(log M)
+// prefix-sum query, instead of an O(M) stack scan, where M is the
+// number of live tracked lines. The clock is compacted (live lines
+// renumbered in recency order) whenever it fills the tree, so memory
+// and per-access cost follow M, never the trace length. Because LRU
+// has the inclusion property, one
 // histogram of reuse distances yields the miss ratio at every capacity
 // at once: an access hits in a cache of C bytes iff its (inclusive)
 // reuse distance is at most C.
@@ -120,11 +124,16 @@ type Engine struct {
 	threshold uint64 // track line iff splitmix64(line^seed) < threshold
 	invR      float64
 
-	now    int // logical time of the latest tracked access
-	fwLine fenwick
-	fwWord fenwick
-	tab    lineTable
-	heap   sampleHeap
+	// The stack: the tree holds each live line's weights at its
+	// last-touch position in [1, now]; compaction renumbers positions,
+	// so now is a compacted clock. tab.n is the live line count and
+	// liveSlots their total word slots — together prefix(now).
+	now       int
+	fw        fenwick
+	tab       lineTable
+	heap      sampleHeap
+	liveSlots int64
+	ticks     uint64 // tracked accesses since New; paces publishGauges
 
 	// Histogram bucket i in [1, buckets] counts accesses whose scaled
 	// reuse distance d satisfies ceil(d/resolution) == i; bucket
@@ -148,22 +157,23 @@ type Engine struct {
 	obsLiveWord *obs.Gauge
 }
 
-// New returns an Engine able to ingest up to maxAccesses calls to
-// Access.
-func New(cfg Config, maxAccesses int) (*Engine, error) {
+// initialCapacity is the stack tree's starting size in positions. It
+// grows by doubling with the live line count (see compact), never with
+// the trace length.
+const initialCapacity = 1 << 10
+
+// New returns an Engine. Its memory grows with the number of live
+// tracked lines, not with the number of accesses fed to it.
+func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if maxAccesses <= 0 {
-		return nil, fmt.Errorf("mrc: non-positive access budget %d", maxAccesses)
 	}
 	e := &Engine{
 		cfg:     cfg,
 		buckets: cfg.MaxBytes / cfg.ResolutionBytes,
 		tab:     newLineTable(),
-		fwLine:  newFenwick(maxAccesses),
-		fwWord:  newFenwick(maxAccesses),
+		fw:      newFenwick(initialCapacity),
 		invR:    1,
 	}
 	if cfg.SampleRate < 1 {
@@ -185,66 +195,123 @@ func New(cfg Config, maxAccesses int) (*Engine, error) {
 }
 
 // Access feeds one data access (line, word-in-line) through the
-// Mattson stack. The per-access cost is two O(log M) Fenwick queries
-// plus an O(1) open-addressing probe; no allocation.
+// Mattson stack. A reuse costs one O(log L) Fenwick prefix walk and
+// one fused O(log L) update over L live lines, plus an O(1)
+// open-addressing probe and amortized O(1) compaction; no allocation.
 //
 //ldis:noalloc
 func (e *Engine) Access(line mem.LineAddr, word int) {
+	if dLine, dWord, reuse := e.touch(line, word); reuse {
+		e.record(e.histLine, dLine)
+		e.record(e.histWord, dWord)
+	}
+}
+
+// touch advances the stack by one access and returns its scaled
+// inclusive reuse distances at both grains. reuse is false for
+// untracked lines and first touches (compulsory misses, counted here).
+//
+//ldis:noalloc
+func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse bool) {
 	e.refs++
 	key := uint64(line)
 	var h uint64
 	if e.sampled {
 		h = splitmix64(key ^ e.cfg.Seed)
 		if h >= e.threshold {
-			return
+			return 0, 0, false
 		}
 	}
 	e.tracked++
 	e.obsSampled.Inc()
-	t := e.now + 1
-	if t >= len(e.fwLine.tree) {
-		panic("mrc: access budget exceeded; size New with the full trace length")
-	}
-	e.now = t
-	if t&0xFFFF == 0 {
+	e.ticks++
+	if e.ticks&0xFFFF == 0 {
 		e.publishGauges()
 	}
+	if e.now+1 >= len(e.fw.tree) {
+		e.compact()
+	}
+	e.now++
+	t := e.now
 
-	if idx := e.tab.find(key); idx >= 0 && e.tab.pos[idx] != 0 {
+	if idx := e.tab.find(key); idx >= 0 {
 		// Reuse: distance = weight of lines touched strictly after the
-		// previous touch, plus this line's own (inclusive) cost.
+		// previous touch, plus this line's own (inclusive) cost. Every
+		// live line sits at a position below t, so that weight is the
+		// live total minus the prefix up to the previous touch.
 		p := int(e.tab.pos[idx])
 		oldSlots := int32(mem.Pow2WordsFor(e.tab.fp[idx].Count()))
 		nfp := e.tab.fp[idx].Set(word)
 		newSlots := int32(mem.Pow2WordsFor(nfp.Count()))
 
-		otherLines := e.fwLine.prefix(t-1) - e.fwLine.prefix(p)
-		otherSlots := e.fwWord.prefix(t-1) - e.fwWord.prefix(p)
-		dLine := float64(otherLines+1) * mem.LineSize * e.invR
-		dWord := float64(otherSlots+int64(newSlots)) * mem.WordSize * e.invR
-		e.record(e.histLine, dLine)
-		e.record(e.histWord, dWord)
+		lines, slots := e.fw.prefix(p)
+		dLine = float64(int64(e.tab.n)-lines+1) * mem.LineSize * e.invR
+		dWord = float64(e.liveSlots-slots+int64(newSlots)) * mem.WordSize * e.invR
 
-		e.fwLine.add(p, -1)
-		e.fwWord.add(p, -oldSlots)
-		e.fwLine.add(t, 1)
-		e.fwWord.add(t, newSlots)
+		e.fw.move(p, t, oldSlots, newSlots)
+		e.liveSlots += int64(newSlots - oldSlots)
 		e.tab.pos[idx] = int32(t)
 		e.tab.fp[idx] = nfp
-		return
+		return dLine, dWord, true
 	}
 
 	// First touch: a compulsory miss at every capacity.
 	e.cold += e.invR
-	nfp := mem.FootprintOfWord(word)
-	e.fwLine.add(t, 1)
-	e.fwWord.add(t, int32(mem.Pow2WordsFor(1)))
+	slots := int32(mem.Pow2WordsFor(1))
+	e.fw.add(t, 1, slots)
+	e.liveSlots += int64(slots)
 	idx := e.tab.insert(key)
 	e.tab.pos[idx] = int32(t)
-	e.tab.fp[idx] = nfp
+	e.tab.fp[idx] = mem.FootprintOfWord(word)
 	if e.cfg.MaxSamples > 0 {
 		e.pushSample(sampleRef{hash: h, key: key})
 	}
+	return 0, 0, false
+}
+
+// compact runs when the clock reaches the tree's capacity: it
+// renumbers the live lines 1..L in their current recency order and
+// rebuilds the tree in O(capacity). Relative order is all a reuse
+// distance depends on, so every distance is unchanged. The tree
+// doubles only when L exceeds a quarter of it; either way at least
+// half the capacity is free afterwards, so compaction costs amortized
+// O(1) per access and the tree stays within a small multiple of L.
+//
+//ldis:noalloc
+func (e *Engine) compact() {
+	old := e.fw.tree
+	// Mark each live line's position with its table slot (+1, so zero
+	// means empty), reusing the tree's own storage as the index.
+	for p := range old {
+		old[p] = cell{}
+	}
+	for i, k := range e.tab.keys {
+		if k != emptyKey {
+			old[e.tab.pos[i]].line = int32(i + 1)
+		}
+	}
+	next := old
+	if capacity := len(old) - 1; e.tab.n > capacity/4 {
+		//ldis:alloc-ok amortized growth: the tree doubles only when live lines exceed a quarter of it, so compaction stays O(1) per access
+		next = make([]cell, 2*capacity+1)
+	}
+	// Walk positions in order, handing out 1..L. The new position never
+	// passes the one being read, so rewriting in place is safe.
+	var k int32
+	for p := 1; p < len(old); p++ {
+		mark := old[p].line
+		if mark == 0 {
+			continue
+		}
+		old[p] = cell{}
+		k++
+		i := mark - 1
+		e.tab.pos[i] = k
+		next[k] = cell{line: 1, word: int32(mem.Pow2WordsFor(e.tab.fp[i].Count()))}
+	}
+	e.fw.tree = next
+	e.fw.build()
+	e.now = int(k)
 }
 
 // record buckets one scaled reuse distance.
@@ -283,25 +350,26 @@ func (e *Engine) pushSample(r sampleRef) {
 }
 
 // evict removes a line from the stack: its Fenwick weights vanish and
-// its table entry is tombstoned (pos 0). The lowered threshold
-// guarantees the gate rejects the line forever after.
+// its table entry is deleted. The lowered threshold guarantees the gate
+// rejects the line forever after.
 //
 //ldis:noalloc
 func (e *Engine) evict(key uint64) {
 	idx := e.tab.find(key)
-	if idx < 0 || e.tab.pos[idx] == 0 {
+	if idx < 0 {
 		return
 	}
-	p := int(e.tab.pos[idx])
-	e.fwLine.add(p, -1)
-	e.fwWord.add(p, -int32(mem.Pow2WordsFor(e.tab.fp[idx].Count())))
-	e.tab.pos[idx] = 0
+	slots := int32(mem.Pow2WordsFor(e.tab.fp[idx].Count()))
+	e.fw.add(int(e.tab.pos[idx]), -1, -slots)
+	e.liveSlots -= int64(slots)
+	e.tab.remove(idx)
 }
 
 // publishGauges refreshes the running miss ratios at MaxBytes — the
 // cheapest point on the curve: its miss count is just cold misses plus
 // distances beyond the largest capacity, no bucket walk. Keyed off the
-// tracked-access count, so which accesses publish is deterministic.
+// monotonic tracked-access count (never renumbered by compaction), so
+// which accesses publish is deterministic.
 //
 //ldis:noalloc
 func (e *Engine) publishGauges() {
@@ -417,12 +485,11 @@ func (e *Engine) CurrentLineDistanceBytes(line mem.LineAddr) (bytes float64, ok 
 		return 0, false
 	}
 	idx := e.tab.find(key)
-	if idx < 0 || e.tab.pos[idx] == 0 {
+	if idx < 0 {
 		return 0, false
 	}
-	p := int(e.tab.pos[idx])
-	other := e.fwLine.prefix(e.now) - e.fwLine.prefix(p)
-	return float64(other+1) * mem.LineSize * e.invR, true
+	lines, _ := e.fw.prefix(int(e.tab.pos[idx]))
+	return float64(int64(e.tab.n)-lines+1) * mem.LineSize * e.invR, true
 }
 
 // Refs returns the true number of references observed since the last

@@ -7,9 +7,9 @@ import (
 	"ldis/internal/mem"
 )
 
-func mustNew(t *testing.T, cfg Config, maxAccesses int) *Engine {
+func mustNew(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	e, err := New(cfg, maxAccesses)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -26,22 +26,20 @@ func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		max  int
 	}{
-		{"resolution below line", Config{ResolutionBytes: 8}, 100},
-		{"max below resolution", Config{MaxBytes: 64, ResolutionBytes: 128}, 100},
-		{"rate above one", Config{SampleRate: 1.5}, 100},
-		{"negative rate", Config{SampleRate: -0.1}, 100},
-		{"negative max samples", Config{MaxSamples: -1}, 100},
-		{"fixed-size without sampling", Config{MaxSamples: 10}, 100},
-		{"zero budget", Config{}, 0},
+		{"resolution below line", Config{ResolutionBytes: 8}},
+		{"max below resolution", Config{MaxBytes: 64, ResolutionBytes: 128}},
+		{"rate above one", Config{SampleRate: 1.5}},
+		{"negative rate", Config{SampleRate: -0.1}},
+		{"negative max samples", Config{MaxSamples: -1}},
+		{"fixed-size without sampling", Config{MaxSamples: 10}},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.cfg, tc.max); err == nil {
+		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: New accepted invalid config %+v", tc.name, tc.cfg)
 		}
 	}
-	if _, err := New(Config{}, 100); err != nil {
+	if _, err := New(Config{}); err != nil {
 		t.Errorf("defaults rejected: %v", err)
 	}
 }
@@ -52,7 +50,7 @@ func TestConfigValidation(t *testing.T) {
 // distance is 3 lines = 192 bytes: a hit at >=3 lines of capacity, a
 // miss below.
 func TestExactLineDistances(t *testing.T) {
-	e := mustNew(t, fineConfig(), 16)
+	e := mustNew(t, fineConfig())
 	for _, l := range []mem.LineAddr{10, 11, 12, 10} {
 		e.Access(l, 0)
 	}
@@ -76,7 +74,7 @@ func TestExactLineDistances(t *testing.T) {
 // TestExactImmediateReuse checks the minimum distance: A A has an
 // inclusive reuse distance of one line — a hit at any capacity.
 func TestExactImmediateReuse(t *testing.T) {
-	e := mustNew(t, fineConfig(), 16)
+	e := mustNew(t, fineConfig())
 	e.Access(7, 0)
 	e.Access(7, 0)
 	c := e.LineCurve("line")
@@ -91,7 +89,7 @@ func TestExactImmediateReuse(t *testing.T) {
 // Word-grain distance: B costs Pow2WordsFor(1)=1 slot, A itself 1
 // slot -> 2 slots = 16 bytes: the distilled stack is 8x denser here.
 func TestWordGrainWeights(t *testing.T) {
-	e := mustNew(t, Config{MaxBytes: 4096, ResolutionBytes: 64}, 16)
+	e := mustNew(t, Config{MaxBytes: 4096, ResolutionBytes: 64})
 	e.Access(1, 0)
 	e.Access(2, 3)
 	e.Access(1, 0)
@@ -111,7 +109,7 @@ func TestWordGrainWeights(t *testing.T) {
 // slot cost along the pow2 schedule (1 -> 2 slots), and the reused
 // access is charged the post-access footprint.
 func TestWordFootprintGrowth(t *testing.T) {
-	e := mustNew(t, Config{MaxBytes: 4096, ResolutionBytes: 64}, 16)
+	e := mustNew(t, Config{MaxBytes: 4096, ResolutionBytes: 64})
 	e.Access(1, 0) // A word 0: 1 slot
 	e.Access(1, 5) // A word 5: footprint 2 -> 2 slots, distance 2*8=16B
 	e.Access(2, 0) // B: 1 slot
@@ -125,7 +123,7 @@ func TestWordFootprintGrowth(t *testing.T) {
 	// The beyond-max check: line-grain distance of the last access is
 	// 2 lines = 128B > 64B... verify via a 64B-max engine that the
 	// reuse is an overflow miss there.
-	small := mustNew(t, Config{MaxBytes: 64, ResolutionBytes: 64}, 16)
+	small := mustNew(t, Config{MaxBytes: 64, ResolutionBytes: 64})
 	small.Access(1, 0)
 	small.Access(2, 0)
 	small.Access(1, 0)
@@ -138,7 +136,7 @@ func TestWordFootprintGrowth(t *testing.T) {
 // histogram. After reset, a reuse of a warmed line still sees its
 // stack depth.
 func TestResetCounts(t *testing.T) {
-	e := mustNew(t, fineConfig(), 32)
+	e := mustNew(t, fineConfig())
 	e.Access(1, 0)
 	e.Access(2, 0)
 	e.ResetCounts()
@@ -161,7 +159,7 @@ func TestResetCounts(t *testing.T) {
 // TestEmptyCurve: an engine that saw nothing renders an empty curve
 // and NaN ratios.
 func TestEmptyCurve(t *testing.T) {
-	e := mustNew(t, Config{}, 8)
+	e := mustNew(t, Config{})
 	c := e.LineCurve("empty")
 	if len(c.Points) != 0 {
 		t.Fatalf("empty engine produced %d points", len(c.Points))
@@ -179,7 +177,7 @@ func TestCurveMonotone(t *testing.T) {
 		{SampleRate: 0.25, Seed: 42},
 		{SampleRate: 0.25, MaxSamples: 64, Seed: 42},
 	} {
-		e := mustNew(t, cfg, 20000)
+		e := mustNew(t, cfg)
 		x := uint64(1)
 		for i := 0; i < 20000; i++ {
 			x = splitmix64(x)
@@ -202,7 +200,7 @@ func TestCurveMonotone(t *testing.T) {
 // different seeds sample different subsets.
 func TestSampledDeterminism(t *testing.T) {
 	run := func(seed uint64) Curve {
-		e := mustNew(t, Config{SampleRate: 0.2, MaxSamples: 128, Seed: seed}, 30000)
+		e := mustNew(t, Config{SampleRate: 0.2, MaxSamples: 128, Seed: seed})
 		x := uint64(9)
 		for i := 0; i < 30000; i++ {
 			x = splitmix64(x)
@@ -233,8 +231,8 @@ func TestSampledDeterminism(t *testing.T) {
 // MaxSamples lines, and its curve still approximates the exact one.
 func TestFixedSizeBound(t *testing.T) {
 	const maxSamples = 50
-	e := mustNew(t, Config{SampleRate: 0.9, MaxSamples: maxSamples, Seed: 3}, 20000)
-	exact := mustNew(t, Config{}, 20000)
+	e := mustNew(t, Config{SampleRate: 0.9, MaxSamples: maxSamples, Seed: 3})
+	exact := mustNew(t, Config{})
 	x := uint64(17)
 	for i := 0; i < 20000; i++ {
 		x = splitmix64(x)
@@ -245,14 +243,8 @@ func TestFixedSizeBound(t *testing.T) {
 			t.Fatalf("heap holds %d lines, budget %d", n, maxSamples)
 		}
 	}
-	live := 0
-	for i, k := range e.tab.keys {
-		if k != emptyKey && e.tab.pos[i] != 0 {
-			live++
-		}
-	}
-	if live != len(e.heap.refs) {
-		t.Errorf("live table entries %d != heap size %d", live, len(e.heap.refs))
+	if e.tab.n != len(e.heap.refs) {
+		t.Errorf("table entries %d != heap size %d", e.tab.n, len(e.heap.refs))
 	}
 	// 512 distinct lines vs a 50-line sample: still expect a rough
 	// match (loose bound; the exp-level test asserts the tight one).
@@ -266,8 +258,8 @@ func TestFixedSizeBound(t *testing.T) {
 // curve approximates the exact one and the expected-misses correction
 // keeps ratios over the true reference count.
 func TestSampledScaling(t *testing.T) {
-	exact := mustNew(t, Config{}, 40000)
-	sampled := mustNew(t, Config{SampleRate: 0.3, Seed: 11}, 40000)
+	exact := mustNew(t, Config{})
+	sampled := mustNew(t, Config{SampleRate: 0.3, Seed: 11})
 	x := uint64(5)
 	for i := 0; i < 40000; i++ {
 		x = splitmix64(x)
@@ -308,26 +300,12 @@ func maxAbsDiffAtPoints(t *testing.T, a, b Curve) float64 {
 	return max
 }
 
-// TestBudgetPanic: exceeding the access budget is a programming error
-// and panics rather than corrupting the Fenwick trees.
-func TestBudgetPanic(t *testing.T) {
-	e := mustNew(t, Config{}, 2)
-	e.Access(1, 0)
-	e.Access(2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("third access beyond budget did not panic")
-		}
-	}()
-	e.Access(3, 0)
-}
-
 // TestCurrentLineDistanceBytes checks the read-only point query that
 // feeds the distill cache's copy-back predictor. Trace A B C: A's
 // current inclusive distance is 3 lines, the MRU line's is 1, a line
 // never seen is unknown, and querying must not advance the clock.
 func TestCurrentLineDistanceBytes(t *testing.T) {
-	e := mustNew(t, fineConfig(), 16)
+	e := mustNew(t, fineConfig())
 	for _, l := range []mem.LineAddr{10, 11, 12} {
 		e.Access(l, 0)
 	}
@@ -354,7 +332,7 @@ func TestCurrentLineDistanceBytes(t *testing.T) {
 // lines are unknown (cold), sampled lines answer with the scaled
 // distance, and the split is deterministic in the seed.
 func TestCurrentLineDistanceSampled(t *testing.T) {
-	e := mustNew(t, Config{SampleRate: 0.5, Seed: 7}, 1<<16)
+	e := mustNew(t, Config{SampleRate: 0.5, Seed: 7})
 	const lines = 256
 	for i := 0; i < lines; i++ {
 		e.Access(mem.LineAddr(i), 0)

@@ -25,14 +25,14 @@ const emptyKey = ^uint64(0)
 // table over parallel slices rather than a Go map so the per-access
 // hot path stays allocation-free (map writes may allocate; these slice
 // stores cannot, and growth is amortized behind //ldis:alloc-ok).
-// pos==0 marks a line evicted from the SHARDS fixed-size sample: its
-// hash is >= the lowered threshold, so the gate rejects it forever and
-// the dead entry is never revived.
+// Lines evicted from the SHARDS fixed-size sample are deleted outright
+// (backward-shift deletion, no tombstones), so occupancy tracks the
+// live sample rather than every line ever sampled.
 type lineTable struct {
 	keys []uint64
 	pos  []int32
 	fp   []mem.Footprint
-	n    int // occupied slots (live + dead)
+	n    int // occupied slots, all live
 }
 
 func newLineTable() lineTable {
@@ -79,6 +79,27 @@ func (t *lineTable) insert(key uint64) int {
 	t.keys[i] = key
 	t.n++
 	return int(i)
+}
+
+// remove deletes the entry at slot i. Later members of its probe
+// cluster shift back into the hole whenever their home slot does not
+// lie cyclically in (hole, current], which keeps every remaining key
+// reachable from its home slot without leaving a tombstone.
+//
+//ldis:noalloc
+func (t *lineTable) remove(i int) {
+	mask := uint64(len(t.keys) - 1)
+	hole := uint64(i)
+	for j := (hole + 1) & mask; t.keys[j] != emptyKey; j = (j + 1) & mask {
+		home := splitmix64(t.keys[j]) & mask
+		if (j-home)&mask < (j-hole)&mask {
+			continue // home in (hole, j]: moving it back would hide it
+		}
+		t.keys[hole], t.pos[hole], t.fp[hole] = t.keys[j], t.pos[j], t.fp[j]
+		hole = j
+	}
+	t.keys[hole] = emptyKey
+	t.n--
 }
 
 func (t *lineTable) grow() {

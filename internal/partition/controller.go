@@ -55,7 +55,8 @@ type Config struct {
 	// is salted independently from it.
 	Seed uint64
 	// AccessBudget is the maximum total Observe calls over the
-	// controller's lifetime; it sizes the engines and the decision log.
+	// controller's lifetime; it sizes only the decision log (the MRC
+	// engines grow with their live lines, not with the access count).
 	AccessBudget int
 	// Obs, when non-nil, receives the epoch/rebalance counters and the
 	// rebalance span timings for the owning grid cell.
@@ -220,12 +221,12 @@ func NewController(cfg Config) (*Controller, error) {
 		// engine (SampleRate ≥ 1, used by tests) takes no sample cap.
 		ecfg.MaxSamples = cfg.maxSamples()
 	}
-	// Engines are sized with the full budget: interleaving usually
-	// splits accesses evenly, but nothing stops one tenant's stream
-	// from dominating, and an undersized Fenwick tree panics.
+	// The budget sizes only the decision log above: each engine grows
+	// with its tenant's live lines, so however unevenly the tenants'
+	// streams interleave, no engine needs sizing up front.
 	for t := 0; t < n; t++ {
 		ecfg.Seed = cfg.Seed + uint64(t)*0x9e3779b97f4a7c15
-		eng, err := mrc.New(ecfg, cfg.AccessBudget)
+		eng, err := mrc.New(ecfg)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +236,7 @@ func NewController(cfg Config) (*Controller, error) {
 		c.exact = make([]*mrc.Engine, n)
 		xcfg := mrc.Config{MaxBytes: ecfg.MaxBytes, ResolutionBytes: ecfg.ResolutionBytes}
 		for t := 0; t < n; t++ {
-			eng, err := mrc.New(xcfg, cfg.AccessBudget)
+			eng, err := mrc.New(xcfg)
 			if err != nil {
 				return nil, err
 			}
