@@ -156,7 +156,7 @@ fuzz-smoke:
 # experiment end to end (curves for two benchmarks, both columns).
 mrc-smoke:
 	$(GO) test -run 'TestMRCShardsTolerance|TestMRCMatchesSimulation' -count=1 ./internal/exp
-	$(GO) run ./cmd/ldisexp -accesses 120000 -benchmarks sixtrack,health mrc > /dev/null
+	$(GO) run ./cmd/ldisexp -accesses 120000 -benchmarks sixtrack,health -mrc rate=0.2,max-samples=8192 mrc > /dev/null
 
 # Observability smoke: the acceptance gate for internal/obs. The
 # tests pin manifest determinism across worker counts and the

@@ -3,35 +3,36 @@ package main
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"ldis/internal/exp"
 )
 
-// Grouped experiment flags: each experiment family's knobs ride in one
-// -<group> flag holding comma-separated key=value items, e.g.
-//
-//	-mrc rate=0.2,max-samples=8192
-//	-partition tenants=twolf+mcf,epoch=6000
-//	-orgs touche-sb-lines=8,waymemo-entries=8
-//
-// so the flag surface grows per experiment family, not per knob. The
-// parser mirrors exp.Options.Validate's collect-everything style: it
-// reports every unknown key, malformed item, duplicate, and bad value
-// in one pass instead of stopping at the first.
+// Grouped experiment flags: each experiment that declares knobs
+// (exp.Knobs) gets one flag named after it holding comma-separated
+// key=value items, e.g. -mrc rate=0.2,max-samples=8192, so a new knob
+// needs no edit here. The parser mirrors exp.Options.Validate's
+// collect-everything style: it reports every unknown key, malformed
+// item, duplicate, and empty or bad value in one pass instead of
+// stopping at the first.
 
-// groupKey is one key of a grouped flag: its value syntax (for the
-// usage string) and the setter that applies a parsed value.
-type groupKey struct {
-	value string
-	set   func(o *exp.Options, val string) error
-}
-
-// group is one grouped flag: a name and its key table.
+// group is one grouped flag: an experiment id and its knobs by key.
 type group struct {
 	name string
-	keys map[string]groupKey
+	keys map[string]exp.Knob
+}
+
+// knobGroups returns one group per experiment with knobs, in
+// experiment id order.
+func knobGroups() []group {
+	var gs []group
+	for _, k := range exp.Knobs() {
+		if len(gs) == 0 || gs[len(gs)-1].name != k.Exp {
+			gs = append(gs, group{name: k.Exp, keys: map[string]exp.Knob{}})
+		}
+		gs[len(gs)-1].keys[k.Key] = k
+	}
+	return gs
 }
 
 // usage renders the group's key=value vocabulary for the flag help.
@@ -43,7 +44,7 @@ func (g group) usage() string {
 	sort.Strings(names)
 	parts := make([]string, len(names))
 	for i, k := range names {
-		parts[i] = k + "=" + g.keys[k].value
+		parts[i] = k + "=" + g.keys[k].Syntax
 	}
 	return strings.Join(parts, ",")
 }
@@ -78,65 +79,9 @@ func (g group) apply(o *exp.Options, spec string) []string {
 			continue
 		}
 		seen[k] = true
-		if err := key.set(o, v); err != nil {
+		if err := o.SetKnob(key.Name, v); err != nil {
 			problems = append(problems, fmt.Sprintf("-%s: %s: %v", g.name, k, err))
 		}
 	}
 	return problems
 }
-
-// intKey and floatKey build setters for plain numeric knobs.
-func intKey(value string, dst func(o *exp.Options) *int) groupKey {
-	return groupKey{value: value, set: func(o *exp.Options, val string) error {
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("bad value %q: want an integer", val)
-		}
-		*dst(o) = n
-		return nil
-	}}
-}
-
-func floatKey(value string, dst func(o *exp.Options) *float64) groupKey {
-	return groupKey{value: value, set: func(o *exp.Options, val string) error {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("bad value %q: want a number", val)
-		}
-		*dst(o) = f
-		return nil
-	}}
-}
-
-// mrcGroup bundles the mrc experiment's SHARDS and curve knobs.
-var mrcGroup = group{name: "mrc", keys: map[string]groupKey{
-	"rate":        floatKey("<0..1>", func(o *exp.Options) *float64 { return &o.MRCSampleRate }),
-	"max-samples": intKey("<n>", func(o *exp.Options) *int { return &o.MRCMaxSamples }),
-	"resolution":  intKey("<bytes>", func(o *exp.Options) *int { return &o.MRCResolution }),
-	"max":         intKey("<bytes>", func(o *exp.Options) *int { return &o.MRCMaxBytes }),
-}}
-
-// partitionGroup bundles the partition experiment's scenario and
-// controller knobs. Tenants are joined with "+" inside the item so the
-// group's comma separator stays unambiguous.
-var partitionGroup = group{name: "partition", keys: map[string]groupKey{
-	"tenants": {value: "<bench+bench...>", set: func(o *exp.Options, val string) error {
-		if val == "" {
-			return fmt.Errorf("bad value %q: want benchmarks joined with +", val)
-		}
-		o.Tenants = strings.Split(val, "+")
-		return nil
-	}},
-	"policy": {value: "static|ucp|ldis", set: func(o *exp.Options, val string) error {
-		o.PartitionPolicy = val
-		return nil
-	}},
-	"epoch": intKey("<accesses>", func(o *exp.Options) *int { return &o.EpochAccesses }),
-}}
-
-// orgsGroup bundles the orgs experiment's per-variant knobs.
-var orgsGroup = group{name: "orgs", keys: map[string]groupKey{
-	"touche-sb-lines":    intKey("<pow2>", func(o *exp.Options) *int { return &o.OrgToucheSBLines }),
-	"copyback-max-reuse": intKey("<bytes>", func(o *exp.Options) *int { return &o.OrgCopyBackMaxReuse }),
-	"waymemo-entries":    intKey("<pow2>", func(o *exp.Options) *int { return &o.OrgWayMemoEntries }),
-}}

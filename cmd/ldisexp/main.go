@@ -1,8 +1,9 @@
 // Command ldisexp regenerates the paper's tables and figures from the
 // synthetic benchmark suite. Run with one or more experiment ids
 // (fig1, fig2, fig6..fig11, fig13, table1..table6, overheads, mrc,
-// partition, orgs, ablation-*) or "all". Per-experiment knobs travel
-// in grouped flags holding key=value items:
+// partition, orgs, ablation-*) or "all". Each experiment that declares
+// knobs gets one grouped flag named after it, holding key=value items
+// (the keys and their syntax are listed by -help):
 //
 //	ldisexp -accesses 2000000 fig6 fig7
 //	ldisexp -mrc rate=0.2,max-samples=8192 mrc
@@ -46,9 +47,11 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "chaos testing: deterministically panic a seeded subset of cells (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	mrcFlag := flag.String("mrc", "", "mrc experiment knobs, comma-separated key=value items: "+mrcGroup.usage())
-	partitionFlag := flag.String("partition", "", "partition experiment knobs, comma-separated key=value items: "+partitionGroup.usage())
-	orgsFlag := flag.String("orgs", "", "orgs experiment knobs, comma-separated key=value items: "+orgsGroup.usage())
+	groups := knobGroups()
+	groupFlags := make([]*string, len(groups))
+	for i, g := range groups {
+		groupFlags[i] = flag.String(g.name, "", g.name+" experiment knobs, comma-separated key=value items: "+g.usage())
+	}
 	obsAddr := flag.String("obs-addr", "", "serve live progress, metric snapshots, and net/http/pprof on this address (e.g. localhost:6060)")
 	manifestPath := flag.String("manifest", "", "write the versioned run manifest to this path (default: <out>/"+obs.ManifestFile+" with -out, else ./"+obs.ManifestFile+")")
 	verifyManifest := flag.Bool("verify-manifest", false, "after writing the manifest, read it back through the validating parser")
@@ -91,9 +94,9 @@ func main() {
 	// option validation — and report them all at once rather than one
 	// per invocation.
 	var problems []string
-	problems = append(problems, mrcGroup.apply(&o, *mrcFlag)...)
-	problems = append(problems, partitionGroup.apply(&o, *partitionFlag)...)
-	problems = append(problems, orgsGroup.apply(&o, *orgsFlag)...)
+	for i, g := range groups {
+		problems = append(problems, g.apply(&o, *groupFlags[i])...)
+	}
 	if *markdown && *csv {
 		problems = append(problems, "-markdown and -csv are mutually exclusive; pick one output format")
 	}

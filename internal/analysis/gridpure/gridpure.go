@@ -17,7 +17,7 @@
 // `//ldis:nondet-ok <why>` annotation.
 //
 // The check also covers internal/exp's wrappers over the scheduler
-// (runGrid, mapBenchmarks): experiments hand their cells to those, not
+// (runGrid, runNamedGrid): experiments hand their cells to those, not
 // to par directly, and the purity contract rides through unchanged.
 package gridpure
 
@@ -33,7 +33,7 @@ import (
 // Analyzer is the gridpure analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "gridpure",
-	Doc:  "cell functions passed to par.Map/Grid/MapPolicy/GridPolicy (or the exp.runGrid/runNamedGrid/mapBenchmarks wrappers and the hierarchy.RunSharded shard scheduler over them) must not write captured variables (except distinct slice elements)",
+	Doc:  "cell functions passed to par.Map/Grid/MapPolicy/GridPolicy (or the exp.runGrid/runNamedGrid wrappers and the hierarchy.RunSharded shard scheduler over them) must not write captured variables (except distinct slice elements)",
 	Run:  run,
 }
 
@@ -47,7 +47,7 @@ var cellTakers = map[string]map[string]bool{
 		"Map": true, "Grid": true, "MapPolicy": true, "GridPolicy": true,
 	},
 	"ldis/internal/exp": {
-		"runGrid": true, "runNamedGrid": true, "mapBenchmarks": true,
+		"runGrid": true, "runNamedGrid": true,
 	},
 	// The intra-run shard scheduler: its trailing build closure runs
 	// once per shard and the systems it returns are driven

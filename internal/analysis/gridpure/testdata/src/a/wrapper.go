@@ -17,14 +17,6 @@ func runGrid[T any](cols int, fn func(name string, col int) (T, error)) ([][]T, 
 	return out, nil
 }
 
-func mapBenchmarks[T any](fn func(name string) (T, error)) ([]T, error) {
-	v, err := fn("bench")
-	if err != nil {
-		return nil, err
-	}
-	return []T{v}, nil
-}
-
 // BadWrapperAccumulator folds into a captured scalar through the
 // wrapper: still order-dependent once the real wrapper fans out.
 func BadWrapperAccumulator(cols int) float64 {
@@ -40,7 +32,7 @@ func BadWrapperAccumulator(cols int) float64 {
 // leaking into results.
 func BadWrapperLastWins(cols int) {
 	last := ""
-	_, _ = mapBenchmarks(func(name string) (int, error) {
+	_, _ = runGrid(1, func(name string, _ int) (int, error) {
 		last = name // want `writes captured variable "last"`
 		return 0, nil
 	})

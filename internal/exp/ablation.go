@@ -190,15 +190,15 @@ func ProfilesTable() *stats.Table {
 }
 
 func init() {
-	registerExp("ablation-woc-ways", "sweep the LOC/WOC way split", AblationWOCWays)
-	registerExp("ablation-threshold", "sweep the distillation threshold K vs median", AblationThreshold)
-	registerExp("ablation-victim", "distillation vs a same-budget victim buffer", AblationVictim)
-	registerExp("ablation-prefetch", "next-line prefetching composed with LDIS", AblationPrefetch)
-	registerExp("ablation-leaders", "reverter leader-set density", AblationLeaderSets)
-	registerExp("ablation-traffic", "off-chip traffic: fills + writebacks", AblationTraffic)
+	registerExp("ablation-woc-ways", "sweep the LOC/WOC way split", AblationWOCWays, nil)
+	registerExp("ablation-threshold", "sweep the distillation threshold K vs median", AblationThreshold, nil)
+	registerExp("ablation-victim", "distillation vs a same-budget victim buffer", AblationVictim, nil)
+	registerExp("ablation-prefetch", "next-line prefetching composed with LDIS", AblationPrefetch, nil)
+	registerExp("ablation-leaders", "reverter leader-set density", AblationLeaderSets, nil)
+	registerExp("ablation-traffic", "off-chip traffic: fills + writebacks", AblationTraffic, nil)
 	registerExp("profiles", "synthetic benchmark parameter summary", func(Options) ([]*stats.Table, error) {
 		return []*stats.Table{ProfilesTable()}, nil
-	})
+	}, nil)
 }
 
 // AblationTraffic measures off-chip traffic (fills + writebacks, whole

@@ -27,9 +27,10 @@ import (
 //	record: payload-length u32 | crc32(payload) u32 | payload
 //	payload: gob{Exp, Bench string; Col int; Data []byte}
 //
-// The fingerprint pins the options that produced the cells (accesses,
-// warmup fraction, benchmark set); opening a checkpoint with different
-// options is refused rather than silently mixing incompatible results.
+// The fingerprint pins the options that produced the cells (the run
+// manifest's params: scale, benchmark set, experiment knobs); opening a
+// checkpoint with different options is refused rather than silently
+// mixing incompatible results.
 // The file contains simulated results only — no wall-clock timestamps
 // — so checkpointed runs stay deterministic.
 const (
@@ -68,35 +69,6 @@ type Checkpoint struct {
 
 func ckKey(exp, bench string, col int) string {
 	return exp + "\x00" + bench + "\x00" + fmt.Sprint(col)
-}
-
-// Fingerprint returns the checkpoint compatibility fingerprint of the
-// options: a hash over every field that changes simulated results.
-// Scheduling and resilience knobs (Parallel, KeepGoing, Retries, ...)
-// are deliberately excluded — they do not change what a cell computes.
-func (o Options) Fingerprint() uint64 {
-	var b strings.Builder
-	fmt.Fprintf(&b, "accesses=%d|warmup=%g|benchmarks=%s",
-		o.Accesses, o.WarmupFrac, strings.Join(o.benchmarks(), ","))
-	// MRC knobs change what the mrc experiment's cells compute. The
-	// defaulted accessors are used so explicit-default and zero-value
-	// options share a fingerprint.
-	fmt.Fprintf(&b, "|mrc=%g/%d/%d/%d",
-		o.mrcSampleRate(), o.mrcMaxSamples(), o.mrcResolution(), o.mrcMaxBytes())
-	// Partition knobs change the partition experiment's scenarios,
-	// columns, and epoch cadence.
-	fmt.Fprintf(&b, "|tenants=%s|partition=%s/%d",
-		strings.Join(o.Tenants, ","), o.PartitionPolicy, o.epochAccesses())
-	// Org knobs change the orgs experiment's touche/copyback/waymemo
-	// cell configurations.
-	fmt.Fprintf(&b, "|orgs=%d/%d/%d",
-		o.orgToucheSBLines(), o.orgCopyBackMaxReuse(), o.orgWayMemoEntries())
-	h := uint64(14695981039346656037)
-	for i := 0; i < b.Len(); i++ {
-		h ^= uint64(b.String()[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // OpenCheckpoint opens (or creates) the checkpoint at path for the

@@ -27,7 +27,7 @@ func Fig10(o Options) ([]Fig10Row, error) {
 		return nil, err
 	}
 	const samples = 5
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Fig10Row, error) {
+	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Fig10Row, error) {
 		vals := prof.Values()
 		sys, c := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
 		st := prof.Stream()
@@ -66,7 +66,14 @@ func Fig10(o Options) ([]Fig10Row, error) {
 		}
 		return row, nil
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig10Row, len(grid))
+	for i := range grid {
+		rows[i] = grid[i][0]
+	}
+	return rows, nil
 }
 
 func fig10Table(rows []Fig10Row) []*stats.Table {
@@ -179,12 +186,12 @@ func init() {
 			return nil, err
 		}
 		return fig10Table(rows), nil
-	})
+	}, nil)
 	registerExp("fig11", "LDIS vs compression vs footprint-aware compression", func(o Options) ([]*stats.Table, error) {
 		rows, err := Fig11(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{fig11Table(rows)}, nil
-	})
+	}, nil)
 }

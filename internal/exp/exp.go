@@ -15,7 +15,6 @@ import (
 	"ldis/internal/distill"
 	"ldis/internal/hierarchy"
 	"ldis/internal/obs"
-	"ldis/internal/partition"
 	"ldis/internal/sampler"
 	"ldis/internal/stats"
 	"ldis/internal/trace"
@@ -80,41 +79,12 @@ type Options struct {
 	// toggling observability never invalidates a checkpoint.
 	Obs *obs.Run
 
-	// MRCSampleRate is the SHARDS spatial sampling rate in (0, 1) used
-	// by the sampled column of the mrc experiment; 0 means the default
-	// (see mrcSampleRate). The exact column ignores it.
-	MRCSampleRate float64
-	// MRCMaxSamples bounds concurrently tracked lines in the sampled
-	// column (SHARDS fixed-size mode); 0 means the default.
-	MRCMaxSamples int
-	// MRCResolution is the capacity step of the miss-ratio curves in
-	// bytes; 0 means the default (64KB).
-	MRCResolution int
-	// MRCMaxBytes is the largest curve capacity in bytes; 0 means the
-	// default (4MB).
-	MRCMaxBytes int
-
-	// Tenants selects the co-running benchmarks of the partition
-	// experiment's tenant mix (2..partition.MaxTenants workload names);
-	// empty means the experiment's bundled scenarios. Other
-	// experiments ignore it.
-	Tenants []string
-	// PartitionPolicy restricts the partition experiment to one policy
-	// column ("static", "ucp", or "ldis"); empty runs all three.
-	PartitionPolicy string
-	// EpochAccesses is the partition controller's epoch length in
-	// accesses; 0 means the default (see epochAccesses).
-	EpochAccesses int
-
-	// OrgToucheSBLines is the orgs experiment's Touché superblock size
-	// in lines (power of two >= 2); 0 means the default (4).
-	OrgToucheSBLines int
-	// OrgCopyBackMaxReuse is the orgs experiment's copy-back admission
-	// window in bytes; 0 means the shared cache's size (1MB).
-	OrgCopyBackMaxReuse int
-	// OrgWayMemoEntries is the orgs experiment's way-memo entries per
-	// cache set (power of two in [1, 64]); 0 means the default (4).
-	OrgWayMemoEntries int
+	// Per-experiment knobs, each declared once beside its experiment
+	// (see knob.go). A zero field means the knob's default; other
+	// experiments ignore them.
+	MRC       MRCParams
+	Partition PartitionParams
+	Orgs      OrgsParams
 
 	// expID is the registry id of the experiment being run, set by
 	// Run; it keys checkpoint records and failure rows.
@@ -150,91 +120,22 @@ func (o Options) batchSize() int {
 	return o.BatchSize
 }
 
-// mrc option accessors: zero means "default", and the same defaulted
-// values feed both the engine configs and the checkpoint fingerprint,
-// so an explicit default and an implicit one fingerprint identically.
-
-func (o Options) mrcSampleRate() float64 {
-	if o.MRCSampleRate == 0 {
-		// 0.1 keeps the SHARDS curve within the 0.02 error budget on
-		// every registered benchmark even at short (150k-access) test
-		// traces; production-scale MRC studies can lower it.
-		return 0.1
-	}
-	return o.MRCSampleRate
-}
-
-func (o Options) mrcMaxSamples() int {
-	if o.MRCMaxSamples == 0 {
-		return 16 << 10
-	}
-	return o.MRCMaxSamples
-}
-
-func (o Options) mrcResolution() int {
-	if o.MRCResolution == 0 {
-		return 64 << 10
-	}
-	return o.MRCResolution
-}
-
-func (o Options) mrcMaxBytes() int {
-	if o.MRCMaxBytes == 0 {
-		return 4 << 20
-	}
-	return o.MRCMaxBytes
-}
-
-// orgs option accessors: zero means "default", and the defaulted
-// values feed both the cell configs and the fingerprint, so explicit
-// defaults and implicit ones checkpoint identically.
-
-func (o Options) orgToucheSBLines() int {
-	if o.OrgToucheSBLines == 0 {
-		return 4
-	}
-	return o.OrgToucheSBLines
-}
-
-func (o Options) orgCopyBackMaxReuse() int {
-	if o.OrgCopyBackMaxReuse == 0 {
-		return orgSizeBytes
-	}
-	return o.OrgCopyBackMaxReuse
-}
-
-func (o Options) orgWayMemoEntries() int {
-	if o.OrgWayMemoEntries == 0 {
-		return 4
-	}
-	return o.OrgWayMemoEntries
-}
-
-func (o Options) epochAccesses() int {
-	if o.EpochAccesses == 0 {
-		// ~10 epochs inside a default 100k-access smoke run: enough
-		// decisions for the agreement gate to be meaningful, short
-		// enough that the controller adapts within a test trace.
-		return 10_000
-	}
-	return o.EpochAccesses
-}
-
 // OptionError is one diagnosed problem with an Options value: the
 // offending field plus a human-readable message. Validate returns all
 // of them joined, so callers (both CLIs) can print the complete
 // problem list in one pass instead of fixing flags one at a time.
 type OptionError struct {
-	Field string // Options field name ("Accesses", "MRCSampleRate", ...)
+	Field string // Options field ("Accesses", ...) or knob name ("mrc_sample_rate", ...)
 	Msg   string
 }
 
 func (e *OptionError) Error() string { return "exp: " + e.Field + ": " + e.Msg }
 
 // Validate checks every option and normalizes the ones with sensible
-// defaults (a KeepGoing run with no Failures log gets a fresh one).
-// It returns nil or an errors.Join of *OptionError values — one per
-// problem found, never just the first.
+// defaults (a KeepGoing run with no Failures log gets a fresh one, and
+// every zero knob takes its declared default). It returns nil or an
+// errors.Join of *OptionError values — one per problem found, never
+// just the first.
 func (o *Options) Validate() error {
 	var problems []error
 	bad := func(field, format string, args ...any) {
@@ -261,17 +162,6 @@ func (o *Options) Validate() error {
 	if o.FailBudget < 0 {
 		bad("FailBudget", "must be >= 0, got %d", o.FailBudget)
 	}
-	if (o.MRCSampleRate < 0 || o.MRCSampleRate >= 1) && o.MRCSampleRate != 0 {
-		bad("MRCSampleRate", "%v outside (0,1); the sampled column needs a real sampling rate", o.MRCSampleRate)
-	}
-	if o.MRCMaxSamples < 0 {
-		bad("MRCMaxSamples", "must be >= 0, got %d", o.MRCMaxSamples)
-	}
-	if o.MRCResolution < 0 || o.MRCMaxBytes < 0 {
-		bad("MRCResolution", "MRC curve geometry must be >= 0, got resolution %d max %d", o.MRCResolution, o.MRCMaxBytes)
-	} else if o.mrcMaxBytes() < o.mrcResolution() {
-		bad("MRCMaxBytes", "%d below MRCResolution %d", o.mrcMaxBytes(), o.mrcResolution())
-	}
 	if o.KeepGoing && o.Failures == nil {
 		o.Failures = NewFailureLog()
 	}
@@ -280,32 +170,16 @@ func (o *Options) Validate() error {
 			problems = append(problems, err)
 		}
 	}
-	if len(o.Tenants) > 0 {
-		if len(o.Tenants) < 2 || len(o.Tenants) > partition.MaxTenants {
-			bad("Tenants", "a tenant mix needs 2..%d workloads, got %d", partition.MaxTenants, len(o.Tenants))
+	*o = o.withKnobDefaults()
+	// A check that depends on an earlier knob sees that knob's problem
+	// too (the curve's max capacity sees a bad resolution); it is
+	// reported once, on the earlier knob.
+	reported := map[string]bool{}
+	for _, k := range o.knobs() {
+		if err := k.check(); err != nil && !reported[err.Error()] {
+			reported[err.Error()] = true
+			bad(k.Name, "%v", err)
 		}
-		for _, b := range o.Tenants {
-			if _, err := workload.ByName(b); err != nil {
-				problems = append(problems, err)
-			}
-		}
-	}
-	if o.PartitionPolicy != "" {
-		if _, ok := partition.ByName(o.PartitionPolicy); !ok {
-			bad("PartitionPolicy", "unknown policy %q (have %s)", o.PartitionPolicy, strings.Join(partition.PolicyNames, ", "))
-		}
-	}
-	if o.EpochAccesses < 0 {
-		bad("EpochAccesses", "must be >= 0, got %d", o.EpochAccesses)
-	}
-	if s := o.OrgToucheSBLines; s != 0 && (s < 2 || s&(s-1) != 0) {
-		bad("OrgToucheSBLines", "superblock of %d lines not a power of two >= 2", s)
-	}
-	if o.OrgCopyBackMaxReuse < 0 {
-		bad("OrgCopyBackMaxReuse", "must be >= 0, got %d", o.OrgCopyBackMaxReuse)
-	}
-	if e := o.OrgWayMemoEntries; e != 0 && (e < 1 || e > 64 || e&(e-1) != 0) {
-		bad("OrgWayMemoEntries", "%d not a power of two in [1, 64]", e)
 	}
 	return errors.Join(problems...)
 }
@@ -371,16 +245,16 @@ func cellStream(prof *workload.Profile, co *obs.Cell) *timedStream {
 	return &timedStream{bs: trace.Batched(prof.Stream()), sp: co.Spans()}
 }
 
-// driveBatches feeds up to n records from bs into sys in buf-sized
+// driveBatches feeds up to n records from bs into sink in buf-sized
 // blocks, stopping early if the stream ends.
-func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trace.Record) {
+func driveBatches(sink func([]trace.Record), bs trace.BatchStream, n int, buf []trace.Record) {
 	for done := 0; done < n; {
 		want := len(buf)
 		if want > n-done {
 			want = n - done
 		}
 		got := bs.NextBatch(buf[:want])
-		sys.DoBatch(buf[:got])
+		sink(buf[:got])
 		done += got
 		if got < want {
 			return
@@ -396,9 +270,9 @@ func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trac
 func runWindowed(sys *hierarchy.System, prof *workload.Profile, o Options, co *obs.Cell) *hierarchy.Window {
 	bs := cellStream(prof, co)
 	buf := make([]trace.Record, o.batchSize())
-	driveBatches(sys, bs, o.warmup(), buf)
+	driveBatches(sys.DoBatch, bs, o.warmup(), buf)
 	w := sys.StartWindow()
-	driveBatches(sys, bs, o.measure(), buf)
+	driveBatches(sys.DoBatch, bs, o.measure(), buf)
 	return w
 }
 
@@ -450,19 +324,21 @@ func baselineMPKI(prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.Wi
 // Runner is an experiment entry: it produces one or more tables.
 type Runner func(Options) ([]*stats.Table, error)
 
-var experiments = map[string]struct {
+// experiment is one registry entry: its description, its Runner, and
+// its knob declaration (nil for experiments without knobs).
+type experiment struct {
 	About string
 	Run   Runner
-}{}
+	knobs func(*Options) []Knob
+}
 
-func registerExp(id, about string, run Runner) {
+var experiments = map[string]experiment{}
+
+func registerExp(id, about string, run Runner, knobs func(*Options) []Knob) {
 	if _, dup := experiments[id]; dup {
 		panic("exp: duplicate experiment " + id)
 	}
-	experiments[id] = struct {
-		About string
-		Run   Runner
-	}{about, run}
+	experiments[id] = experiment{about, run, knobs}
 }
 
 // IDs lists the registered experiment ids in sorted order.
@@ -521,25 +397,4 @@ func Run(id string, o Options) ([]*stats.Table, error) {
 	}
 	o.expID = id
 	return e.Run(o)
-}
-
-// ManifestParams returns the result-relevant options as strings, for
-// the run manifest's params block. Scheduling knobs stay out — they
-// cannot change results — mirroring the Fingerprint field set.
-func (o Options) ManifestParams() map[string]string {
-	return map[string]string{
-		"accesses":               fmt.Sprint(o.Accesses),
-		"warmup_frac":            fmt.Sprint(o.WarmupFrac),
-		"benchmarks":             strings.Join(o.benchmarks(), ","),
-		"mrc_sample_rate":        fmt.Sprint(o.mrcSampleRate()),
-		"mrc_max_samples":        fmt.Sprint(o.mrcMaxSamples()),
-		"mrc_resolution":         fmt.Sprint(o.mrcResolution()),
-		"mrc_max_bytes":          fmt.Sprint(o.mrcMaxBytes()),
-		"tenants":                strings.Join(o.Tenants, ","),
-		"partition_policy":       o.PartitionPolicy,
-		"epoch_accesses":         fmt.Sprint(o.epochAccesses()),
-		"org_touche_sb_lines":    fmt.Sprint(o.orgToucheSBLines()),
-		"org_copyback_max_reuse": fmt.Sprint(o.orgCopyBackMaxReuse()),
-		"org_waymemo_entries":    fmt.Sprint(o.orgWayMemoEntries()),
-	}
 }

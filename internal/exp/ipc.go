@@ -77,5 +77,5 @@ func init() {
 			return nil, err
 		}
 		return []*stats.Table{fig9Table(rows)}, nil
-	})
+	}, nil)
 }

@@ -284,26 +284,26 @@ func init() {
 			return nil, err
 		}
 		return []*stats.Table{fig6Table(rows)}, nil
-	})
+	}, nil)
 	registerExp("fig7", "hit-miss breakdown: baseline vs distill cache", func(o Options) ([]*stats.Table, error) {
 		rows, err := Fig7(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{fig7Table(rows)}, nil
-	})
+	}, nil)
 	registerExp("fig8", "capacity analysis: distill vs 1.5MB and 2MB traditional", func(o Options) ([]*stats.Table, error) {
 		rows, err := Fig8(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{fig8Table(rows)}, nil
-	})
+	}, nil)
 	registerExp("table5", "cache-insensitive benchmarks (Appendix A)", func(o Options) ([]*stats.Table, error) {
 		rows, err := Table5(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{table5Table(rows)}, nil
-	})
+	}, nil)
 }

@@ -25,7 +25,7 @@ func Fig1(o Options) ([]Fig1Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Fig1Row, error) {
+	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Fig1Row, error) {
 		_, c := baselineMPKI(prof, o, co)
 		h := c.Stats().WordsUsedAtEvict
 		row := Fig1Row{Benchmark: prof.Name, Mean: h.Mean()}
@@ -34,7 +34,14 @@ func Fig1(o Options) ([]Fig1Row, error) {
 		}
 		return row, nil
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig1Row, len(grid))
+	for i := range grid {
+		rows[i] = grid[i][0]
+	}
+	return rows, nil
 }
 
 func fig1Table(rows []Fig1Row) *stats.Table {
@@ -72,7 +79,7 @@ func Fig2(o Options) ([]Fig2Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Fig2Row, error) {
+	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Fig2Row, error) {
 		_, c := baselineMPKI(prof, o, co)
 		h := c.Stats().FPChangePos
 		row := Fig2Row{Benchmark: prof.Name}
@@ -81,7 +88,14 @@ func Fig2(o Options) ([]Fig2Row, error) {
 		}
 		return row, nil
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig2Row, len(grid))
+	for i := range grid {
+		rows[i] = grid[i][0]
+	}
+	return rows, nil
 }
 
 func fig2Table(rows []Fig2Row) *stats.Table {
@@ -120,7 +134,7 @@ func Table2(o Options) ([]Table2Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Table2Row, error) {
+	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Table2Row, error) {
 		sys, _ := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
 		w := runWindowed(sys, prof, o, co)
 		comp := 0.0
@@ -135,7 +149,14 @@ func Table2(o Options) ([]Table2Row, error) {
 			PaperMPKI:     prof.PaperMPKI,
 		}, nil
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table2Row, len(grid))
+	for i := range grid {
+		rows[i] = grid[i][0]
+	}
+	return rows, nil
 }
 
 func table2Table(rows []Table2Row) *stats.Table {
@@ -223,26 +244,26 @@ func init() {
 			return nil, err
 		}
 		return []*stats.Table{fig1Table(rows)}, nil
-	})
+	}, nil)
 	registerExp("fig2", "max recency position before footprint-change", func(o Options) ([]*stats.Table, error) {
 		rows, err := Fig2(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{fig2Table(rows)}, nil
-	})
+	}, nil)
 	registerExp("table2", "baseline MPKI and compulsory misses", func(o Options) ([]*stats.Table, error) {
 		rows, err := Table2(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{table2Table(rows)}, nil
-	})
+	}, nil)
 	registerExp("table6", "average words used vs cache size", func(o Options) ([]*stats.Table, error) {
 		rows, err := Table6(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{table6Table(rows)}, nil
-	})
+	}, nil)
 }

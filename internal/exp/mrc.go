@@ -37,22 +37,52 @@ type MRCResult struct {
 	Exact, Sampled mrcCell
 }
 
+// MRCParams are the mrc experiment's knobs. A zero field takes its
+// declared default.
+type MRCParams struct {
+	// SampleRate is the SHARDS spatial sampling rate of the sampled
+	// column; the exact column ignores it.
+	SampleRate float64
+	// MaxSamples bounds the sampled column's concurrently tracked lines
+	// (SHARDS fixed-size mode).
+	MaxSamples int
+	// Resolution is the curves' capacity step in bytes.
+	Resolution int
+	// MaxBytes is the largest curve capacity in bytes.
+	MaxBytes int
+}
+
+// knobs declares the mrc knobs. Each check runs the engine's own
+// mrc.Config.Validate over the knob and the knobs it depends on, so the
+// experiment refuses exactly the geometry the engine would.
+func (p *MRCParams) knobs() []Knob {
+	return []Knob{
+		// 0.1 keeps the SHARDS curve within the 0.02 error budget on
+		// every registered benchmark even at short (150k-access) test
+		// traces; production-scale MRC studies can lower it.
+		{Key: "rate", Name: "mrc_sample_rate", Syntax: "<0..1>", ptr: &p.SampleRate, def: 0.1,
+			check: func() error { return mrc.Config{SampleRate: p.SampleRate}.Validate() }},
+		{Key: "max-samples", Name: "mrc_max_samples", Syntax: "<n>", ptr: &p.MaxSamples, def: 16 << 10,
+			check: func() error { return mrc.Config{SampleRate: p.SampleRate, MaxSamples: p.MaxSamples}.Validate() }},
+		{Key: "resolution", Name: "mrc_resolution", Syntax: "<bytes>", ptr: &p.Resolution, def: 64 << 10,
+			check: func() error { return mrc.Config{ResolutionBytes: p.Resolution, MaxBytes: p.Resolution}.Validate() }},
+		{Key: "max", Name: "mrc_max_bytes", Syntax: "<bytes>", ptr: &p.MaxBytes, def: 4 << 20,
+			check: func() error { return mrc.Config{ResolutionBytes: p.Resolution, MaxBytes: p.MaxBytes}.Validate() }},
+	}
+}
+
 // MRC computes the per-benchmark curves. Column 0 is exact, column 1
-// SHARDS-sampled with Options.MRCSampleRate / MRCMaxSamples.
+// SHARDS-sampled with Options.MRC's SampleRate and MaxSamples.
 func MRC(o Options) ([]MRCResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) (mrcCell, error) {
-		cfg := mrc.Config{
-			MaxBytes:        o.mrcMaxBytes(),
-			ResolutionBytes: o.mrcResolution(),
-			Obs:             co,
-		}
+		cfg := mrc.Config{MaxBytes: o.MRC.MaxBytes, ResolutionBytes: o.MRC.Resolution, Obs: co}
 		label := "exact"
 		if col == 1 {
-			cfg.SampleRate = o.mrcSampleRate()
-			cfg.MaxSamples = o.mrcMaxSamples()
+			cfg.SampleRate = o.MRC.SampleRate
+			cfg.MaxSamples = o.MRC.MaxSamples
 			cfg.Seed = prof.Seed ^ 0x5ac0ffee
 			label = "shards"
 		}
@@ -62,24 +92,9 @@ func MRC(o Options) ([]MRCResult, error) {
 		}
 		bs := cellStream(prof, co)
 		buf := make([]trace.Record, o.batchSize())
-		drive := func(n int) {
-			done := 0
-			for done < n {
-				want := len(buf)
-				if want > n-done {
-					want = n - done
-				}
-				got := bs.NextBatch(buf[:want])
-				eng.AccessBatch(buf[:got])
-				done += got
-				if got < want {
-					return
-				}
-			}
-		}
-		drive(o.warmup())
+		driveBatches(eng.AccessBatch, bs, o.warmup(), buf)
 		eng.ResetCounts()
-		drive(o.measure())
+		driveBatches(eng.AccessBatch, bs, o.measure(), buf)
 		return mrcCell{
 			Line: eng.LineCurve("line " + label),
 			Word: eng.WordCurve("word " + label),
@@ -154,5 +169,5 @@ func init() {
 			return nil, err
 		}
 		return MRCTables(rows), nil
-	})
+	}, func(o *Options) []Knob { return o.MRC.knobs() })
 }

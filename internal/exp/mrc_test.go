@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ldis/internal/cache"
@@ -187,40 +189,45 @@ func TestMRCCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestMRCOptionsValidate rejects broken MRC knobs with useful errors.
+// TestMRCOptionsValidate: every MRC geometry the engine would refuse
+// is refused by option validation, before any cell runs, on the knob
+// it concerns — including a NaN rate, which the sampled column would
+// otherwise run as exact, and a rate whose threshold rounds to zero.
 func TestMRCOptionsValidate(t *testing.T) {
-	bad := []Options{
-		{Accesses: 1000, MRCSampleRate: -0.5},
-		{Accesses: 1000, MRCSampleRate: 1.5},
-		{Accesses: 1000, MRCMaxSamples: -1},
-		{Accesses: 1000, MRCResolution: -64},
-		{Accesses: 1000, MRCMaxBytes: -1},
-		{Accesses: 1000, MRCResolution: 1 << 20, MRCMaxBytes: 1 << 10},
+	cases := []struct {
+		p         MRCParams
+		field     string
+		wantInMsg string
+	}{
+		{MRCParams{SampleRate: -0.5}, "mrc_sample_rate", "outside (0, 1]"},
+		{MRCParams{SampleRate: 1.5}, "mrc_sample_rate", "outside (0, 1]"},
+		{MRCParams{SampleRate: math.NaN()}, "mrc_sample_rate", "NaN outside (0, 1]"},
+		{MRCParams{SampleRate: 1e-30}, "mrc_sample_rate", "rounds to zero lines"},
+		{MRCParams{SampleRate: 1}, "mrc_max_samples", "requires a sample rate below 1"},
+		{MRCParams{MaxSamples: -1}, "mrc_max_samples", "negative max samples"},
+		{MRCParams{Resolution: -64}, "mrc_resolution", "below the line size"},
+		{MRCParams{Resolution: 32, MaxBytes: 65536}, "mrc_resolution", "below the line size"},
+		{MRCParams{MaxBytes: -1}, "mrc_max_bytes", "below the resolution"},
+		{MRCParams{Resolution: 1 << 20, MaxBytes: 1 << 10}, "mrc_max_bytes", "below the resolution"},
 	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("case %d: validate accepted %+v", i, o)
+	for _, tc := range cases {
+		o := Options{Accesses: 1000, MRC: tc.p}
+		err := o.Validate()
+		var oe *OptionError
+		if !errors.As(err, &oe) {
+			t.Errorf("%+v: validate returned %v, want an *OptionError", tc.p, err)
+			continue
+		}
+		// One problem, on the knob it concerns: a check that depends
+		// on an earlier knob does not repeat that knob's problem.
+		if oe.Field != tc.field || !strings.Contains(oe.Msg, tc.wantInMsg) ||
+			len(err.(interface{ Unwrap() []error }).Unwrap()) != 1 {
+			t.Errorf("%+v: got %v, want one %s problem containing %q", tc.p, err, tc.field, tc.wantInMsg)
 		}
 	}
-	ok := Options{Accesses: 1000, MRCSampleRate: 0.1, MRCMaxSamples: 100,
-		MRCResolution: 64 << 10, MRCMaxBytes: 1 << 20}
+	ok := Options{Accesses: 1000, MRC: MRCParams{SampleRate: 0.1, MaxSamples: 100,
+		Resolution: 64 << 10, MaxBytes: 1 << 20}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("validate rejected good options: %v", err)
-	}
-}
-
-// TestMRCFingerprint: MRC knobs are result-affecting, so they must
-// change the checkpoint fingerprint; explicit defaults must not.
-func TestMRCFingerprint(t *testing.T) {
-	base := Options{Accesses: 1000}
-	explicit := Options{Accesses: 1000, MRCSampleRate: 0.1, MRCMaxSamples: 16 << 10,
-		MRCResolution: 64 << 10, MRCMaxBytes: 4 << 20}
-	if base.Fingerprint() != explicit.Fingerprint() {
-		t.Error("explicit MRC defaults changed the fingerprint")
-	}
-	changed := base
-	changed.MRCSampleRate = 0.2
-	if base.Fingerprint() == changed.Fingerprint() {
-		t.Error("MRCSampleRate change did not change the fingerprint")
 	}
 }

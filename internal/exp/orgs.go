@@ -65,31 +65,28 @@ func orgDistill(name string, seed uint64) distill.Config {
 	}
 }
 
-// runOrgTrad runs one traditional-organization cell, sharded when
-// requested, and returns the window totals plus the merged cache
-// statistics (shard-owned counters sum to exactly the sequential
-// values, so the memo accounting is byte-identical at any shard
-// count).
-func runOrgTrad(cfg cache.Config, prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.WindowTotals, cache.Stats) {
-	if o.shards() == 1 {
-		sys, c := tradSystem(cfg, co)
-		w := runWindowed(sys, prof, o, co)
-		return w.Totals(), *c.Stats()
+// OrgsParams are the orgs experiment's knobs. A zero field takes its
+// declared default.
+type OrgsParams struct {
+	// ToucheSBLines is the Touché superblock size in lines.
+	ToucheSBLines int
+	// CopyBackMaxReuse is the copy-back admission window in bytes.
+	CopyBackMaxReuse int
+	// WayMemoEntries is the way-memo entries per cache set.
+	WayMemoEntries int
+}
+
+// knobs declares the orgs knobs; each check is the modified
+// component's own config check.
+func (p *OrgsParams) knobs() []Knob {
+	return []Knob{
+		{Key: "touche-sb-lines", Name: "org_touche_sb_lines", Syntax: "<pow2>", ptr: &p.ToucheSBLines, def: 4,
+			check: func() error { return wordstore.ToucheConfig{SuperblockLines: p.ToucheSBLines}.Validate() }},
+		{Key: "copyback-max-reuse", Name: "org_copyback_max_reuse", Syntax: "<bytes>", ptr: &p.CopyBackMaxReuse, def: orgSizeBytes,
+			check: func() error { return distill.CopyBackConfig{MaxReuseBytes: p.CopyBackMaxReuse}.Validate() }},
+		{Key: "waymemo-entries", Name: "org_waymemo_entries", Syntax: "<pow2>", ptr: &p.WayMemoEntries, def: 4,
+			check: func() error { return cache.WayMemoConfig{EntriesPerSet: p.WayMemoEntries}.Validate() }},
 	}
-	run, err := hierarchy.RunSharded(o.shards(), o.batchSize(), o.warmup(), o.measure(), cellStream(prof, co),
-		func(shard int) *hierarchy.System {
-			sys, _ := tradSystem(cfg, co)
-			return sys
-		})
-	if err != nil {
-		// Options are validated and the traditional organization is
-		// shard-exact; only a panicking shard worker lands here.
-		panic(err)
-	}
-	// RunSharded folds every sibling shard into Systems[0] before
-	// returning, and the memo counters are shard-owned per-set sums, so
-	// the merged statistics are byte-identical to the sequential run's.
-	return run.Window, *run.Systems[0].L2.(*hierarchy.TradL2).C.Stats()
 }
 
 // OrgsRow is one benchmark's cells across the five organizations.
@@ -121,14 +118,16 @@ func orgCellRun(o Options, prof *workload.Profile, col int, co *obs.Cell) (orgCe
 	cell := orgCell{Org: orgColumns[col]}
 	switch cell.Org {
 	case "base":
-		tw, _ := runOrgTrad(cache.Config{Name: "orgs-base", SizeBytes: orgSizeBytes, Ways: orgWays}, prof, o, co)
-		cell.Totals = tw
+		cell.Totals, _ = runTradWindowed(cache.Config{Name: "orgs-base", SizeBytes: orgSizeBytes, Ways: orgWays}, prof, o, co)
 	case "waymemo":
 		cfg := cache.Config{
 			Name: "orgs-waymemo", SizeBytes: orgSizeBytes, Ways: orgWays,
-			WayMemo: &cache.WayMemoConfig{EntriesPerSet: o.orgWayMemoEntries()},
+			WayMemo: &cache.WayMemoConfig{EntriesPerSet: o.Orgs.WayMemoEntries},
 		}
-		tw, st := runOrgTrad(cfg, prof, o, co)
+		// Sharded, the memo counters are shard-owned per-set sums merged
+		// into the returned cache, so they match the sequential run's.
+		tw, c := runTradWindowed(cfg, prof, o, co)
+		st := c.Stats()
 		cell.Totals = tw
 		cell.MemoRefs, cell.MemoHits, cell.MemoSkipped = st.MemoRefs, st.MemoHits, st.MemoProbesSkipped
 	case "ldis":
@@ -136,13 +135,13 @@ func orgCellRun(o Options, prof *workload.Profile, col int, co *obs.Cell) (orgCe
 		cell.Totals = runWindowed(sys, prof, o, co).Totals()
 	case "touche":
 		cfg := orgDistill("orgs-touche", prof.Seed)
-		cfg.Touche = &wordstore.ToucheConfig{SuperblockLines: o.orgToucheSBLines(), Seed: prof.Seed}
+		cfg.Touche = &wordstore.ToucheConfig{SuperblockLines: o.Orgs.ToucheSBLines, Seed: prof.Seed}
 		sys, dc := distillSystem(cfg, co)
 		cell.Totals = runWindowed(sys, prof, o, co).Totals()
 		cell.Touche = dc.Stats().Touche
 	case "copyback":
 		cfg := orgDistill("orgs-copyback", prof.Seed)
-		cfg.CopyBack = &distill.CopyBackConfig{MaxReuseBytes: o.orgCopyBackMaxReuse(), Seed: prof.Seed}
+		cfg.CopyBack = &distill.CopyBackConfig{MaxReuseBytes: o.Orgs.CopyBackMaxReuse, Seed: prof.Seed}
 		sys, dc := distillSystem(cfg, co)
 		cell.Totals = runWindowed(sys, prof, o, co).Totals()
 		st := dc.Stats()
@@ -158,7 +157,7 @@ func orgCellRun(o Options, prof *workload.Profile, col int, co *obs.Cell) (orgCe
 // WOC ways, 64B lines).
 func (o Options) orgToucheParams() costmodel.ToucheParams {
 	t := costmodel.ToucheDefaults()
-	t.SuperblockLines = o.orgToucheSBLines()
+	t.SuperblockLines = o.withKnobDefaults().Orgs.ToucheSBLines
 	return t
 }
 
@@ -263,5 +262,5 @@ func init() {
 			return nil, err
 		}
 		return OrgsTables(rows, o), nil
-	})
+	}, func(o *Options) []Knob { return o.Orgs.knobs() })
 }

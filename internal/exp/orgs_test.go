@@ -229,31 +229,3 @@ func TestOrgsCheckpointResume(t *testing.T) {
 		t.Errorf("resumed run replayed %d cells, want all %d", ck2.Replayed(), len(orgColumns))
 	}
 }
-
-// TestOrgsFingerprintCoversKnobs: every org knob must move the
-// checkpoint fingerprint, and spelling out the defaults must not.
-func TestOrgsFingerprintCoversKnobs(t *testing.T) {
-	base := Options{Accesses: 60_000, WarmupFrac: 0.25}
-	fp := base.Fingerprint()
-
-	explicit := base
-	explicit.OrgToucheSBLines = explicit.orgToucheSBLines()
-	explicit.OrgCopyBackMaxReuse = explicit.orgCopyBackMaxReuse()
-	explicit.OrgWayMemoEntries = explicit.orgWayMemoEntries()
-	if explicit.Fingerprint() != fp {
-		t.Error("explicit defaults changed the fingerprint")
-	}
-
-	mods := []func(*Options){
-		func(o *Options) { o.OrgToucheSBLines = 8 },
-		func(o *Options) { o.OrgCopyBackMaxReuse = 1 << 16 },
-		func(o *Options) { o.OrgWayMemoEntries = 8 },
-	}
-	for i, mod := range mods {
-		o := base
-		mod(&o)
-		if o.Fingerprint() == fp {
-			t.Errorf("org knob %d does not affect the fingerprint", i)
-		}
-	}
-}

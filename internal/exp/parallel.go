@@ -167,21 +167,3 @@ func runNamedGrid[T any](o Options, names []string, cols int, fn func(row, col i
 	}
 	return keepNames, keep, nil
 }
-
-// mapBenchmarks runs fn once per benchmark: a one-column grid, kept
-// for experiments whose unit of work is the whole benchmark (e.g. the
-// Figure 10 content sampling). Like runGrid it returns the surviving
-// benchmark names alongside the results.
-func mapBenchmarks[T any](o Options, fn func(prof *workload.Profile, co *obs.Cell) (T, error)) ([]string, []T, error) {
-	names, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (T, error) {
-		return fn(prof, co)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]T, len(grid))
-	for i := range grid {
-		out[i] = grid[i][0]
-	}
-	return names, out, nil
-}

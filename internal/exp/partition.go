@@ -40,14 +40,16 @@ const (
 	partWayBytes  = partSizeBytes / partWays
 	partWOCWays   = 4
 
-	// partSampleRate is the controller's SHARDS rate. It is a partition
-	// constant, not Options.MRCSampleRate: with 10k-access epochs split
-	// across tenants, the per-decision sample counts at the mrc
-	// experiment's 0.1 default are too thin to keep the allocator
-	// within a way of the exact one through allocation drifts. Halving
-	// the stream is still cheap next to the shadow engines the
-	// experiment runs anyway.
+	// partSampleRate and partMaxSamples are the controller's SHARDS
+	// rate and fixed-size bound. They are partition constants, not the
+	// mrc experiment's knobs: with 10k-access epochs split across
+	// tenants, the per-decision sample counts at the mrc experiment's
+	// 0.1 default are too thin to keep the allocator within a way of
+	// the exact one through allocation drifts. Halving the stream is
+	// still cheap next to the shadow engines the experiment runs
+	// anyway.
 	partSampleRate = 0.5
+	partMaxSamples = 16 << 10
 )
 
 // partitionScenario is one bundled tenant mix. The mixes pair
@@ -68,19 +70,65 @@ func bundledScenarios() []partitionScenario {
 	}
 }
 
+// PartitionParams are the partition experiment's knobs. A zero field
+// takes its declared default.
+type PartitionParams struct {
+	// Tenants is the co-running benchmark mix, 2..partition.MaxTenants
+	// workload names; empty runs the bundled scenarios.
+	Tenants []string
+	// Policy restricts the run to one policy column ("static", "ucp",
+	// or "ldis"); empty runs all three.
+	Policy string
+	// Epoch is the controller's epoch length in accesses.
+	Epoch int
+}
+
+func (p *PartitionParams) knobs() []Knob {
+	return []Knob{
+		// Tenants are joined with "+" so the ldisexp group's comma
+		// separator stays unambiguous.
+		{Key: "tenants", Name: "tenants", Syntax: "<bench+bench...>", ptr: &p.Tenants, check: func() error {
+			if n := len(p.Tenants); n == 1 || n > partition.MaxTenants {
+				return fmt.Errorf("a tenant mix needs 2..%d workloads, got %d", partition.MaxTenants, n)
+			}
+			for _, b := range p.Tenants {
+				if _, err := workload.ByName(b); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{Key: "policy", Name: "partition_policy", Syntax: strings.Join(partition.PolicyNames, "|"), ptr: &p.Policy, check: func() error {
+			if _, ok := partition.ByName(p.Policy); p.Policy != "" && !ok {
+				return fmt.Errorf("unknown policy %q (have %s)", p.Policy, strings.Join(partition.PolicyNames, ", "))
+			}
+			return nil
+		}},
+		// ~10 epochs inside a default 100k-access smoke run: enough
+		// decisions for the agreement gate to be meaningful, short
+		// enough that the controller adapts within a test trace.
+		{Key: "epoch", Name: "epoch_accesses", Syntax: "<accesses>", ptr: &p.Epoch, def: 10_000, check: func() error {
+			if p.Epoch < 0 {
+				return fmt.Errorf("must be >= 0, got %d", p.Epoch)
+			}
+			return nil
+		}},
+	}
+}
+
 // scenarios returns the scenario rows for one run: the caller's tenant
-// mix when Options.Tenants is set, the bundled mixes otherwise.
-func (o Options) scenarios() []partitionScenario {
-	if len(o.Tenants) > 0 {
-		return []partitionScenario{{Name: strings.Join(o.Tenants, "+"), Tenants: o.Tenants}}
+// mix when one is set, the bundled mixes otherwise.
+func (p PartitionParams) scenarios() []partitionScenario {
+	if len(p.Tenants) > 0 {
+		return []partitionScenario{{Name: strings.Join(p.Tenants, "+"), Tenants: p.Tenants}}
 	}
 	return bundledScenarios()
 }
 
-// partitionPolicies returns the policy columns for one run.
-func (o Options) partitionPolicies() []string {
-	if o.PartitionPolicy != "" {
-		return []string{o.PartitionPolicy}
+// policies returns the policy columns for one run.
+func (p PartitionParams) policies() []string {
+	if p.Policy != "" {
+		return []string{p.Policy}
 	}
 	return partition.PolicyNames
 }
@@ -147,8 +195,8 @@ func Partition(o Options) ([]PartitionResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	scens := o.scenarios()
-	policies := o.partitionPolicies()
+	scens := o.Partition.scenarios()
+	policies := o.Partition.policies()
 	rowNames := make([]string, len(scens))
 	for i, s := range scens {
 		rowNames[i] = s.Name
@@ -197,10 +245,10 @@ func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.
 		Tenants:       n,
 		TotalWays:     partWays,
 		WayBytes:      partWayBytes,
-		EpochAccesses: o.epochAccesses(),
+		EpochAccesses: o.Partition.Epoch,
 		Policy:        policy,
 		SampleRate:    partSampleRate,
-		MaxSamples:    o.mrcMaxSamples(),
+		MaxSamples:    partMaxSamples,
 		Seed:          seed,
 		// Keep three-quarters of the histogram across epochs: short
 		// epochs see few samples per tenant, and the longer effective
@@ -374,5 +422,5 @@ func init() {
 			return nil, err
 		}
 		return PartitionTables(rows), nil
-	})
+	}, func(o *Options) []Knob { return o.Partition.knobs() })
 }

@@ -139,7 +139,7 @@ func TestPartitionDeterminism(t *testing.T) {
 func TestPartitionCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "partition.ck")
 	o := partitionOpts()
-	o.Tenants = []string{"twolf", "mcf"} // one scenario keeps the double run cheap
+	o.Partition.Tenants = []string{"twolf", "mcf"} // one scenario keeps the double run cheap
 
 	ck, err := OpenCheckpoint(path, o)
 	if err != nil {

@@ -83,5 +83,5 @@ func init() {
 			return nil, err
 		}
 		return []*stats.Table{fig13Table(rows)}, nil
-	})
+	}, nil)
 }

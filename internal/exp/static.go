@@ -81,18 +81,18 @@ func OverheadsTable() *stats.Table {
 func init() {
 	registerExp("table1", "baseline processor configuration", func(Options) ([]*stats.Table, error) {
 		return []*stats.Table{Table1()}, nil
-	})
+	}, nil)
 	registerExp("table3", "storage overhead of line distillation", func(Options) ([]*stats.Table, error) {
 		t, err := Table3()
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{t}, nil
-	})
+	}, nil)
 	registerExp("table4", "32-bit encoding scheme", func(Options) ([]*stats.Table, error) {
 		return []*stats.Table{Table4()}, nil
-	})
+	}, nil)
 	registerExp("overheads", "latency and energy overheads (Section 7.5)", func(Options) ([]*stats.Table, error) {
 		return []*stats.Table{OverheadsTable()}, nil
-	})
+	}, nil)
 }

@@ -87,15 +87,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// Validate reports the first problem with c once defaults are applied.
+// It is the one authority on an engine's geometry and sampling: New
+// runs it, and callers that take these values from users run it
+// before building anything.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	if c.ResolutionBytes < mem.LineSize {
 		return fmt.Errorf("mrc: resolution %dB is below the line size (%dB)", c.ResolutionBytes, mem.LineSize)
 	}
 	if c.MaxBytes < c.ResolutionBytes {
 		return fmt.Errorf("mrc: max capacity %dB is below the resolution %dB", c.MaxBytes, c.ResolutionBytes)
 	}
-	if c.SampleRate <= 0 || c.SampleRate > 1 {
+	if !(c.SampleRate > 0 && c.SampleRate <= 1) {
 		return fmt.Errorf("mrc: sample rate %g outside (0, 1]", c.SampleRate)
+	}
+	if c.SampleRate < 1 && uint64(c.SampleRate*twoPow64) == 0 {
+		return fmt.Errorf("mrc: sample rate %g rounds to zero lines", c.SampleRate)
 	}
 	if c.MaxSamples < 0 {
 		return fmt.Errorf("mrc: negative max samples %d", c.MaxSamples)
@@ -166,7 +174,7 @@ const initialCapacity = 1 << 10
 // tracked lines, not with the number of accesses fed to it.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -179,9 +187,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.SampleRate < 1 {
 		e.sampled = true
 		e.threshold = uint64(cfg.SampleRate * twoPow64)
-		if e.threshold == 0 {
-			return nil, fmt.Errorf("mrc: sample rate %g rounds to zero lines", cfg.SampleRate)
-		}
 		e.invR = twoPow64 / float64(e.threshold)
 	}
 	e.histLine = make([]float64, e.buckets+2)

@@ -33,11 +33,19 @@ func TestConfigValidation(t *testing.T) {
 		{"negative rate", Config{SampleRate: -0.1}},
 		{"negative max samples", Config{MaxSamples: -1}},
 		{"fixed-size without sampling", Config{MaxSamples: 10}},
+		{"NaN rate", Config{SampleRate: math.NaN()}},
+		{"rate rounding to zero lines", Config{SampleRate: 1e-30}},
 	}
 	for _, tc := range cases {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted invalid config %+v", tc.name, tc.cfg)
+		}
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: New accepted invalid config %+v", tc.name, tc.cfg)
 		}
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("Validate rejected defaults: %v", err)
 	}
 	if _, err := New(Config{}); err != nil {
 		t.Errorf("defaults rejected: %v", err)

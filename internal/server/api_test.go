@@ -132,7 +132,11 @@ func TestRejectedSpecsAreStructured400s(t *testing.T) {
 		{"exp+trace mixed", `{"kind":"exp","experiments":["fig6"],"trace":"t0123456789abcdef"}`, 400,
 			[]string{"only valid with kind tracesim"}},
 		{"mrc geometry the engine rejects", `{"experiments":["mrc"],"mrc_resolution":8388608}`, 400,
-			[]string{"mrc_max_bytes", "below MRCResolution 8388608"}},
+			[]string{"mrc_max_bytes", "below the resolution 8388608B"}},
+		{"mrc resolution below a line", `{"experiments":["mrc"],"mrc_resolution":32}`, 400,
+			[]string{"mrc_resolution", "below the line size"}},
+		{"mrc rate rounding to zero lines", `{"experiments":["mrc"],"mrc_sample_rate":1e-30}`, 400,
+			[]string{"mrc_sample_rate", "rounds to zero lines"}},
 		{"traversal trace id", `{"kind":"tracesim","trace":"../../etc/passwd"}`, 400,
 			[]string{"malformed trace id"}},
 	}

@@ -44,8 +44,8 @@ type Spec struct {
 	// "markdown".
 	Format string `json:"format,omitempty"`
 
-	// MRC knobs, passed through to the mrc experiment; 0 means default.
-	MRCSampleRate float64 `json:"mrc_sample_rate,omitempty"`
+	// MRC knobs, passed to the mrc experiment by knob name; 0 means default.
+	MRCRate       float64 `json:"mrc_sample_rate,omitempty"`
 	MRCResolution int     `json:"mrc_resolution,omitempty"`
 	MRCMaxBytes   int     `json:"mrc_max_bytes,omitempty"`
 
@@ -191,7 +191,8 @@ func (s *Spec) Validate(cfg *Config) error {
 	// The engine's option check is the one authority on the knobs a
 	// spec passes through (the MRC curve geometry): a spec it would
 	// refuse is refused here, on the matching JSON field, instead of
-	// failing later as a job. Fields diagnosed above and the engine's
+	// failing later as a job. A knob's problem names the knob, which is
+	// its JSON field. Fields diagnosed above and the engine's
 	// benchmark-name errors are not repeated.
 	o := s.expOptions(cfg)
 	if errs, ok := o.Validate().(interface{ Unwrap() []error }); ok {
@@ -215,12 +216,9 @@ func (s *Spec) Validate(cfg *Config) error {
 // specFields names the JSON field behind each exp.Options field a spec
 // sets, so engine-side problems reach the client in its own terms.
 var specFields = map[string]string{
-	"Accesses":      "accesses",
-	"WarmupFrac":    "warmup_frac",
-	"Retries":       "retries",
-	"MRCSampleRate": "mrc_sample_rate",
-	"MRCResolution": "mrc_resolution",
-	"MRCMaxBytes":   "mrc_max_bytes",
+	"Accesses":   "accesses",
+	"WarmupFrac": "warmup_frac",
+	"Retries":    "retries",
 }
 
 // expOptions builds the experiment-engine options a spec asks for:
@@ -238,9 +236,15 @@ func (s *Spec) expOptions(cfg *Config) exp.Options {
 	o.KeepGoing = s.KeepGoing
 	o.Retries = s.Retries
 	o.FaultSeed = s.FaultSeed
-	o.MRCSampleRate = s.MRCSampleRate
-	o.MRCResolution = s.MRCResolution
-	o.MRCMaxBytes = s.MRCMaxBytes
+	for name, v := range map[string]any{
+		"mrc_sample_rate": s.MRCRate, "mrc_resolution": s.MRCResolution, "mrc_max_bytes": s.MRCMaxBytes,
+	} {
+		// Every number prints in a form SetKnob parses, so only an
+		// unregistered knob name, a bug, can fail here.
+		if err := o.SetKnob(name, fmt.Sprint(v)); err != nil {
+			panic(err)
+		}
+	}
 	return o
 }
 
@@ -264,7 +268,7 @@ func (s *Spec) canonical() string {
 		s.Kind, strings.Join(s.Experiments, ","), s.Accesses, s.WarmupFrac,
 		strings.Join(s.Benchmarks, ","), s.KeepGoing, s.Retries, s.Format)
 	fmt.Fprintf(&b, "|mrc=%g/%d/%d|fault=%d|trace=%s|cache=%s",
-		s.MRCSampleRate, s.MRCResolution, s.MRCMaxBytes, s.FaultSeed, s.Trace, s.Cache)
+		s.MRCRate, s.MRCResolution, s.MRCMaxBytes, s.FaultSeed, s.Trace, s.Cache)
 	return b.String()
 }
 
@@ -284,6 +288,6 @@ func (s *Spec) workKey() string {
 		s.Kind, strings.Join(s.Experiments, ","), s.Accesses, s.WarmupFrac,
 		strings.Join(s.Benchmarks, ","), s.KeepGoing, s.Format)
 	fmt.Fprintf(&b, "|mrc=%g/%d/%d|trace=%s|cache=%s",
-		s.MRCSampleRate, s.MRCResolution, s.MRCMaxBytes, s.Trace, s.Cache)
+		s.MRCRate, s.MRCResolution, s.MRCMaxBytes, s.Trace, s.Cache)
 	return "w" + fnvHex([]byte(b.String()))
 }

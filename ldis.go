@@ -388,7 +388,8 @@ func MeasureIPC(benchmark string, accesses int) (IPCResult, IPCResult, error) {
 // RunExperiment (fig1..fig13, table1..table6, overheads).
 func ExperimentIDs() []string { return exp.IDs() }
 
-// ExperimentOptions re-exports the experiment harness options.
+// ExperimentOptions re-exports the experiment harness options; an
+// experiment's own knobs live in its params field, e.g. o.MRC.SampleRate.
 type ExperimentOptions = exp.Options
 
 // DefaultExperimentOptions returns sensible interactive defaults.
