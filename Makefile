@@ -34,7 +34,9 @@
 # `make obs-smoke` validates the observability core: manifest
 # determinism across worker counts, the zero-allocation registry
 # tests, and an end-to-end ldisexp run whose manifest must round-trip
-# the validating parser and carry the instrumented metrics.
+# the validating parser, carry the instrumented metrics and the cells'
+# config keys, and show fig8 reading the cells fig6 simulated as
+# replayed.
 # `make chaos` runs the fault-injection suite: seeded panics, corrupt
 # traces, and kill-mid-sweep checkpoints driven through the full
 # engine (see DESIGN.md §8).
@@ -168,10 +170,12 @@ obs-smoke:
 	$(GO) test -run 'TestManifestDeterministicAcrossWorkerCounts' -count=1 ./internal/exp
 	$(GO) test -count=1 ./internal/obs
 	$(GO) run ./cmd/ldisexp -accesses 60000 -benchmarks mcf,health \
-		-out obs-smoke-out -verify-manifest fig6 > /dev/null
+		-out obs-smoke-out -verify-manifest fig6 fig8 > /dev/null
 	@grep -q '"tool": "ldisexp"' obs-smoke-out/manifest.json
 	@grep -q '"name": "distill_lines_distilled"' obs-smoke-out/manifest.json
 	@grep -q '"stage": "simulate"' obs-smoke-out/manifest.json
+	@grep -q '"key": "ldis-mt-rc-2"' obs-smoke-out/manifest.json
+	@grep -q '"status": "replayed"' obs-smoke-out/manifest.json
 	@rm -rf obs-smoke-out
 	@echo "obs-smoke: manifest verified"
 

@@ -1,14 +1,14 @@
 package a
 
-// runGrid models internal/exp's generic wrapper over the scheduler:
-// the analyzer matches wrapper entry points by name inside fixture
-// packages, so these cells carry the same purity contract as direct
-// par calls.
-func runGrid[T any](cols int, fn func(name string, col int) (T, error)) ([][]T, error) {
+// runGrid models internal/exp's generic wrapper over the scheduler,
+// one cell per (benchmark, config key): the analyzer matches wrapper
+// entry points by name inside fixture packages, so these cells carry
+// the same purity contract as direct par calls.
+func runGrid[T any](keys []string, fn func(name, key string) (T, error)) ([][]T, error) {
 	out := make([][]T, 1)
-	out[0] = make([]T, cols)
-	for c := 0; c < cols; c++ {
-		v, err := fn("bench", c)
+	out[0] = make([]T, len(keys))
+	for c, key := range keys {
+		v, err := fn("bench", key)
 		if err != nil {
 			return nil, err
 		}
@@ -19,10 +19,10 @@ func runGrid[T any](cols int, fn func(name string, col int) (T, error)) ([][]T, 
 
 // BadWrapperAccumulator folds into a captured scalar through the
 // wrapper: still order-dependent once the real wrapper fans out.
-func BadWrapperAccumulator(cols int) float64 {
+func BadWrapperAccumulator(keys []string) float64 {
 	total := 0.0
-	_, _ = runGrid(cols, func(name string, col int) (float64, error) {
-		total += float64(col) // want `writes captured variable "total"`
+	_, _ = runGrid(keys, func(name, key string) (float64, error) {
+		total += float64(len(key)) // want `writes captured variable "total"`
 		return total, nil
 	})
 	return total
@@ -30,9 +30,9 @@ func BadWrapperAccumulator(cols int) float64 {
 
 // BadWrapperLastWins: "last writer wins" scalars are scheduling order
 // leaking into results.
-func BadWrapperLastWins(cols int) {
+func BadWrapperLastWins() {
 	last := ""
-	_, _ = runGrid(1, func(name string, _ int) (int, error) {
+	_, _ = runGrid([]string{"base-1MB"}, func(name, _ string) (int, error) {
 		last = name // want `writes captured variable "last"`
 		return 0, nil
 	})
@@ -41,16 +41,16 @@ func BadWrapperLastWins(cols int) {
 
 // GoodWrapperCell returns its result instead of mutating scope; reads
 // of captured configuration are fine.
-func GoodWrapperCell(cols int, scale float64) ([][]float64, error) {
-	return runGrid(cols, func(name string, col int) (float64, error) {
-		return scale * float64(col), nil
+func GoodWrapperCell(keys []string, scale float64) ([][]float64, error) {
+	return runGrid(keys, func(name, key string) (float64, error) {
+		return scale * float64(len(key)), nil
 	})
 }
 
 // GoodWrapperSuppressed: an annotated write is accepted.
-func GoodWrapperSuppressed(cols int) {
+func GoodWrapperSuppressed(keys []string) {
 	n := 0
-	_, _ = runGrid(cols, func(name string, col int) (int, error) {
+	_, _ = runGrid(keys, func(name, key string) (int, error) {
 		//ldis:nondet-ok fixture: demonstrating an annotated wrapper cell
 		n++
 		return n, nil

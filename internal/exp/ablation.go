@@ -1,13 +1,6 @@
 package exp
 
 import (
-	"ldis/internal/cache"
-	"ldis/internal/distill"
-	"ldis/internal/hierarchy"
-	"ldis/internal/mem"
-	"ldis/internal/obs"
-	"ldis/internal/prefetch"
-	"ldis/internal/sampler"
 	"ldis/internal/stats"
 	"ldis/internal/workload"
 )
@@ -17,162 +10,72 @@ import (
 // like any paper figure. The corresponding Benchmark* functions in
 // bench_test.go run reduced versions of the same sweeps.
 
-// AblationWOCWays sweeps the LOC/WOC way split: five scheduler cells
-// per benchmark (baseline plus four splits).
-func AblationWOCWays(o Options) ([]*stats.Table, error) {
+// mpkiAblation runs one windowed cell per (benchmark, key) and renders
+// the window MPKI of each key as one column. defaults, when non-nil,
+// replaces the paper's 16 benchmarks when Options.Benchmarks is empty;
+// it is applied after Validate, so the run's cell store stays bound to
+// the caller's options.
+func mpkiAblation(o Options, defaults []string, title string, cols []string, keys ...string) ([]*stats.Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Ablation: WOC way count (MPKI, 1MB 8-way total)",
-		"benchmark", "baseline", "1 WOC way", "2 WOC ways", "3 WOC ways", "4 WOC ways")
-	names, rows, err := runGrid(o, 5, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		if col == 0 {
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		}
-		sys, _ := distillSystem(ldisMTRC(col, prof.Seed), co)
-		return runWindowed(sys, prof, o, co).MPKI(), nil
-	})
+	if len(o.Benchmarks) == 0 {
+		o.Benchmarks = defaults
+	}
+	names, grid, err := runConfigs(o, keys...)
 	if err != nil {
 		return nil, err
 	}
+	t := stats.NewTable(title, append([]string{"benchmark"}, cols...)...)
 	for i, name := range names {
-		t.AddRow(name, rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4])
+		cells := []any{name}
+		for _, r := range grid[i] {
+			cells = append(cells, r.mpki())
+		}
+		t.AddRow(cells...)
 	}
 	return []*stats.Table{t}, nil
+}
+
+// AblationWOCWays sweeps the LOC/WOC way split: the baseline plus four
+// splits.
+func AblationWOCWays(o Options) ([]*stats.Table, error) {
+	return mpkiAblation(o, nil, "Ablation: WOC way count (MPKI, 1MB 8-way total)",
+		[]string{"baseline", "1 WOC way", "2 WOC ways", "3 WOC ways", "4 WOC ways"},
+		"base-1MB", "ldis-mt-rc-1", "ldis-mt-rc-2", "ldis-mt-rc-3", "ldis-mt-rc-4")
 }
 
 // AblationThreshold sweeps the static distillation threshold K against
 // the adaptive median (Section 5.4).
 func AblationThreshold(o Options) ([]*stats.Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Ablation: distillation threshold K (MPKI, no reverter)",
-		"benchmark", "K=1", "K=2", "K=4", "K=8", "median")
-	names, rows, err := runGrid(o, 5, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		var cfg distill.Config
-		if col < 4 {
-			cfg = ldisBase(2, prof.Seed)
-			cfg.StaticThreshold = []int{1, 2, 4, 8}[col]
-		} else {
-			cfg = ldisMT(2, prof.Seed)
-		}
-		sys, _ := distillSystem(cfg, co)
-		return runWindowed(sys, prof, o, co).MPKI(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		t.AddRow(name, rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4])
-	}
-	return []*stats.Table{t}, nil
+	return mpkiAblation(o, nil, "Ablation: distillation threshold K (MPKI, no reverter)",
+		[]string{"K=1", "K=2", "K=4", "K=8", "median"},
+		"ldis-k1", "ldis-k2", "ldis-k4", "ldis-k8", "ldis-mt-2")
 }
 
 // AblationVictim isolates filtering from associativity: the same data
 // budget as the WOC, used as a plain full-line victim buffer.
 func AblationVictim(o Options) ([]*stats.Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Ablation: distillation vs full-line victim buffer (MPKI)",
-		"benchmark", "baseline", "distill (LDIS-MT-RC)", "victim buffer")
-	names, rows, err := runGrid(o, 3, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		switch col {
-		case 0:
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		case 1:
-			sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-			return runWindowed(sysD, prof, o, co).MPKI(), nil
-		default:
-			vcfg := ldisBase(2, prof.Seed)
-			vcfg.Slots = func(mem.LineAddr, mem.Footprint) int { return mem.WordsPerLine }
-			sysV, _ := distillSystem(vcfg, co)
-			return runWindowed(sysV, prof, o, co).MPKI(), nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		t.AddRow(name, rows[i][0], rows[i][1], rows[i][2])
-	}
-	return []*stats.Table{t}, nil
+	return mpkiAblation(o, nil, "Ablation: distillation vs full-line victim buffer (MPKI)",
+		[]string{"baseline", "distill (LDIS-MT-RC)", "victim buffer"},
+		"base-1MB", "ldis-mt-rc-2", "victim-2")
 }
 
 // AblationPrefetch measures next-line prefetching over the baseline and
 // the distill cache (the paper's Section 9 composition argument).
 func AblationPrefetch(o Options) ([]*stats.Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Ablation: next-line prefetching composed with LDIS (MPKI)",
-		"benchmark", "baseline", "baseline+pf2", "distill", "distill+pf2")
-	names, rows, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		var l2 hierarchy.L2
-		switch col {
-		case 0:
-			l2 = hierarchy.NewTradL2(cache.New(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8, Obs: co}))
-		case 1:
-			inner := hierarchy.NewTradL2(cache.New(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8, Obs: co}))
-			l2 = prefetch.Wrap(inner, prefetch.Config{Degree: 2})
-		case 2:
-			cfg := ldisMTRC(2, prof.Seed)
-			cfg.Obs = co
-			l2 = hierarchy.NewDistillL2(distill.New(cfg))
-		default:
-			cfg := ldisMTRC(2, prof.Seed)
-			cfg.Obs = co
-			inner := hierarchy.NewDistillL2(distill.New(cfg))
-			l2 = prefetch.Wrap(inner, prefetch.Config{Degree: 2})
-		}
-		sys := hierarchy.NewSystem(l2)
-		return runWindowed(sys, prof, o, co).MPKI(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		t.AddRow(name, rows[i][0], rows[i][1], rows[i][2], rows[i][3])
-	}
-	return []*stats.Table{t}, nil
+	return mpkiAblation(o, nil, "Ablation: next-line prefetching composed with LDIS (MPKI)",
+		[]string{"baseline", "baseline+pf2", "distill", "distill+pf2"},
+		"base-1MB", "base-1MB+pf2", "ldis-mt-rc-2", "ldis-mt-rc-2+pf2")
 }
 
 // AblationLeaderSets sweeps the reverter's sampling density on the
-// adversarial benchmarks.
+// adversarial benchmarks. 32 leaders is the default sampler, plain
+// LDIS-MT-RC.
 func AblationLeaderSets(o Options) ([]*stats.Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"swim", "bzip2", "parser", "galgel"}
-	}
-	leaderCounts := []int{8, 32, 128}
-	t := stats.NewTable("Ablation: reverter leader-set count (MPKI)",
-		"benchmark", "baseline", "8 leaders", "32 leaders", "128 leaders")
-	names, rows, err := runGrid(o, 1+len(leaderCounts), func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		if col == 0 {
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		}
-		cfg := ldisMTRC(2, prof.Seed)
-		sc := sampler.DefaultConfig(cfg.Sets())
-		sc.LeaderSets = leaderCounts[col-1]
-		sc.LowWatermark = 112
-		sc.HighWatermark = 144
-		cfg.SamplerConfig = &sc
-		sys, _ := distillSystem(cfg, co)
-		return runWindowed(sys, prof, o, co).MPKI(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		t.AddRow(name, rows[i][0], rows[i][1], rows[i][2], rows[i][3])
-	}
-	return []*stats.Table{t}, nil
+	return mpkiAblation(o, []string{"swim", "bzip2", "parser", "galgel"}, "Ablation: reverter leader-set count (MPKI)",
+		[]string{"baseline", "8 leaders", "32 leaders", "128 leaders"},
+		"base-1MB", "ldis-mt-rc-2-l8", "ldis-mt-rc-2", "ldis-mt-rc-2-l128")
 }
 
 // ProfilesTable documents every synthetic benchmark's parameters.
@@ -210,32 +113,18 @@ func AblationTraffic(o Options) ([]*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: off-chip traffic in 64B transfers per kilo-instruction",
 		"benchmark", "base fills", "base wbs", "distill fills", "distill wbs", "traffic delta %")
-	// A cell returns {fills, writebacks} per kilo-instruction for its
-	// configuration; the delta is assembled afterwards.
-	names, rows, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) ([2]float64, error) {
-		if col == 0 {
-			sysB, cb := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
-			sysB.Run(prof.Stream(), o.Accesses)
-			kinst := float64(sysB.Instructions) / 1000
-			return [2]float64{
-				float64(cb.Stats().Misses) / kinst,
-				float64(cb.Stats().Writebacks) / kinst,
-			}, nil
-		}
-		sysD, cd := distillSystem(ldisMTRC(2, prof.Seed), co)
-		sysD.Run(prof.Stream(), o.Accesses)
-		kinst := float64(sysD.Instructions) / 1000
-		return [2]float64{
-			float64(cd.Stats().Misses()) / kinst,
-			float64(cd.Stats().Writebacks) / kinst,
-		}, nil
-	})
+	// Fills and writebacks per kilo-instruction over the whole run.
+	names, rows, err := runConfigs(o, "base-1MB", "ldis-mt-rc-2")
 	if err != nil {
 		return nil, err
 	}
+	perKInst := func(r cellRecord) (fills, wbs float64) {
+		kinst := float64(r.Instructions) / 1000
+		return float64(r.Misses) / kinst, float64(r.Writebacks) / kinst
+	}
 	for i, name := range names {
-		bf, bw := rows[i][0][0], rows[i][0][1]
-		df, dw := rows[i][1][0], rows[i][1][1]
+		bf, bw := perKInst(rows[i][0])
+		df, dw := perKInst(rows[i][1])
 		delta := 0.0
 		if bf+bw > 0 {
 			delta = 100 * ((df + dw) - (bf + bw)) / (bf + bw)

@@ -11,31 +11,37 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"ldis/internal/obs"
 )
 
-// Grid checkpointing: every completed (benchmark × configuration) cell
-// is appended to a versioned, CRC-guarded record log, so a sweep
-// killed at any point — including mid-write — can be resumed by
-// replaying the completed cells and re-running only the remainder.
-// Because each cell is a pure function of (benchmark, column, options),
-// a resumed sweep renders byte-identical tables to an uninterrupted
-// one.
+// The cell store: every completed (row, config key) cell of a run is
+// kept in one keyed map, so each cell is simulated at most once per run
+// and served to every experiment that reads it. Validate installs an
+// in-memory store; OpenCheckpoint opens one backed by a versioned,
+// CRC-guarded record log, so a sweep killed at any point — including
+// mid-write — can be resumed by replaying the completed cells and
+// re-running only the remainder. Because each cell is a pure function
+// of (row, config key, options), a resumed sweep renders byte-identical
+// tables to an uninterrupted one, and a replayed cell serves every
+// experiment that lists its key.
 //
 // File format (<out>/checkpoint.ldisck), all little-endian:
 //
 //	header: magic "LDCK" | version u16 | reserved u16 | fingerprint u64
 //	record: payload-length u32 | crc32(payload) u32 | payload
-//	payload: gob{Exp, Bench string; Col int; Data []byte}
+//	payload: gob{Row, Key string; Data []byte}
 //
 // The fingerprint pins the options that produced the cells (the run
 // manifest's params: scale, benchmark set, experiment knobs); opening a
 // checkpoint with different options is refused rather than silently
-// mixing incompatible results.
+// mixing incompatible results, and an in-memory store is bound to its
+// options' fingerprint the same way (see Options.Validate).
 // The file contains simulated results only — no wall-clock timestamps
 // — so checkpointed runs stay deterministic.
 const (
 	ckMagic      = "LDCK"
-	ckVersion    = 1
+	ckVersion    = 2
 	ckHeaderSize = 4 + 2 + 2 + 8
 	// ckMaxPayload bounds one record; a longer length prefix marks a
 	// corrupt tail.
@@ -48,28 +54,41 @@ const (
 
 // ckRecord is the gob payload of one checkpoint record.
 type ckRecord struct {
-	Exp   string
-	Bench string
-	Col   int
-	Data  []byte
+	Row  string
+	Key  string
+	Data []byte
 }
 
-// Checkpoint is an append-only store of completed grid cells backed by
-// a single file. It is safe for concurrent use by scheduler workers.
+// ckEntry is one stored cell's gob payload; loaded marks a record read
+// from the checkpoint file when it was opened.
+type ckEntry struct {
+	data   []byte
+	loaded bool
+}
+
+// Checkpoint is a run's store of completed grid cells, in memory or
+// backed by an append-only checkpoint file. It is safe for concurrent
+// use by scheduler workers.
 type Checkpoint struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
-	done map[string][]byte
+	path string // empty for an in-memory store
+	fp   uint64
+	done map[string]ckEntry
 
 	loaded   int
 	replayed int
 	recorded int
 }
 
-func ckKey(exp, bench string, col int) string {
-	return exp + "\x00" + bench + "\x00" + fmt.Sprint(col)
+// newStore returns an empty in-memory store bound to a fingerprint.
+func newStore(fp uint64) *Checkpoint {
+	return &Checkpoint{fp: fp, done: make(map[string]ckEntry)}
 }
+
+func (c *Checkpoint) fileBacked() bool { return c.path != "" }
+
+func ckKey(row, key string) string { return row + "\x00" + key }
 
 // OpenCheckpoint opens (or creates) the checkpoint at path for the
 // given options. An existing file is validated against the options
@@ -85,8 +104,9 @@ func OpenCheckpoint(path string, o Options) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: opening checkpoint: %w", err)
 	}
-	c := &Checkpoint{f: f, path: path, done: make(map[string][]byte)}
 	fp := o.Fingerprint()
+	c := newStore(fp)
+	c.f, c.path = f, path
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
@@ -130,7 +150,7 @@ func (c *Checkpoint) load(fingerprint uint64) error {
 		return fmt.Errorf("exp: checkpoint %s was written with different options (fingerprint %016x, want %016x); rerun without -resume or delete it", c.path, fp, fingerprint)
 	}
 	valid := int64(ckHeaderSize) + scanRecords(c.f, func(rec ckRecord) {
-		c.done[ckKey(rec.Exp, rec.Bench, rec.Col)] = rec.Data
+		c.done[ckKey(rec.Row, rec.Key)] = ckEntry{data: rec.Data, loaded: true}
 		c.loaded++
 	})
 	if err := c.f.Truncate(valid); err != nil {
@@ -193,41 +213,63 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// lookup returns the recorded payload for a cell, if present, and
-// counts the replay.
-func (c *Checkpoint) lookup(exp, bench string, col int) ([]byte, bool) {
+// storeGet returns a stored cell. Hits on records loaded from the file
+// count as replays.
+func storeGet[T any](c *Checkpoint, row, key string) (T, bool) {
+	var v T
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, ok := c.done[ckKey(exp, bench, col)]
-	if ok {
+	e, ok := c.done[ckKey(row, key)]
+	if !ok || decodeCell(e.data, &v) != nil {
+		// An undecodable but CRC-valid record (e.g. a row type changed
+		// shape) is re-simulated and overwritten.
+		return v, false
+	}
+	if e.loaded {
 		c.replayed++
 	}
-	return data, ok
+	return v, true
 }
 
-// record appends one completed cell. The record is written with a
-// single Write call so a kill can at worst tear the final record —
-// exactly the case load repairs.
-func (c *Checkpoint) record(exp, bench string, col int, data []byte) error {
+// storePut stores one completed cell. A file-backed store also appends
+// it as one record, written with a single Write call so a kill can at
+// worst tear the final record — exactly the case load repairs.
+func storePut[T any](c *Checkpoint, row, key string, v T, co *obs.Cell) error {
+	data, err := encodeCell(v)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fileBacked() {
+		tok := co.Spans().Begin(obs.StageCheckpointWrite)
+		err := c.append(row, key, data)
+		co.Spans().End(obs.StageCheckpointWrite, tok)
+		if err != nil {
+			return err
+		}
+	}
+	c.done[ckKey(row, key)] = ckEntry{data: data}
+	c.recorded++
+	return nil
+}
+
+// append writes one cell's record to the checkpoint file; c.mu is held.
+func (c *Checkpoint) append(row, key string, data []byte) error {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ckRecord{Exp: exp, Bench: bench, Col: col, Data: data}); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(ckRecord{Row: row, Key: key, Data: data}); err != nil {
 		return fmt.Errorf("exp: encoding checkpoint record: %w", err)
 	}
 	if payload.Len() > ckMaxPayload {
-		return fmt.Errorf("exp: checkpoint record for %s/%s/%d too large (%d bytes)", exp, bench, col, payload.Len())
+		return fmt.Errorf("exp: checkpoint record for %s/%s too large (%d bytes)", row, key, payload.Len())
 	}
 	buf := make([]byte, 8+payload.Len())
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload.Len()))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload.Bytes()))
 	copy(buf[8:], payload.Bytes())
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, err := c.f.Write(buf); err != nil {
 		return fmt.Errorf("exp: appending checkpoint record: %w", err)
 	}
-	c.done[ckKey(exp, bench, col)] = data
-	c.recorded++
 	return nil
 }
 
@@ -239,24 +281,26 @@ func (c *Checkpoint) Loaded() int {
 	return c.loaded
 }
 
-// Replayed reports how many cells have been served from the
-// checkpoint instead of re-simulated since it was opened.
+// Replayed reports how many cells have been served from records loaded
+// from the checkpoint file instead of re-simulated since it was
+// opened; a loaded record read by several experiments counts once per
+// read. Cells simulated earlier in the same run are not counted.
 func (c *Checkpoint) Replayed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.replayed
 }
 
-// Recorded reports how many newly completed cells have been appended
-// since the checkpoint was opened.
+// Recorded reports how many newly completed cells have been stored
+// (and, for a file-backed store, appended) since it was opened.
 func (c *Checkpoint) Recorded() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.recorded
 }
 
-// Cells returns the sorted keys of all completed cells — a debugging
-// and test aid.
+// Cells returns the sorted "row/key" names of all completed cells — a
+// debugging and test aid.
 func (c *Checkpoint) Cells() []string {
 	c.mu.Lock()
 	keys := make([]string, 0, len(c.done))

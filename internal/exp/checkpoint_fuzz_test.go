@@ -30,16 +30,16 @@ func ckRecordBytes(t testing.TB, rec ckRecord) []byte {
 // the identical record sequence — the contract load relies on when it
 // truncates a corrupt tail and appends after it.
 func FuzzCheckpointScan(f *testing.F) {
-	rec := func(exp, bench string, col int, data []byte) []byte {
-		return ckRecordBytes(f, ckRecord{Exp: exp, Bench: bench, Col: col, Data: data})
+	rec := func(row, key string, data []byte) []byte {
+		return ckRecordBytes(f, ckRecord{Row: row, Key: key, Data: data})
 	}
 	// Seed the structural corners: empty, one record, two records, a
 	// torn tail after a valid record, a CRC flip, an oversized length
 	// prefix, and raw garbage.
 	f.Add([]byte{})
-	one := rec("mrc", "twolf", 0, []byte("cell"))
+	one := rec("twolf", "mrc-exact", []byte("cell"))
 	f.Add(one)
-	two := append(append([]byte{}, one...), rec("fig6", "mcf", 3, nil)...)
+	two := append(append([]byte{}, one...), rec("mcf", "ldis-mt-rc-2", nil)...)
 	f.Add(two)
 	f.Add(append(append([]byte{}, one...), two[:11]...)) // torn second record
 	flipped := append([]byte{}, one...)
@@ -67,8 +67,8 @@ func FuzzCheckpointScan(f *testing.F) {
 			t.Fatalf("re-scan found %d records, want %d", len(again), len(recs))
 		}
 		for i := range recs {
-			if recs[i].Exp != again[i].Exp || recs[i].Bench != again[i].Bench ||
-				recs[i].Col != again[i].Col || !bytes.Equal(recs[i].Data, again[i].Data) {
+			if recs[i].Row != again[i].Row || recs[i].Key != again[i].Key ||
+				!bytes.Equal(recs[i].Data, again[i].Data) {
 				t.Fatalf("record %d changed across re-scan", i)
 			}
 		}
@@ -79,8 +79,8 @@ func FuzzCheckpointScan(f *testing.F) {
 // (the fuzz target only checks invariants): a valid prefix followed by
 // any torn byte suffix yields exactly the prefix records.
 func TestScanRecordsTornTail(t *testing.T) {
-	a := ckRecordBytes(t, ckRecord{Exp: "mrc", Bench: "twolf", Col: 0, Data: []byte("A")})
-	b := ckRecordBytes(t, ckRecord{Exp: "mrc", Bench: "twolf", Col: 1, Data: []byte("B")})
+	a := ckRecordBytes(t, ckRecord{Row: "twolf", Key: "mrc-exact", Data: []byte("A")})
+	b := ckRecordBytes(t, ckRecord{Row: "twolf", Key: "mrc-shards", Data: []byte("B")})
 	whole := append(append([]byte{}, a...), b...)
 	for cut := len(a) + 1; cut < len(whole); cut++ {
 		var got []ckRecord
@@ -88,7 +88,7 @@ func TestScanRecordsTornTail(t *testing.T) {
 		if n != int64(len(a)) {
 			t.Fatalf("cut %d: valid prefix %d, want %d", cut, n, len(a))
 		}
-		if len(got) != 1 || got[0].Col != 0 {
+		if len(got) != 1 || got[0].Key != "mrc-exact" {
 			t.Fatalf("cut %d: salvaged %d records", cut, len(got))
 		}
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"ldis/internal/cache"
 	"ldis/internal/compress"
 	"ldis/internal/hierarchy"
 	"ldis/internal/mem"
@@ -27,9 +26,10 @@ func Fig10(o Options) ([]Fig10Row, error) {
 		return nil, err
 	}
 	const samples = 5
-	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Fig10Row, error) {
+	_, grid, err := runGrid(o, []string{"base-1MB@snap"}, func(prof *workload.Profile, _ string, co *obs.Cell) (Fig10Row, error) {
 		vals := prof.Values()
-		sys, c := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
+		sys := configs["base-1MB"].build(prof, o, co)
+		c := sys.L2.(*hierarchy.TradL2).C
 		st := prof.Stream()
 		var all, used [4]uint64
 		chunk := o.Accesses / samples
@@ -96,70 +96,29 @@ type Fig11Row struct {
 }
 
 // Fig11 runs the four configurations of the compression study plus the
-// shared baseline, one scheduler cell each.
+// shared baseline, one cell each.
 func Fig11(o Options) ([]Fig11Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 5, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		switch col {
-		case 0:
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		case 1:
-			// LDIS-3xTags: 2 WOC ways (6+16 = 22 tags/set ~ 3x baseline).
-			sys, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-			return runWindowed(sys, prof, o, co).MPKI(), nil
-		case 2:
-			// LDIS-4xTags: 3 WOC ways (5+24 = 29 tags/set ~ 4x baseline).
-			sys, _ := distillSystem(ldisMTRC(3, prof.Seed), co)
-			return runWindowed(sys, prof, o, co).MPKI(), nil
-		case 3:
-			// CMPR-4xTags: compressed traditional cache, perfect LRU.
-			sys, _ := hierarchy.Compressed(compress.DefaultCMPRConfig(), prof.Values())
-			return runWindowed(sys, prof, o, co).MPKI(), nil
-		default:
-			// FAC-4xTags: distill cache with 3 WOC ways + compression.
-			fcfg := ldisMTRC(3, prof.Seed)
-			fcfg.Obs = co
-			sys, _ := hierarchy.FAC(fcfg, prof.Values())
-			return runWindowed(sys, prof, o, co).MPKI(), nil
-		}
-	})
+	// LDIS-3xTags is 2 WOC ways (6+16 = 22 tags/set ~ 3x baseline),
+	// LDIS-4xTags 3 WOC ways (5+24 = 29 tags/set ~ 4x baseline).
+	names, grid, err := runConfigs(o, "base-1MB", "ldis-mt-rc-2", "ldis-mt-rc-3", "cmpr-4x", "fac-3")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig11Row, len(grid))
 	for i, name := range names {
-		g := grid[i]
+		base := grid[i][0].mpki()
 		rows[i] = Fig11Row{
 			Benchmark: name,
-			LDIS3x:    stats.PctReduction(g[0], g[1]),
-			LDIS4x:    stats.PctReduction(g[0], g[2]),
-			CMPR4x:    stats.PctReduction(g[0], g[3]),
-			FAC4x:     stats.PctReduction(g[0], g[4]),
+			LDIS3x:    stats.PctReduction(base, grid[i][1].mpki()),
+			LDIS4x:    stats.PctReduction(base, grid[i][2].mpki()),
+			CMPR4x:    stats.PctReduction(base, grid[i][3].mpki()),
+			FAC4x:     stats.PctReduction(base, grid[i][4].mpki()),
 		}
 	}
 	return rows, nil
-}
-
-// SummarizeFig11 reduces the rows to the average % reduction of the
-// arithmetic-mean MPKI, weighting by baseline MPKI like the paper's avg.
-func SummarizeFig11(rows []Fig11Row, baselines map[string]float64) (ldis3, ldis4, cmpr, fac float64) {
-	var base, s3, s4, sc, sf float64
-	for _, r := range rows {
-		b := baselines[r.Benchmark]
-		base += b
-		s3 += b * (1 - r.LDIS3x/100)
-		s4 += b * (1 - r.LDIS4x/100)
-		sc += b * (1 - r.CMPR4x/100)
-		sf += b * (1 - r.FAC4x/100)
-	}
-	if base == 0 {
-		return 0, 0, 0, 0
-	}
-	return 100 * (base - s3) / base, 100 * (base - s4) / base,
-		100 * (base - sc) / base, 100 * (base - sf) / base
 }
 
 func fig11Table(rows []Fig11Row) *stats.Table {
@@ -180,18 +139,6 @@ func fig11Table(rows []Fig11Row) *stats.Table {
 }
 
 func init() {
-	registerExp("fig10", "compressibility of cache lines (all vs used words)", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig10(o)
-		if err != nil {
-			return nil, err
-		}
-		return fig10Table(rows), nil
-	}, nil)
-	registerExp("fig11", "LDIS vs compression vs footprint-aware compression", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig11(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig11Table(rows)}, nil
-	}, nil)
+	registerExp("fig10", "compressibility of cache lines (all vs used words)", rendered(Fig10, fig10Table), nil)
+	registerExp("fig11", "LDIS vs compression vs footprint-aware compression", rendered(Fig11, single(fig11Table)), nil)
 }

@@ -11,11 +11,8 @@ import (
 	"sort"
 	"strings"
 
-	"ldis/internal/cache"
-	"ldis/internal/distill"
 	"ldis/internal/hierarchy"
 	"ldis/internal/obs"
-	"ldis/internal/sampler"
 	"ldis/internal/stats"
 	"ldis/internal/trace"
 	"ldis/internal/workload"
@@ -63,9 +60,15 @@ type Options struct {
 	// nil, validate installs a fresh log; callers that want to read
 	// the failures afterwards supply their own.
 	Failures *FailureLog
-	// Checkpoint, when non-nil, replays already-completed cells from
-	// the checkpoint file and appends each newly completed cell to
-	// it, making the sweep resumable after a crash or kill.
+	// Checkpoint is the run's cell store: every (row, config key) cell
+	// is simulated at most once and served from the store afterwards,
+	// in any experiment that reads it. Left nil, Validate installs an
+	// in-memory store; OpenCheckpoint supplies one backed by a file,
+	// which also replays the cells of an earlier run and appends each
+	// new one, making the sweep resumable after a crash or kill. A
+	// store is bound to the Fingerprint of the options it was made
+	// for: Validate replaces an in-memory store whose fingerprint
+	// differs, so a changed option never reads a stale cell.
 	Checkpoint *Checkpoint
 	// FaultSeed, when nonzero, deterministically panics a seeded
 	// subset of cells via internal/faultinject — the chaos-testing
@@ -87,7 +90,8 @@ type Options struct {
 	Orgs      OrgsParams
 
 	// expID is the registry id of the experiment being run, set by
-	// Run; it keys checkpoint records and failure rows.
+	// Run; it names fault-injection sites, manifest cells and failure
+	// rows.
 	expID string
 }
 
@@ -125,27 +129,30 @@ func (o Options) batchSize() int {
 // of them joined, so callers (both CLIs) can print the complete
 // problem list in one pass instead of fixing flags one at a time.
 type OptionError struct {
-	Field string // Options field ("Accesses", ...) or knob name ("mrc_sample_rate", ...)
+	Field string // manifest name ("accesses", "mrc_sample_rate", ...) or Options field ("Parallel", ...)
 	Msg   string
 }
 
 func (e *OptionError) Error() string { return "exp: " + e.Field + ": " + e.Msg }
 
 // Validate checks every option and normalizes the ones with sensible
-// defaults (a KeepGoing run with no Failures log gets a fresh one, and
-// every zero knob takes its declared default). It returns nil or an
-// errors.Join of *OptionError values — one per problem found, never
-// just the first.
+// defaults (a KeepGoing run with no Failures log gets a fresh one,
+// every zero knob takes its declared default, and a run without a
+// cell store, or with an in-memory one made for other options, gets a
+// fresh store). It returns nil or an errors.Join of *OptionError
+// values — one per problem found, never just the first. A result
+// option's problem is reported under its manifest name, which is also
+// its ldisd JSON field.
 func (o *Options) Validate() error {
 	var problems []error
 	bad := func(field, format string, args ...any) {
 		problems = append(problems, &OptionError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
 	if o.Accesses <= 0 {
-		bad("Accesses", "must be positive, got %d", o.Accesses)
+		bad("accesses", "must be positive, got %d", o.Accesses)
 	}
 	if o.WarmupFrac < 0 || o.WarmupFrac >= 1 {
-		bad("WarmupFrac", "%v out of [0,1)", o.WarmupFrac)
+		bad("warmup_frac", "%v out of [0,1)", o.WarmupFrac)
 	}
 	if o.Parallel < 0 {
 		bad("Parallel", "must be >= 0, got %d", o.Parallel)
@@ -157,7 +164,7 @@ func (o *Options) Validate() error {
 		bad("BatchSize", "must be >= 0, got %d", o.BatchSize)
 	}
 	if o.Retries < 0 {
-		bad("Retries", "must be >= 0, got %d", o.Retries)
+		bad("retries", "must be >= 0, got %d", o.Retries)
 	}
 	if o.FailBudget < 0 {
 		bad("FailBudget", "must be >= 0, got %d", o.FailBudget)
@@ -181,48 +188,16 @@ func (o *Options) Validate() error {
 			bad(k.Name, "%v", err)
 		}
 	}
-	return errors.Join(problems...)
-}
-
-// baselineConfig builds a traditional cache config of the given size in
-// megabytes: the paper grows capacity by adding ways at a fixed 2048
-// sets (its 0.75MB LOC is 6 ways of 2048 sets), which keeps every size
-// realizable with a power-of-two set count.
-func baselineConfig(name string, sizeMB float64) cache.Config {
-	const sets = 2048
-	bytes := int(sizeMB * (1 << 20))
-	ways := bytes / (64 * sets)
-	return cache.Config{Name: name, SizeBytes: ways * 64 * sets, Ways: ways}
-}
-
-// LDIS configuration variants (Figure 6).
-func ldisBase(wocWays int, seed uint64) distill.Config {
-	return distill.Config{
-		Name: "ldis-base", SizeBytes: 1 << 20, Ways: 8, WOCWays: wocWays, Seed: seed,
+	if len(problems) > 0 {
+		return errors.Join(problems...)
 	}
-}
-
-func ldisMT(wocWays int, seed uint64) distill.Config {
-	c := ldisBase(wocWays, seed)
-	c.Name = "ldis-mt"
-	c.MedianThreshold = true
-	return c
-}
-
-func ldisMTRC(wocWays int, seed uint64) distill.Config {
-	c := ldisMT(wocWays, seed)
-	c.Name = "ldis-mt-rc"
-	c.Reverter = true
-	// The paper's PSEL hysteresis band (64..192) is tuned for 250M
-	// instruction traces; our runs are 10-100x shorter, so low-MPKI
-	// benchmarks would never accumulate enough leader-set misses to
-	// cross it. A narrower band (±16 around the midpoint) preserves the
-	// hysteresis mechanism while converging at our trace lengths.
-	sc := sampler.DefaultConfig(c.Sets())
-	sc.LowWatermark = 112
-	sc.HighWatermark = 144
-	c.SamplerConfig = &sc
-	return c
+	switch fp := o.Fingerprint(); {
+	case o.Checkpoint == nil || (!o.Checkpoint.fileBacked() && o.Checkpoint.fp != fp):
+		o.Checkpoint = newStore(fp)
+	case o.Checkpoint.fp != fp:
+		bad("Checkpoint", "%s was opened for different options (fingerprint %016x, want %016x)", o.Checkpoint.path, o.Checkpoint.fp, fp)
+	}
+	return errors.Join(problems...)
 }
 
 // timedStream wraps a cell's record stream so every NextBatch refill is
@@ -276,53 +251,25 @@ func runWindowed(sys *hierarchy.System, prof *workload.Profile, o Options, co *o
 	return w
 }
 
-// runTradWindowed runs one traditional-cache cell, sharded across
-// o.Shards workers when requested. The traditional organization is
-// always shard-exact, so the sharded result is byte-identical to the
-// sequential one; it returns the measurement-window totals and the
-// (merged) cache.
-func runTradWindowed(cfg cache.Config, prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
-	if o.shards() == 1 {
-		sys, c := tradSystem(cfg, co)
-		return runWindowed(sys, prof, o, co).Totals(), c
-	}
-	run, err := hierarchy.RunSharded(o.shards(), o.batchSize(), o.warmup(), o.measure(), cellStream(prof, co),
-		func(shard int) *hierarchy.System {
-			sys, _ := tradSystem(cfg, co)
-			return sys
-		})
-	if err != nil {
-		// Options are validated and the traditional organization is
-		// shard-exact, so only a panicking shard worker lands here; the
-		// cell-isolation layer above turns the panic back into a cell
-		// failure.
-		panic(err)
-	}
-	return run.Window, run.Systems[0].L2.(*hierarchy.TradL2).C
-}
-
-// tradSystem builds a traditional-cache system with the cell's
-// observability wired in.
-func tradSystem(cfg cache.Config, co *obs.Cell) (*hierarchy.System, *cache.Cache) {
-	cfg.Obs = co
-	return hierarchy.Traditional(cfg)
-}
-
-// distillSystem builds a distill-cache system with the cell's
-// observability wired in.
-func distillSystem(cfg distill.Config, co *obs.Cell) (*hierarchy.System, *distill.Cache) {
-	cfg.Obs = co
-	return hierarchy.Distill(cfg)
-}
-
-// baselineMPKI runs the 1MB 8-way baseline (sharded when o.Shards asks
-// for it) and returns the measurement-window totals.
-func baselineMPKI(prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
-	return runTradWindowed(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, prof, o, co)
-}
-
 // Runner is an experiment entry: it produces one or more tables.
 type Runner func(Options) ([]*stats.Table, error)
+
+// rendered adapts an experiment that computes rows, and the renderer
+// of those rows, into a Runner.
+func rendered[R any](run func(Options) (R, error), render func(R) []*stats.Table) Runner {
+	return func(o Options) ([]*stats.Table, error) {
+		rows, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return render(rows), nil
+	}
+}
+
+// single adapts a one-table renderer.
+func single[R any](render func(R) *stats.Table) func(R) []*stats.Table {
+	return func(rows R) []*stats.Table { return []*stats.Table{render(rows)} }
+}
 
 // experiment is one registry entry: its description, its Runner, and
 // its knob declaration (nil for experiments without knobs).

@@ -270,13 +270,6 @@ func TestFig11(t *testing.T) {
 	if fig11Table(rows).NumRows() != 2 { // row + mean
 		t.Error("table rows wrong")
 	}
-	l3, l4, cm, fac := SummarizeFig11(rows, map[string]float64{"health": 10})
-	_ = l3
-	_ = l4
-	_ = cm
-	if fac == 0 && rows[0].FAC4x != 0 {
-		t.Error("summary lost FAC value")
-	}
 }
 
 func TestFig13(t *testing.T) {

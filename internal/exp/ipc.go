@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"ldis/internal/cache"
 	"ldis/internal/cpu"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
@@ -19,20 +18,19 @@ type Fig9Row struct {
 // Fig9 runs the execution-driven IPC comparison: the baseline machine
 // versus the same machine with a distill cache (which pays one extra
 // tag cycle on every L2 access and two extra cycles on WOC hits).
-// The two machines are independent scheduler cells.
+// The two machines are independent cells.
 func Fig9(o Options) ([]Fig9Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		if col == 0 {
-			sysB, _ := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
-			r := cpu.New(cpu.DefaultConfig()).Run(sysB, prof, prof.Stream(), o.Accesses)
-			return r.IPC(), nil
+	// The IPC model paces accesses itself, so these cells have their
+	// own "@cpu" keys; the distill machine pays the extra tag cycles.
+	names, grid, err := runGrid(o, []string{"base-1MB@cpu", "ldis-mt-rc-2@cpu"}, func(prof *workload.Profile, key string, co *obs.Cell) (float64, error) {
+		cfg, model := configs["base-1MB"], cpu.DefaultConfig()
+		if key == "ldis-mt-rc-2@cpu" {
+			cfg, model = configs["ldis-mt-rc-2"], cpu.DistillConfig()
 		}
-		sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-		r := cpu.New(cpu.DistillConfig()).Run(sysD, prof, prof.Stream(), o.Accesses)
-		return r.IPC(), nil
+		return cpu.New(model).Run(cfg.build(prof, o, co), prof, prof.Stream(), o.Accesses).IPC(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -71,11 +69,5 @@ func fig9Table(rows []Fig9Row) *stats.Table {
 }
 
 func init() {
-	registerExp("fig9", "IPC improvement with the distill cache", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig9(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig9Table(rows)}, nil
-	}, nil)
+	registerExp("fig9", "IPC improvement with the distill cache", rendered(Fig9, single(fig9Table)), nil)
 }

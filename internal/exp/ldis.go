@@ -1,13 +1,7 @@
 package exp
 
 import (
-	"fmt"
-
-	"ldis/internal/cache"
-	"ldis/internal/distill"
-	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
 )
 
 // Fig6Row is one benchmark's MPKI reduction under the three LDIS
@@ -19,36 +13,24 @@ type Fig6Row struct {
 }
 
 // Fig6 compares LDIS-Base, LDIS-MT, and LDIS-MT-RC against the 1MB
-// baseline. Each of the four configurations is its own scheduler cell.
+// baseline. Each of the four configurations is its own cell.
 func Fig6(o Options) ([]Fig6Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		if col == 0 {
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		}
-		cfgs := [...]distill.Config{
-			ldisBase(2, prof.Seed),
-			ldisMT(2, prof.Seed),
-			ldisMTRC(2, prof.Seed),
-		}
-		sys, _ := distillSystem(cfgs[col-1], co)
-		return runWindowed(sys, prof, o, co).MPKI(), nil
-	})
+	names, grid, err := runConfigs(o, "base-1MB", "ldis-base-2", "ldis-mt-2", "ldis-mt-rc-2")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig6Row, len(grid))
 	for i, name := range names {
-		g := grid[i]
+		base := grid[i][0].mpki()
 		rows[i] = Fig6Row{
 			Benchmark:    name,
-			BaselineMPKI: g[0],
-			Base:         stats.PctReduction(g[0], g[1]),
-			MT:           stats.PctReduction(g[0], g[2]),
-			RC:           stats.PctReduction(g[0], g[3]),
+			BaselineMPKI: base,
+			Base:         stats.PctReduction(base, grid[i][1].mpki()),
+			MT:           stats.PctReduction(base, grid[i][2].mpki()),
+			RC:           stats.PctReduction(base, grid[i][3].mpki()),
 		}
 	}
 	return rows, nil
@@ -118,46 +100,33 @@ type Fig7Row struct {
 }
 
 // Fig7 measures the four-outcome breakdown of the default distill
-// cache against the baseline's hit rate. The baseline and distill runs
-// are independent scheduler cells; a cell returns [baseHit, LOC, WOC,
-// hole, line] with only the slots its configuration produces filled.
+// cache against the baseline's hit rate, both over the whole run.
 func Fig7(o Options) ([]Fig7Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) ([5]float64, error) {
-		var cell [5]float64
-		if col == 0 {
-			_, cb := runTradWindowed(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, prof, o, co)
-			cell[0] = cb.Stats().HitRate()
-			return cell, nil
-		}
-		sysD, cd := distillSystem(ldisMTRC(2, prof.Seed), co)
-		runWindowed(sysD, prof, o, co)
-		ds := cd.Stats()
-		total := float64(ds.Accesses)
-		if total == 0 {
-			total = 1
-		}
-		cell[1] = float64(ds.LOCHits) / total
-		cell[2] = float64(ds.WOCHits) / total
-		cell[3] = float64(ds.HoleMisses) / total
-		cell[4] = float64(ds.LineMisses) / total
-		return cell, nil
-	})
+	names, grid, err := runConfigs(o, "base-1MB", "ldis-mt-rc-2")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig7Row, len(grid))
 	for i, name := range names {
-		g := grid[i]
+		b, d := grid[i][0], grid[i][1]
+		baseHit := 0.0
+		if b.Accesses > 0 {
+			baseHit = float64(b.Hits) / float64(b.Accesses)
+		}
+		total := float64(d.Accesses)
+		if total == 0 {
+			total = 1
+		}
 		rows[i] = Fig7Row{
 			Benchmark: name,
-			BaseHit:   g[0][0],
-			LOCHit:    g[1][1],
-			WOCHit:    g[1][2],
-			HoleMiss:  g[1][3],
-			LineMiss:  g[1][4],
+			BaseHit:   baseHit,
+			LOCHit:    float64(d.LOCHits) / total,
+			WOCHit:    float64(d.WOCHits) / total,
+			HoleMiss:  float64(d.HoleMisses) / total,
+			LineMiss:  float64(d.LineMisses) / total,
 		}
 	}
 	return rows, nil
@@ -179,37 +148,24 @@ type Fig8Row struct {
 	Distill, MB15, MB20 float64
 }
 
-// Fig8 runs the capacity analysis: four scheduler cells per benchmark
+// Fig8 runs the capacity analysis: four cells per benchmark
 // (baseline, distill, and the two bigger traditional caches).
 func Fig8(o Options) ([]Fig8Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		switch col {
-		case 0:
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		case 1:
-			sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-			return runWindowed(sysD, prof, o, co).MPKI(), nil
-		default:
-			sz := []float64{1.5, 2.0}[col-2]
-			w, _ := runTradWindowed(baselineConfig(fmt.Sprintf("trad-%.1fMB", sz), sz), prof, o, co)
-			return w.MPKI(), nil
-		}
-	})
+	names, grid, err := runConfigs(o, "base-1MB", "ldis-mt-rc-2", "trad-1.5MB", "trad-2MB")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig8Row, len(grid))
 	for i, name := range names {
-		g := grid[i]
+		base := grid[i][0].mpki()
 		rows[i] = Fig8Row{
 			Benchmark: name,
-			Distill:   stats.PctReduction(g[0], g[1]),
-			MB15:      stats.PctReduction(g[0], g[2]),
-			MB20:      stats.PctReduction(g[0], g[3]),
+			Distill:   stats.PctReduction(base, grid[i][1].mpki()),
+			MB15:      stats.PctReduction(base, grid[i][2].mpki()),
+			MB20:      stats.PctReduction(base, grid[i][3].mpki()),
 		}
 	}
 	return rows, nil
@@ -243,27 +199,14 @@ func Table5(o Options) ([]Table5Row, error) {
 		o.Benchmarks = []string{"equake", "lucas", "mgrid", "applu", "mesa", "crafty", "gap",
 			"gzip", "fma3d", "perlbmk", "eon"}
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		switch col {
-		case 0:
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		case 1:
-			sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-			return runWindowed(sysD, prof, o, co).MPKI(), nil
-		default:
-			sz := []float64{2, 4}[col-2]
-			w, _ := runTradWindowed(baselineConfig(fmt.Sprintf("trad-%gMB", sz), sz), prof, o, co)
-			return w.MPKI(), nil
-		}
-	})
+	names, grid, err := runConfigs(o, "base-1MB", "ldis-mt-rc-2", "trad-2MB", "trad-4MB")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table5Row, len(grid))
 	for i, name := range names {
 		g := grid[i]
-		rows[i] = Table5Row{Benchmark: name, Trad1MB: g[0], LDIS1MB: g[1], Trad2MB: g[2], Trad4MB: g[3]}
+		rows[i] = Table5Row{Benchmark: name, Trad1MB: g[0].mpki(), LDIS1MB: g[1].mpki(), Trad2MB: g[2].mpki(), Trad4MB: g[3].mpki()}
 	}
 	return rows, nil
 }
@@ -278,32 +221,8 @@ func table5Table(rows []Table5Row) *stats.Table {
 }
 
 func init() {
-	registerExp("fig6", "MPKI reduction: LDIS-Base / LDIS-MT / LDIS-MT-RC", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig6(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig6Table(rows)}, nil
-	}, nil)
-	registerExp("fig7", "hit-miss breakdown: baseline vs distill cache", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig7(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig7Table(rows)}, nil
-	}, nil)
-	registerExp("fig8", "capacity analysis: distill vs 1.5MB and 2MB traditional", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig8(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig8Table(rows)}, nil
-	}, nil)
-	registerExp("table5", "cache-insensitive benchmarks (Appendix A)", func(o Options) ([]*stats.Table, error) {
-		rows, err := Table5(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{table5Table(rows)}, nil
-	}, nil)
+	registerExp("fig6", "MPKI reduction: LDIS-Base / LDIS-MT / LDIS-MT-RC", rendered(Fig6, single(fig6Table)), nil)
+	registerExp("fig7", "hit-miss breakdown: baseline vs distill cache", rendered(Fig7, single(fig7Table)), nil)
+	registerExp("fig8", "capacity analysis: distill vs 1.5MB and 2MB traditional", rendered(Fig8, single(fig8Table)), nil)
+	registerExp("table5", "cache-insensitive benchmarks (Appendix A)", rendered(Table5, single(table5Table)), nil)
 }

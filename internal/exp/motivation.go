@@ -3,9 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"ldis/internal/cache"
-	"ldis/internal/mem"
-	"ldis/internal/obs"
 	"ldis/internal/stats"
 	"ldis/internal/workload"
 )
@@ -25,21 +22,17 @@ func Fig1(o Options) ([]Fig1Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Fig1Row, error) {
-		_, c := baselineMPKI(prof, o, co)
-		h := c.Stats().WordsUsedAtEvict
-		row := Fig1Row{Benchmark: prof.Name, Mean: h.Mean()}
-		for wi := 0; wi <= 8; wi++ {
-			row.Fractions[wi] = h.Fraction(wi)
-		}
-		return row, nil
-	})
+	names, grid, err := runConfigs(o, "base-1MB")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig1Row, len(grid))
-	for i := range grid {
-		rows[i] = grid[i][0]
+	for i, name := range names {
+		h := grid[i][0].wordsUsed()
+		rows[i] = Fig1Row{Benchmark: name, Mean: h.Mean()}
+		for wi := 0; wi <= 8; wi++ {
+			rows[i].Fractions[wi] = h.Fraction(wi)
+		}
 	}
 	return rows, nil
 }
@@ -79,21 +72,17 @@ func Fig2(o Options) ([]Fig2Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Fig2Row, error) {
-		_, c := baselineMPKI(prof, o, co)
-		h := c.Stats().FPChangePos
-		row := Fig2Row{Benchmark: prof.Name}
-		for p := 0; p < 8; p++ {
-			row.Fractions[p] = h.Fraction(p)
-		}
-		return row, nil
-	})
+	names, grid, err := runConfigs(o, "base-1MB")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig2Row, len(grid))
-	for i := range grid {
-		rows[i] = grid[i][0]
+	for i, name := range names {
+		h := grid[i][0].fpChange()
+		rows[i] = Fig2Row{Benchmark: name}
+		for p := 0; p < 8; p++ {
+			rows[i].Fractions[p] = h.Fraction(p)
+		}
 	}
 	return rows, nil
 }
@@ -134,27 +123,23 @@ func Table2(o Options) ([]Table2Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (Table2Row, error) {
-		sys, _ := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
-		w := runWindowed(sys, prof, o, co)
-		comp := 0.0
-		if m := sys.L2.Misses(); m > 0 {
-			// Compulsory fraction over the whole run, as the paper does.
-			comp = 100 * float64(sys.CompulsoryMisses) / float64(m)
-		}
-		return Table2Row{
-			Benchmark:     prof.Name,
-			MPKI:          w.MPKI(),
-			CompulsoryPct: comp,
-			PaperMPKI:     prof.PaperMPKI,
-		}, nil
-	})
+	names, grid, err := runConfigs(o, "base-1MB")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table2Row, len(grid))
-	for i := range grid {
-		rows[i] = grid[i][0]
+	for i, name := range names {
+		r := grid[i][0]
+		comp := 0.0
+		if r.Misses > 0 {
+			// Compulsory fraction over the whole run, as the paper does.
+			comp = 100 * float64(r.CompulsoryMisses) / float64(r.Misses)
+		}
+		prof, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = Table2Row{Benchmark: name, MPKI: r.mpki(), CompulsoryPct: comp, PaperMPKI: prof.PaperMPKI}
 	}
 	return rows, nil
 }
@@ -185,26 +170,11 @@ func Table6(o Options) ([]Table6Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, len(Table6Sizes), func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		sz := Table6Sizes[col]
-		sys, c := tradSystem(baselineConfig(fmt.Sprintf("base-%.2fMB", sz), sz), co)
-		runWindowed(sys, prof, o, co)
-		// Prefer eviction-time footprints (the paper's metric); when
-		// the working set fits and evictions are scarce, fall back to
-		// the footprints of resident lines.
-		avg := c.Stats().WordsUsedAtEvict.Mean()
-		if c.Stats().WordsUsedAtEvict.Total() < 1000 {
-			var sum, n float64
-			c.VisitLines(func(_ mem.LineAddr, fp mem.Footprint) {
-				sum += float64(fp.Count())
-				n++
-			})
-			if n > 0 {
-				avg = sum / n
-			}
-		}
-		return avg, nil
-	})
+	keys := make([]string, len(Table6Sizes))
+	for i, sz := range Table6Sizes {
+		keys[i] = tradKey(sz)
+	}
+	names, grid, err := runConfigs(o, keys...)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +182,16 @@ func Table6(o Options) ([]Table6Row, error) {
 	for i, name := range names {
 		row := Table6Row{Benchmark: name, AvgWords: map[string]float64{}}
 		for col, sz := range Table6Sizes {
-			row.AvgWords[sizeLabel(sz)] = grid[i][col]
+			r := grid[i][col]
+			// Prefer eviction-time footprints (the paper's metric);
+			// when the working set fits and evictions are scarce, fall
+			// back to the footprints of resident lines.
+			h := r.wordsUsed()
+			avg := h.Mean()
+			if h.Total() < 1000 && r.ResidentLines > 0 {
+				avg = float64(r.ResidentWords) / float64(r.ResidentLines)
+			}
+			row.AvgWords[sizeLabel(sz)] = avg
 		}
 		rows[i] = row
 	}
@@ -238,32 +217,8 @@ func table6Table(rows []Table6Row) *stats.Table {
 }
 
 func init() {
-	registerExp("fig1", "distribution of words used per cache line (baseline)", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig1(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig1Table(rows)}, nil
-	}, nil)
-	registerExp("fig2", "max recency position before footprint-change", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig2(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig2Table(rows)}, nil
-	}, nil)
-	registerExp("table2", "baseline MPKI and compulsory misses", func(o Options) ([]*stats.Table, error) {
-		rows, err := Table2(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{table2Table(rows)}, nil
-	}, nil)
-	registerExp("table6", "average words used vs cache size", func(o Options) ([]*stats.Table, error) {
-		rows, err := Table6(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{table6Table(rows)}, nil
-	}, nil)
+	registerExp("fig1", "distribution of words used per cache line (baseline)", rendered(Fig1, single(fig1Table)), nil)
+	registerExp("fig2", "max recency position before footprint-change", rendered(Fig2, single(fig2Table)), nil)
+	registerExp("table2", "baseline MPKI and compulsory misses", rendered(Table2, single(table2Table)), nil)
+	registerExp("table6", "average words used vs cache size", rendered(Table6, single(table6Table)), nil)
 }

@@ -19,9 +19,9 @@ import (
 // effective capacity distillation reclaims — the paper's central claim
 // measured directly, per benchmark.
 //
-// Each benchmark runs two scheduler cells: column 0 is the exact
-// Mattson stack, column 1 the SHARDS fixed-rate + fixed-size sampled
-// variant, so the rendered tables double as a standing validation that
+// Each benchmark runs two cells: column 0 (key mrc-exact) is the exact
+// Mattson stack, column 1 (mrc-shards) the SHARDS fixed-rate +
+// fixed-size sampled variant, so the rendered tables double as a standing validation that
 // sampling stays inside its error budget.
 
 // mrcCell is one cell result: both granularities from one engine pass.
@@ -77,10 +77,10 @@ func MRC(o Options) ([]MRCResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) (mrcCell, error) {
+	names, grid, err := runGrid(o, []string{"mrc-exact", "mrc-shards"}, func(prof *workload.Profile, key string, co *obs.Cell) (mrcCell, error) {
 		cfg := mrc.Config{MaxBytes: o.MRC.MaxBytes, ResolutionBytes: o.MRC.Resolution, Obs: co}
 		label := "exact"
-		if col == 1 {
+		if key == "mrc-shards" {
 			cfg.SampleRate = o.MRC.SampleRate
 			cfg.MaxSamples = o.MRC.MaxSamples
 			cfg.Seed = prof.Seed ^ 0x5ac0ffee
@@ -163,11 +163,5 @@ func MRCTables(rows []MRCResult) []*stats.Table {
 }
 
 func init() {
-	registerExp("mrc", "miss-ratio curves: exact Mattson stack + SHARDS sampling, line vs distilled word grain", func(o Options) ([]*stats.Table, error) {
-		rows, err := MRC(o)
-		if err != nil {
-			return nil, err
-		}
-		return MRCTables(rows), nil
-	}, func(o *Options) []Knob { return o.MRC.knobs() })
+	registerExp("mrc", "miss-ratio curves: exact Mattson stack + SHARDS sampling, line vs distilled word grain", rendered(MRC, MRCTables), func(o *Options) []Knob { return o.MRC.knobs() })
 }

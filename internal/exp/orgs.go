@@ -6,21 +6,19 @@ import (
 	"ldis/internal/cache"
 	"ldis/internal/costmodel"
 	"ldis/internal/distill"
-	"ldis/internal/hierarchy"
-	"ldis/internal/obs"
 	"ldis/internal/stats"
 	"ldis/internal/wordstore"
-	"ldis/internal/workload"
 )
 
 // The orgs experiment places the three related-work organization
 // variants next to the designs they modify:
 //
-//	col 0  base      1MB 8-way traditional cache;
+//	col 0  base      1MB 8-way traditional cache (base-1MB);
 //	col 1  waymemo   the same cache with way memoization (arXiv
 //	                 0710.4703) — functionally transparent, the memo
 //	                 counters price skipped tag probes;
-//	col 2  ldis      plain distill cache (2 WOC ways, per-word tags);
+//	col 2  ldis      plain distill cache (2 WOC ways, per-word tags;
+//	                 ldis-base-2);
 //	col 3  touche    the distill cache with Touché compressed
 //	                 superblock tags (arXiv 1909.00553) — less tag
 //	                 area, alias-safe misses instead of false hits;
@@ -37,32 +35,20 @@ import (
 const (
 	orgSizeBytes = 1 << 20
 	orgWays      = 8
-	orgWOCWays   = 2
 )
 
-// orgColumns names the experiment's columns in order.
-var orgColumns = []string{"base", "waymemo", "ldis", "touche", "copyback"}
+// orgColumns names the experiment's columns in order, and orgKeys the
+// configuration each column reads.
+var (
+	orgColumns = []string{"base", "waymemo", "ldis", "touche", "copyback"}
+	orgKeys    = []string{"base-1MB", "waymemo", "ldis-base-2", "touche", "copyback"}
+)
 
-// orgCell is one (benchmark, organization) result. Everything is
-// plain exported data so cells gob round-trip through the checkpoint.
+// orgCell is one (benchmark, organization) result: the column's name
+// and the record of the cell it reads.
 type orgCell struct {
-	Org    string
-	Totals hierarchy.WindowTotals
-
-	// Touché column counters (whole run, not just the window).
-	Touche wordstore.ToucheStats
-	// Copy-back column counters.
-	CopyBacks, CopyBackFar, CopyBackCold uint64
-	// Way-memo column counters.
-	MemoRefs, MemoHits, MemoSkipped uint64
-}
-
-// orgDistill is the distill configuration the ldis/touche/copyback
-// columns share before their per-column extension.
-func orgDistill(name string, seed uint64) distill.Config {
-	return distill.Config{
-		Name: name, SizeBytes: orgSizeBytes, Ways: orgWays, WOCWays: orgWOCWays, Seed: seed,
-	}
+	Org string
+	cellRecord
 }
 
 // OrgsParams are the orgs experiment's knobs. A zero field takes its
@@ -100,56 +86,19 @@ func Orgs(o Options) ([]OrgsRow, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, len(orgColumns), func(prof *workload.Profile, col int, co *obs.Cell) (orgCell, error) {
-		return orgCellRun(o, prof, col, co)
-	})
+	names, grid, err := runConfigs(o, orgKeys...)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]OrgsRow, len(names))
 	for i, name := range names {
-		rows[i] = OrgsRow{Benchmark: name, Cells: grid[i]}
+		cells := make([]orgCell, len(orgColumns))
+		for col, r := range grid[i] {
+			cells[col] = orgCell{orgColumns[col], r}
+		}
+		rows[i] = OrgsRow{Benchmark: name, Cells: cells}
 	}
 	return rows, nil
-}
-
-// orgCellRun simulates one cell.
-func orgCellRun(o Options, prof *workload.Profile, col int, co *obs.Cell) (orgCell, error) {
-	cell := orgCell{Org: orgColumns[col]}
-	switch cell.Org {
-	case "base":
-		cell.Totals, _ = runTradWindowed(cache.Config{Name: "orgs-base", SizeBytes: orgSizeBytes, Ways: orgWays}, prof, o, co)
-	case "waymemo":
-		cfg := cache.Config{
-			Name: "orgs-waymemo", SizeBytes: orgSizeBytes, Ways: orgWays,
-			WayMemo: &cache.WayMemoConfig{EntriesPerSet: o.Orgs.WayMemoEntries},
-		}
-		// Sharded, the memo counters are shard-owned per-set sums merged
-		// into the returned cache, so they match the sequential run's.
-		tw, c := runTradWindowed(cfg, prof, o, co)
-		st := c.Stats()
-		cell.Totals = tw
-		cell.MemoRefs, cell.MemoHits, cell.MemoSkipped = st.MemoRefs, st.MemoHits, st.MemoProbesSkipped
-	case "ldis":
-		sys, _ := distillSystem(orgDistill("orgs-ldis", prof.Seed), co)
-		cell.Totals = runWindowed(sys, prof, o, co).Totals()
-	case "touche":
-		cfg := orgDistill("orgs-touche", prof.Seed)
-		cfg.Touche = &wordstore.ToucheConfig{SuperblockLines: o.Orgs.ToucheSBLines, Seed: prof.Seed}
-		sys, dc := distillSystem(cfg, co)
-		cell.Totals = runWindowed(sys, prof, o, co).Totals()
-		cell.Touche = dc.Stats().Touche
-	case "copyback":
-		cfg := orgDistill("orgs-copyback", prof.Seed)
-		cfg.CopyBack = &distill.CopyBackConfig{MaxReuseBytes: o.Orgs.CopyBackMaxReuse, Seed: prof.Seed}
-		sys, dc := distillSystem(cfg, co)
-		cell.Totals = runWindowed(sys, prof, o, co).Totals()
-		st := dc.Stats()
-		cell.CopyBacks, cell.CopyBackFar, cell.CopyBackCold = st.CopyBacks, st.CopyBackFar, st.CopyBackCold
-	default:
-		return orgCell{}, fmt.Errorf("exp: unknown org column %d", col)
-	}
-	return cell, nil
 }
 
 // orgToucheParams maps the experiment's Touché knobs onto the cost

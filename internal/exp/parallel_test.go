@@ -59,11 +59,11 @@ func TestParallelDefaultMatchesSequential(t *testing.T) {
 func TestGridErrorPropagates(t *testing.T) {
 	o := Options{Accesses: 1000, Benchmarks: []string{"ammp", "mcf"}, Parallel: 2}
 	boom := errors.New("boom")
-	_, _, err := runGrid(o, 3, func(prof *workload.Profile, col int, _ *obs.Cell) (int, error) {
-		if prof.Name == "mcf" && col == 1 {
+	_, _, err := runGrid(o, []string{"a", "b", "c"}, func(prof *workload.Profile, key string, _ *obs.Cell) (int, error) {
+		if prof.Name == "mcf" && key == "b" {
 			return 0, boom
 		}
-		return col, nil
+		return len(key), nil
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("grid error = %v, want boom", err)

@@ -201,8 +201,12 @@ func Partition(o Options) ([]PartitionResult, error) {
 	for i, s := range scens {
 		rowNames[i] = s.Name
 	}
-	names, grid, err := runNamedGrid(o, rowNames, len(policies), func(row, col int, co *obs.Cell) (partitionCell, error) {
-		return partitionSim(o, scens[row], policies[col], co)
+	keys := make([]string, len(policies))
+	for i, p := range policies {
+		keys[i] = "part-" + p
+	}
+	names, grid, err := runNamedGrid(o, rowNames, keys, func(row int, key string, co *obs.Cell) (partitionCell, error) {
+		return partitionSim(o, scens[row], strings.TrimPrefix(key, "part-"), co)
 	})
 	if err != nil {
 		return nil, err
@@ -416,11 +420,5 @@ func PartitionTables(rows []PartitionResult) []*stats.Table {
 }
 
 func init() {
-	registerExp("partition", "multi-tenant way partitioning: static vs UCP vs LDIS-aware over online SHARDS curves", func(o Options) ([]*stats.Table, error) {
-		rows, err := Partition(o)
-		if err != nil {
-			return nil, err
-		}
-		return PartitionTables(rows), nil
-	}, func(o *Options) []Knob { return o.Partition.knobs() })
+	registerExp("partition", "multi-tenant way partitioning: static vs UCP vs LDIS-aware over online SHARDS curves", rendered(Partition, PartitionTables), func(o *Options) []Knob { return o.Partition.knobs() })
 }

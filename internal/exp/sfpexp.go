@@ -1,12 +1,7 @@
 package exp
 
 import (
-	"ldis/internal/hierarchy"
-	"ldis/internal/obs"
-	"ldis/internal/sampler"
-	"ldis/internal/sfp"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
 )
 
 // Fig13Row compares spatial footprint prediction against line
@@ -23,38 +18,18 @@ func Fig13(o Options) ([]Fig13Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
-		switch col {
-		case 0:
-			base, _ := baselineMPKI(prof, o, co)
-			return base.MPKI(), nil
-		case 1, 2:
-			cfg := sfp.DefaultConfig()
-			cfg.PredictorEntries = []int{16 << 10, 64 << 10}[col-1]
-			cfg.Seed = prof.Seed
-			// Same short-trace reverter band as ldisMTRC (see exp.go).
-			sc := sampler.DefaultConfig(cfg.Sets())
-			sc.LowWatermark = 112
-			sc.HighWatermark = 144
-			cfg.SamplerConfig = &sc
-			sys, _ := hierarchy.SFP(cfg)
-			return runWindowed(sys, prof, o, co).MPKI(), nil
-		default:
-			sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-			return runWindowed(sysD, prof, o, co).MPKI(), nil
-		}
-	})
+	names, grid, err := runConfigs(o, "base-1MB", "sfp-16k", "sfp-64k", "ldis-mt-rc-2")
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig13Row, len(grid))
 	for i, name := range names {
-		g := grid[i]
+		base := grid[i][0].mpki()
 		rows[i] = Fig13Row{
 			Benchmark: name,
-			SFP64kB:   stats.PctReduction(g[0], g[1]),
-			SFP256kB:  stats.PctReduction(g[0], g[2]),
-			LDIS:      stats.PctReduction(g[0], g[3]),
+			SFP64kB:   stats.PctReduction(base, grid[i][1].mpki()),
+			SFP256kB:  stats.PctReduction(base, grid[i][2].mpki()),
+			LDIS:      stats.PctReduction(base, grid[i][3].mpki()),
 		}
 	}
 	return rows, nil
@@ -77,11 +52,5 @@ func fig13Table(rows []Fig13Row) *stats.Table {
 }
 
 func init() {
-	registerExp("fig13", "SFP (spatial footprint predictor) vs LDIS", func(o Options) ([]*stats.Table, error) {
-		rows, err := Fig13(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{fig13Table(rows)}, nil
-	}, nil)
+	registerExp("fig13", "SFP (spatial footprint predictor) vs LDIS", rendered(Fig13, single(fig13Table)), nil)
 }

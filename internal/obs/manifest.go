@@ -14,11 +14,14 @@ const ManifestVersion = 1
 const ManifestFile = "manifest.json"
 
 // CellReport is one grid cell's entry in the manifest: its
-// coordinates, outcome, span aggregates, and metric snapshot.
+// coordinates, the config key its column reads, outcome, span
+// aggregates, and metric snapshot. A replayed cell was served from the
+// run's cell store and carries no spans or metrics.
 type CellReport struct {
 	Experiment string       `json:"experiment"`
 	Benchmark  string       `json:"benchmark"`
 	Col        int          `json:"col"`
+	Key        string       `json:"key,omitempty"`
 	Status     string       `json:"status"`
 	Spans      []SpanReport `json:"spans,omitempty"`
 	Metrics    []Metric     `json:"metrics,omitempty"`

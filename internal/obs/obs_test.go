@@ -82,7 +82,7 @@ func TestNilSafety(t *testing.T) {
 		run.Progress() != nil || run.Sched() != nil {
 		t.Fatal("nil run handed out live components")
 	}
-	cell := run.StartCell("fig6", "gcc", 0)
+	cell := run.StartCell("fig6", "gcc", 0, "base-1MB")
 	if cell != nil {
 		t.Fatal("nil run started a live cell")
 	}
@@ -251,12 +251,12 @@ func TestRunCellLifecycle(t *testing.T) {
 	run := obs.NewRun(clk)
 	run.Progress().AddTotal(2)
 
-	c1 := run.StartCell("fig6", "gcc", 1)
+	c1 := run.StartCell("fig6", "gcc", 1, "ldis-base-2")
 	c1.Counter("misses").Add(10)
 	clk.Advance(1e9)
 	run.FinishCell(c1, obs.StatusOK)
 
-	c2 := run.StartCell("fig6", "art", 0)
+	c2 := run.StartCell("fig6", "art", 0, "base-1MB")
 	c2.Counter("misses").Add(5)
 	run.FinishCell(c2, obs.StatusReplayed)
 
@@ -271,6 +271,9 @@ func TestRunCellLifecycle(t *testing.T) {
 	if reports[0].Status != obs.StatusReplayed || reports[1].Status != obs.StatusOK {
 		t.Fatal("statuses not recorded")
 	}
+	if reports[0].Key != "base-1MB" || reports[1].Key != "ldis-base-2" {
+		t.Fatalf("config keys not recorded: %q, %q", reports[0].Key, reports[1].Key)
+	}
 	if got := run.Registry().Counter("misses").Value(); got != 15 {
 		t.Fatalf("run-level merged misses = %d, want 15", got)
 	}
@@ -281,9 +284,9 @@ func TestRunCellLifecycle(t *testing.T) {
 
 	// A retried cell finishes twice under the same coordinates: the
 	// second report replaces the first, and progress counts it once.
-	f1 := run.StartCell("fig6", "gcc", 1)
+	f1 := run.StartCell("fig6", "gcc", 1, "ldis-base-2")
 	run.FinishCell(f1, obs.StatusFailed)
-	f2 := run.StartCell("fig6", "gcc", 1)
+	f2 := run.StartCell("fig6", "gcc", 1, "ldis-base-2")
 	f2.Counter("misses").Add(1)
 	run.FinishCell(f2, obs.StatusOK)
 	p = run.Progress().Snapshot()
@@ -301,7 +304,7 @@ func TestProgressETA(t *testing.T) {
 	run := obs.NewRun(clk)
 	run.Progress().AddTotal(4)
 	for i := 0; i < 2; i++ {
-		c := run.StartCell("fig6", "gcc", i)
+		c := run.StartCell("fig6", "gcc", i, "base-1MB")
 		clk.Advance(1e9) // 1s per cell
 		run.FinishCell(c, obs.StatusOK)
 	}
@@ -318,7 +321,7 @@ func TestManifestRoundTripAndStrip(t *testing.T) {
 	clk := &obs.ManualClock{}
 	run := obs.NewRun(clk)
 	run.Progress().AddTotal(1)
-	c := run.StartCell("fig6", "gcc", 0)
+	c := run.StartCell("fig6", "gcc", 0, "base-1MB")
 	c.Counter("misses").Add(3)
 	tok := c.Spans().Begin(obs.StageSimulate)
 	clk.Advance(42)
@@ -393,7 +396,7 @@ func TestReadManifestRejectsBadInput(t *testing.T) {
 func TestHTTPServer(t *testing.T) {
 	run := obs.NewRun(&obs.ManualClock{})
 	run.Progress().AddTotal(3)
-	c := run.StartCell("fig6", "gcc", 0)
+	c := run.StartCell("fig6", "gcc", 0, "base-1MB")
 	c.Counter("misses").Add(9)
 	run.FinishCell(c, obs.StatusOK)
 

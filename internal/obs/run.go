@@ -81,9 +81,10 @@ func (r *Run) Sched() *SchedMetrics {
 }
 
 // StartCell opens observability for one (experiment × benchmark ×
-// column) grid cell: a private registry and span set that the cell's
-// simulators update without contending with any other worker.
-func (r *Run) StartCell(experiment, benchmark string, col int) *Cell {
+// column) grid cell whose column reads the given config key: a private
+// registry and span set that the cell's simulators update without
+// contending with any other worker.
+func (r *Run) StartCell(experiment, benchmark string, col int, key string) *Cell {
 	if r == nil {
 		return nil
 	}
@@ -92,6 +93,7 @@ func (r *Run) StartCell(experiment, benchmark string, col int) *Cell {
 		experiment: experiment,
 		benchmark:  benchmark,
 		col:        col,
+		key:        key,
 		reg:        NewRegistry(),
 		spans:      NewSpans(r.clock),
 	}
@@ -112,6 +114,7 @@ func (r *Run) FinishCell(c *Cell, status string) {
 		Experiment: c.experiment,
 		Benchmark:  c.benchmark,
 		Col:        c.col,
+		Key:        c.key,
 		Status:     status,
 		Spans:      c.spans.Report(),
 		Metrics:    c.reg.Snapshot(),
@@ -130,7 +133,7 @@ func (r *Run) CellReports() []CellReport {
 // Cell statuses recorded in the manifest.
 const (
 	StatusOK       = "ok"
-	StatusReplayed = "replayed" // served from a checkpoint, not simulated
+	StatusReplayed = "replayed" // served from the cell store, not simulated
 	StatusFailed   = "failed"
 )
 
@@ -142,6 +145,7 @@ type Cell struct {
 	experiment string
 	benchmark  string
 	col        int
+	key        string
 	reg        *Registry
 	spans      *Spans
 	replayed   bool
@@ -157,8 +161,9 @@ func NewCell(reg *Registry) *Cell {
 	return &Cell{reg: reg, spans: NewSpans(nil)}
 }
 
-// MarkReplayed records that the cell's result was served from a
-// checkpoint rather than simulated. Cells are single-worker, so a
+// MarkReplayed records that the cell's result was served from the
+// run's cell store (a checkpoint file, or an earlier experiment of the
+// same run) rather than simulated. Cells are single-worker, so a
 // plain bool suffices.
 func (c *Cell) MarkReplayed() {
 	if c == nil {

@@ -191,8 +191,8 @@ func (s *Spec) Validate(cfg *Config) error {
 	// The engine's option check is the one authority on the knobs a
 	// spec passes through (the MRC curve geometry): a spec it would
 	// refuse is refused here, on the matching JSON field, instead of
-	// failing later as a job. A knob's problem names the knob, which is
-	// its JSON field. Fields diagnosed above and the engine's
+	// failing later as a job. Every problem names its manifest field,
+	// which is the JSON field. Fields diagnosed above and the engine's
 	// benchmark-name errors are not repeated.
 	o := s.expOptions(cfg)
 	if errs, ok := o.Validate().(interface{ Unwrap() []error }); ok {
@@ -201,24 +201,12 @@ func (s *Spec) Validate(cfg *Config) error {
 			if !ok {
 				continue
 			}
-			field, ok := specFields[oe.Field]
-			if !ok {
-				field = oe.Field
-			}
-			if !seen[field] {
-				bad(field, "%s", oe.Msg)
+			if !seen[oe.Field] {
+				bad(oe.Field, "%s", oe.Msg)
 			}
 		}
 	}
 	return errors.Join(problems...)
-}
-
-// specFields names the JSON field behind each exp.Options field a spec
-// sets, so engine-side problems reach the client in its own terms.
-var specFields = map[string]string{
-	"Accesses":   "accesses",
-	"WarmupFrac": "warmup_frac",
-	"Retries":    "retries",
 }
 
 // expOptions builds the experiment-engine options a spec asks for:
