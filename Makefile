@@ -1,6 +1,8 @@
 # ldis — build, verification, and benchmark targets.
 #
-# `make check` is the tier-1 gate: build, vet, lint, tests.
+# `make check` is the tier-1 gate: build, vet, format, lint, tests.
+# `make fmt-check` fails if gofmt would reformat any Go file outside
+# testdata.
 # `make lint` runs the project's own analyzer suite (cmd/ldislint):
 # noalloc, detrange, nowallclock, gridpure, sharddisjoint,
 # atomicplain, boundedgo — the determinism, zero-allocation, and
@@ -60,7 +62,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-vet lint-json lint-fix-check \
+.PHONY: all build vet fmt-check lint lint-vet lint-json lint-fix-check \
 	lint-install test check race test-race microbench bench-smoke \
 	chaos fuzz-smoke mrc-smoke \
 	obs-smoke ldisd-smoke partition-smoke orgs-smoke examples govulncheck profile \
@@ -79,6 +81,21 @@ examples:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to report, and must run —
+# a missing formatter or a file it cannot parse fails the gate too. The
+# formatter is the one shipped with $(GO)'s toolchain. Directories named
+# testdata are skipped — the analyzer fixtures there keep hand-aligned
+# `// want` comments whose line numbers the analyzer tests assert — as
+# are dot-directories such as the benchmark's .bench_build cache.
+fmt-check:
+	@gofmt="$$($(GO) env GOROOT)/bin/gofmt"; \
+	out=$$(find . -type d \( -name testdata -o -name '.?*' \) -prune -o \
+		-type f -name '*.go' -print | xargs "$$gofmt" -l) || \
+		{ echo "fmt-check: $$gofmt failed" >&2; exit 1; }; \
+	if [ -n "$$out" ]; then \
+		echo "fmt-check: gofmt would reformat:" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 # Project analyzer suite, standalone driver. This is the authoritative
 # lint gate: unlike vet mode it verifies //ldis:noalloc call chains
@@ -116,7 +133,7 @@ lint-install:
 test:
 	$(GO) test ./...
 
-check: build vet lint test
+check: build vet fmt-check lint test
 
 race:
 	$(GO) test -race ./...

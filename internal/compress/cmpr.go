@@ -129,6 +129,7 @@ func (c *CMPR) Config() CMPRConfig { return c.cfg }
 // installed, evicting LRU lines until both the segment and tag budgets
 // are satisfied. All words of a stored line are valid (compression
 // keeps the whole line), so there are no hole misses.
+//
 //ldis:noalloc
 func (c *CMPR) Access(la mem.LineAddr, word int, write bool) bool {
 	c.st.Accesses++

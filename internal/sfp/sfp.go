@@ -294,6 +294,7 @@ func (c *Cache) train(pc mem.Addr, la mem.LineAddr, observed mem.Footprint) {
 // Access performs a demand access. The returned mask is the set of
 // words the L1D receives (the installed prediction on misses, which
 // always includes the demand word).
+//
 //ldis:noalloc
 func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit bool, valid mem.Footprint) {
 	c.st.Accesses++
@@ -411,6 +412,7 @@ func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 // WritebackFromL1 accepts an L1D eviction notice, mirroring the distill
 // cache's interface: observed words train the residency, dirty words
 // for stored entries stay, unstored dirty words go to memory.
+//
 //ldis:noalloc
 func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint) {
 	footprint = footprint.Or(dirty)

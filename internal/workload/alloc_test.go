@@ -1,14 +1,19 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"ldis/internal/mem"
+	"ldis/internal/trace"
+)
 
 // TestStreamNextZeroAllocs pins workload generation at zero allocations
-// per access: the burst-window scratch buffers in burstState and the
-// shared word lists of the two-phase visitor replaced the per-visit
-// slices that previously made Next() the second-largest garbage source
-// in the simulator.
+// per access, on every registered profile and on both the scalar Next
+// and the native NextBatch path: visits hand out subslices of the
+// shared mask table (or the two-phase visitor's shared word lists)
+// instead of building a word list per visit.
 func TestStreamNextZeroAllocs(t *testing.T) {
-	for _, name := range []string{"mcf", "swim", "art"} {
+	for _, name := range Names() {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -24,6 +29,20 @@ func TestStreamNextZeroAllocs(t *testing.T) {
 			st.Next()
 		}); n != 0 {
 			t.Errorf("%s: stream Next allocates %.2f/op", name, n)
+		}
+
+		bs, ok := p.Stream().(trace.BatchStream)
+		if !ok {
+			t.Fatalf("%s: stream has no native NextBatch", name)
+		}
+		buf := make([]mem.Access, 256)
+		bs.NextBatch(buf)
+		if n := testing.AllocsPerRun(200, func() {
+			if bs.NextBatch(buf) != len(buf) {
+				t.Fatal("stream dried up")
+			}
+		}); n != 0 {
+			t.Errorf("%s: stream NextBatch allocates %.2f/op", name, n)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ldis/internal/mem"
 )
@@ -60,23 +61,51 @@ func (d WordCountDist) Mean() float64 {
 	return sum / tot
 }
 
-// sample picks a count (1..8) given a uniform u in [0,1).
-func (d WordCountDist) sample(u float64) int {
+// countCDF is a WordCountDist's cumulative weights, built once when a
+// visitor is constructed so a visit samples its line's word count
+// without re-summing the weights.
+type countCDF struct {
+	// cum[i] is the probability of at most i+1 words. It is accumulated
+	// as acc += w/tot in weight order, so every boundary is the float
+	// the per-visit summation it replaces produced. The last weight's
+	// boundary is never consulted: a u past cum[6] means 8 words.
+	// All-zero weights leave every boundary at 0, so every u picks a
+	// full line.
+	cum [mem.WordsPerLine - 1]float64
+}
+
+// cdf builds d's cumulative weights. The weights must be finite and
+// non-negative (validateSpec enforces it for registered profiles), so
+// the boundaries are non-decreasing.
+func (d WordCountDist) cdf() countCDF {
+	var c countCDF
 	var tot float64
 	for _, w := range d.Weights {
 		tot += w
 	}
 	if tot <= 0 {
-		return mem.WordsPerLine
+		return c
 	}
 	acc := 0.0
-	for i, w := range d.Weights {
-		acc += w / tot
-		if u < acc {
-			return i + 1
+	for i := range c.cum {
+		acc += d.Weights[i] / tot
+		c.cum[i] = acc
+	}
+	return c
+}
+
+// sample picks a count (1..8) given a uniform u in [0,1): one more
+// than the number of boundaries at or below u. On non-decreasing
+// boundaries that is the first boundary u falls below, found without a
+// data-dependent early exit.
+func (c *countCDF) sample(u float64) int {
+	n := 1
+	for _, x := range c.cum {
+		if u >= x {
+			n++
 		}
 	}
-	return mem.WordsPerLine
+	return n
 }
 
 // MaskStyle controls which words form a line's mask once its count is
@@ -97,10 +126,10 @@ const (
 
 // maskFor deterministically derives the footprint mask of a line from
 // the profile seed, so every visit to the same line agrees on its mask.
-func maskFor(seed uint64, line mem.LineAddr, d WordCountDist, style MaskStyle) mem.Footprint {
+func maskFor(seed uint64, line mem.LineAddr, c *countCDF, style MaskStyle) mem.Footprint {
 	h := splitmix64(uint64(line) ^ seed)
 	u := float64(h>>11) / (1 << 53)
-	n := d.sample(u)
+	n := c.sample(u)
 	if n >= mem.WordsPerLine {
 		return mem.FullFootprint
 	}
@@ -108,10 +137,10 @@ func maskFor(seed uint64, line mem.LineAddr, d WordCountDist, style MaskStyle) m
 	var f mem.Footprint
 	switch style {
 	case MaskContig:
+		// n consecutive words from start, wrapping: the low n bits
+		// rotated left by start.
 		start := int(h2 % mem.WordsPerLine)
-		for i := 0; i < n; i++ {
-			f = f.Set((start + i) % mem.WordsPerLine)
-		}
+		f = mem.Footprint(bits.RotateLeft8(uint8(1)<<n-1, start))
 	case MaskStride:
 		stride := mem.WordsPerLine / n
 		if stride < 1 {
@@ -136,6 +165,22 @@ func maskFor(seed uint64, line mem.LineAddr, d WordCountDist, style MaskStyle) m
 	}
 	return f
 }
+
+// maskWords maps each footprint mask to its ascending word list stored
+// twice in a row, so a burst window that wraps past the mask's last
+// word is one contiguous subslice. The lists share one backing array
+// and are read-only: visits hand them out without copying.
+var maskWords = func() (t [1 << mem.WordsPerLine][]int) {
+	backing := make([]int, 0, 2*mem.WordsPerLine<<(mem.WordsPerLine-1))
+	for m := range t {
+		f := mem.Footprint(m)
+		lo := len(backing)
+		backing = f.AppendWords(backing)
+		backing = f.AppendWords(backing)
+		t[m] = backing[lo:len(backing):len(backing)]
+	}
+	return t
+}()
 
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

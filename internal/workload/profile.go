@@ -62,7 +62,7 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload: profile %s has no pattern", p.Name)
 	}
 	if err := validateSpec(p.Pattern); err != nil {
-		return fmt.Errorf("workload: profile %s: %v", p.Name, err)
+		return fmt.Errorf("workload: profile %s: %w", p.Name, err)
 	}
 	if p.MemRefsPerKInst <= 0 {
 		return fmt.Errorf("workload: profile %s needs MemRefsPerKInst > 0", p.Name)

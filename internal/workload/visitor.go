@@ -2,12 +2,15 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"ldis/internal/mem"
 )
 
 // A visit is one touch of a line: the words accessed (in order) and the
-// PC of the instruction stream region issuing it.
+// PC of the instruction stream region issuing it. words is a shared,
+// read-only list (a maskWords subslice or a two-phase list); consumers
+// never mutate it.
 type visit struct {
 	line  mem.LineAddr
 	words []int
@@ -33,35 +36,33 @@ type VisitorSpec interface {
 // that discover a line's words gradually (this is what makes footprints
 // change at deeper recency positions in Figure 2).
 type burstState struct {
-	seed  uint64
-	dist  WordCountDist
-	style MaskStyle
-	burst int
+	seed   uint64
+	counts countCDF
+	style  MaskStyle
+	burst  int
 	// visitCount rotates the burst window per line without per-line
 	// storage: the rotation is derived from a global counter so repeated
 	// visits see different windows.
 	visitCount uint64
-	// Scratch buffers reused across visits; callers consume the returned
-	// slice before the next call, so the visit hot path never allocates.
-	maskBuf [mem.WordsPerLine]int
-	winBuf  [mem.WordsPerLine]int
 }
 
+func newBurstState(seed uint64, d WordCountDist, style MaskStyle, burst int) burstState {
+	return burstState{seed: seed, counts: d.cdf(), style: style, burst: burst}
+}
+
+// wordsOf returns the words a visit to line touches, as a subslice of
+// the shared read-only maskWords table.
 func (b *burstState) wordsOf(line mem.LineAddr) []int {
-	mask := maskFor(b.seed, line, b.dist, b.style)
-	ws := mask.AppendWords(b.maskBuf[:0])
+	ws := maskWords[maskFor(b.seed, line, &b.counts, b.style)]
+	n := len(ws) / 2
 	b.visitCount++
-	if b.burst <= 0 || b.burst >= len(ws) {
-		return ws
+	if b.burst <= 0 || b.burst >= n {
+		return ws[:n:n]
 	}
 	// Rotate a window of size burst through the mask, advancing with
 	// each visit so successive visits to a line touch fresh words.
-	start := int((b.visitCount ^ splitmix64(uint64(line))) % uint64(len(ws)))
-	out := b.winBuf[:0]
-	for i := 0; i < b.burst; i++ {
-		out = append(out, ws[(start+i)%len(ws)])
-	}
-	return out
+	start := int((b.visitCount ^ splitmix64(uint64(line))) % uint64(n))
+	return ws[start : start+b.burst : start+b.burst]
 }
 
 // ---------------------------------------------------------------------
@@ -96,7 +97,7 @@ func (s TierSpec) build(seed uint64, base mem.LineAddr) visitor {
 	return &tierVisitor{
 		spec: s,
 		base: base,
-		bs:   burstState{seed: seed, dist: s.Words, style: s.Style, burst: s.Burst},
+		bs:   newBurstState(seed, s.Words, s.Style, s.Burst),
 		rng:  splitmix64(seed ^ 0x7115),
 	}
 }
@@ -167,7 +168,7 @@ func (s ScanSpec) build(seed uint64, base mem.LineAddr) visitor {
 		spec:   s,
 		stride: stride,
 		base:   base,
-		bs:     burstState{seed: seed, dist: s.Words, style: s.Style, burst: s.Burst},
+		bs:     newBurstState(seed, s.Words, s.Style, s.Burst),
 	}
 }
 
@@ -235,7 +236,7 @@ type twoPhaseVisitor struct {
 }
 
 // Shared read-only word lists for the two-phase visitor's two visit
-// shapes; consumers never mutate visit.words.
+// shapes.
 var (
 	firstWordOnly = []int{0}
 	fullLineWords = []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -334,6 +335,39 @@ func (v *mixVisitor) next() visit {
 	return v.subs[len(v.subs)-1].next()
 }
 
+// SpecError reports a weight or fraction in a visitor spec that is
+// negative, NaN or infinite. Samplers accumulate these values into
+// cumulative boundaries, which are only meaningful when every term is
+// finite and non-negative.
+type SpecError struct {
+	Spec  string  // spec type, e.g. "TierSpec"
+	Field string  // offending field, e.g. "Words.Weights"
+	Index int     // position within Field
+	Value float64 // the rejected value
+}
+
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("%s %s[%d] = %v: want a finite, non-negative value", e.Spec, e.Field, e.Index, e.Value)
+}
+
+// checkWeight returns a SpecError unless v is finite and non-negative.
+func checkWeight(spec, field string, i int, v float64) error {
+	if v >= 0 && !math.IsInf(v, 1) {
+		return nil
+	}
+	return &SpecError{Spec: spec, Field: field, Index: i, Value: v}
+}
+
+// checkWords validates a word-count distribution's weights.
+func checkWords(spec string, d WordCountDist) error {
+	for i, w := range d.Weights {
+		if err := checkWeight(spec, "Words.Weights", i, w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // validateSpec sanity-checks a spec tree; used by tests and the profile
 // registry.
 func validateSpec(s VisitorSpec) error {
@@ -342,15 +376,20 @@ func validateSpec(s VisitorSpec) error {
 		if len(t.Tiers) == 0 {
 			return fmt.Errorf("TierSpec without tiers")
 		}
-		for _, tier := range t.Tiers {
+		for i, tier := range t.Tiers {
 			if tier.Lines <= 0 {
 				return fmt.Errorf("tier with %d lines", tier.Lines)
 			}
+			if err := checkWeight("TierSpec", "Tiers.Frac", i, tier.Frac); err != nil {
+				return err
+			}
 		}
+		return checkWords("TierSpec", t.Words)
 	case ScanSpec:
 		if t.Lines <= 0 {
 			return fmt.Errorf("ScanSpec with %d lines", t.Lines)
 		}
+		return checkWords("ScanSpec", t.Words)
 	case TwoPhaseSpec:
 		if t.Lines <= 0 {
 			return fmt.Errorf("TwoPhaseSpec with %d lines", t.Lines)
@@ -362,7 +401,10 @@ func validateSpec(s VisitorSpec) error {
 		if len(t.Components) == 0 {
 			return fmt.Errorf("MixSpec without components")
 		}
-		for _, c := range t.Components {
+		for i, c := range t.Components {
+			if err := checkWeight("MixSpec", "Components.Frac", i, c.Frac); err != nil {
+				return err
+			}
 			if err := validateSpec(c.Spec); err != nil {
 				return err
 			}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"ldis/internal/mem"
@@ -30,25 +32,25 @@ func TestSingleCountPanicsOutOfRange(t *testing.T) {
 }
 
 func TestDistSample(t *testing.T) {
-	d := Counts(0.5, 0, 0, 0, 0, 0, 0, 0.5)
+	d := Counts(0.5, 0, 0, 0, 0, 0, 0, 0.5).cdf()
 	if got := d.sample(0.2); got != 1 {
 		t.Errorf("sample(0.2) = %d, want 1", got)
 	}
 	if got := d.sample(0.9); got != 8 {
 		t.Errorf("sample(0.9) = %d, want 8", got)
 	}
-	var empty WordCountDist
+	empty := WordCountDist{}.cdf()
 	if got := empty.sample(0.5); got != mem.WordsPerLine {
 		t.Errorf("empty sample = %d", got)
 	}
 }
 
 func TestMaskForDeterministicAndSized(t *testing.T) {
-	d := Counts(0.3, 0.3, 0.2, 0.2)
+	d := Counts(0.3, 0.3, 0.2, 0.2).cdf()
 	for line := mem.LineAddr(0); line < 500; line++ {
 		for _, style := range []MaskStyle{MaskContig, MaskStride, MaskScatter} {
-			a := maskFor(7, line, d, style)
-			b := maskFor(7, line, d, style)
+			a := maskFor(7, line, &d, style)
+			b := maskFor(7, line, &d, style)
 			if a != b {
 				t.Fatalf("mask not deterministic for line %d style %d", line, style)
 			}
@@ -60,11 +62,11 @@ func TestMaskForDeterministicAndSized(t *testing.T) {
 }
 
 func TestMaskMeanTracksDistribution(t *testing.T) {
-	d := Counts(0.5, 0, 0, 0, 0, 0, 0, 0.5) // mean 4.5
+	d := Counts(0.5, 0, 0, 0, 0, 0, 0, 0.5).cdf() // mean 4.5
 	var sum int
 	const n = 20000
 	for line := mem.LineAddr(0); line < n; line++ {
-		sum += maskFor(3, line, d, MaskScatter).Count()
+		sum += maskFor(3, line, &d, MaskScatter).Count()
 	}
 	got := float64(sum) / n
 	if math.Abs(got-4.5) > 0.15 {
@@ -73,9 +75,9 @@ func TestMaskMeanTracksDistribution(t *testing.T) {
 }
 
 func TestMaskContigIsContiguous(t *testing.T) {
-	d := SingleCount(3)
+	d := SingleCount(3).cdf()
 	for line := mem.LineAddr(0); line < 200; line++ {
-		f := maskFor(11, line, d, MaskContig)
+		f := maskFor(11, line, &d, MaskContig)
 		ws := f.Words()
 		if len(ws) != 3 {
 			t.Fatalf("count = %d", len(ws))
@@ -96,7 +98,7 @@ func TestMaskContigIsContiguous(t *testing.T) {
 }
 
 func TestBurstRotationCoversMask(t *testing.T) {
-	bs := burstState{seed: 5, dist: SingleCount(8), style: MaskContig, burst: 2}
+	bs := newBurstState(5, SingleCount(8), MaskContig, 2)
 	line := mem.LineAddr(77)
 	seen := mem.Footprint(0)
 	for i := 0; i < 64; i++ {
@@ -315,6 +317,78 @@ func TestValidateSpecErrors(t *testing.T) {
 	for i, s := range bad {
 		if err := validateSpec(s); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+
+	// Weights and fractions must be finite and non-negative; the error
+	// names the spec, the field and the index.
+	scan := func(w ...float64) ScanSpec { return ScanSpec{Lines: 10, Words: Counts(w...)} }
+	tiers := func(fracs ...float64) TierSpec {
+		s := TierSpec{Words: UniformWords()}
+		for _, f := range fracs {
+			s.Tiers = append(s.Tiers, Tier{Frac: f, Lines: 10})
+		}
+		return s
+	}
+	mix := func(fracs ...float64) MixSpec {
+		var s MixSpec
+		for _, f := range fracs {
+			s.Components = append(s.Components, Component{Frac: f, Spec: scan(1)})
+		}
+		return s
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	weightCases := []struct {
+		spec  VisitorSpec
+		want  SpecError
+		isNaN bool
+	}{
+		{scan(1, -0.5), SpecError{"ScanSpec", "Words.Weights", 1, -0.5}, false},
+		{scan(1, 1, nan), SpecError{"ScanSpec", "Words.Weights", 2, 0}, true},
+		{scan(inf), SpecError{"ScanSpec", "Words.Weights", 0, inf}, false},
+		{TierSpec{Tiers: []Tier{{Frac: 1, Lines: 10}}, Words: Counts(0, 0, 0, -inf)},
+			SpecError{"TierSpec", "Words.Weights", 3, -inf}, false},
+		{tiers(0.5, -0.1), SpecError{"TierSpec", "Tiers.Frac", 1, -0.1}, false},
+		{tiers(nan), SpecError{"TierSpec", "Tiers.Frac", 0, 0}, true},
+		{tiers(0.2, 0.3, inf), SpecError{"TierSpec", "Tiers.Frac", 2, inf}, false},
+		{mix(-1), SpecError{"MixSpec", "Components.Frac", 0, -1}, false},
+		{mix(0.5, nan), SpecError{"MixSpec", "Components.Frac", 1, 0}, true},
+		{mix(0.5, -inf), SpecError{"MixSpec", "Components.Frac", 1, -inf}, false},
+		{MixSpec{Components: []Component{{Frac: 1, Spec: scan(1, -1)}}},
+			SpecError{"ScanSpec", "Words.Weights", 1, -1}, false},
+	}
+	for i, c := range weightCases {
+		err := validateSpec(c.spec)
+		var se *SpecError
+		if !errors.As(err, &se) {
+			t.Errorf("weight case %d: got %v, want a *SpecError", i, err)
+			continue
+		}
+		got := *se
+		if c.isNaN {
+			if !math.IsNaN(got.Value) {
+				t.Errorf("weight case %d: value %v, want NaN", i, got.Value)
+			}
+			got.Value = 0
+		}
+		if got != c.want {
+			t.Errorf("weight case %d: got %+v, want %+v", i, got, c.want)
+		}
+		if !strings.Contains(err.Error(), c.want.Spec) || !strings.Contains(err.Error(), c.want.Field) {
+			t.Errorf("weight case %d: message %q does not name the spec and field", i, err)
+		}
+	}
+	// The structured error survives Profile.Validate's wrapping.
+	p := &Profile{Name: "neg", Pattern: scan(1, -0.5), MemRefsPerKInst: 100}
+	var se *SpecError
+	if err := p.Validate(); !errors.As(err, &se) || *se != weightCases[0].want {
+		t.Errorf("Profile.Validate: got %v, want a wrapped %+v", err, weightCases[0].want)
+	}
+	// Zero weights and fractions stay legal: all-zero word weights
+	// mean full lines, and a zero fraction is a component never chosen.
+	for i, s := range []VisitorSpec{scan(), tiers(0, 1), mix(0, 1)} {
+		if err := validateSpec(s); err != nil {
+			t.Errorf("zero case %d: %v", i, err)
 		}
 	}
 }
