@@ -6,35 +6,46 @@ import (
 	"ldis/internal/mem"
 )
 
-// The simulation hot path — Access hits, and the miss+Install refill
-// cycle — must not allocate: the experiment engine drives hundreds of
-// millions of accesses per run, and per-access garbage dominated the
-// profile before histograms were made eager and the set geometry was
-// precomputed.
+// The simulation hot path — AccessInstallTenant hits, and the misses
+// that refill the set — must not allocate, partitioned or not: the
+// experiment engine drives hundreds of millions of accesses per run,
+// and per-access garbage dominated the profile before histograms were
+// made eager and the set geometry was precomputed.
+
+// allocCaches returns an unpartitioned cache and a two-tenant
+// partitioned one of the same geometry.
+func allocCaches() map[string]*Cache {
+	plain := New(Config{Name: "t", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
+	part := New(Config{Name: "p", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
+	part.SetPartition([]int{5, 3})
+	return map[string]*Cache{"unpartitioned": plain, "partitioned": part}
+}
 
 func TestAccessHitPathZeroAllocs(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
-	line := mem.LineAddr(5)
-	c.Install(line, 0, false)
-	if n := testing.AllocsPerRun(1000, func() {
-		if !c.Access(line, 1, true) {
-			t.Fatal("expected hit")
+	for name, c := range allocCaches() {
+		line := mem.LineAddr(5)
+		c.AccessInstallTenant(line, 0, false, 1)
+		if n := testing.AllocsPerRun(1000, func() {
+			if !c.AccessInstallTenant(line, 1, true, 1) {
+				t.Fatal("expected hit")
+			}
+		}); n != 0 {
+			t.Errorf("%s: hit path allocates %.1f/op", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("Access hit path allocates %.1f/op", n)
 	}
 }
 
 func TestMissInstallPathZeroAllocs(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
-	i := uint64(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		l := mem.LineAddr(i*64 + 3) // march through tags of one set
-		i++
-		if !c.Access(l, 0, false) {
-			c.Install(l, 0, false)
+	for name, c := range allocCaches() {
+		i := uint64(0)
+		if n := testing.AllocsPerRun(1000, func() {
+			l := mem.LineAddr(i*64 + 3) // march through tags of one set
+			if c.AccessInstallTenant(l, 0, false, int(i%2)) {
+				t.Fatal("expected miss")
+			}
+			i++
+		}); n != 0 {
+			t.Errorf("%s: miss path allocates %.1f/op", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("miss+install path allocates %.1f/op", n)
 	}
 }

@@ -1,8 +1,7 @@
 // Package cache implements a traditional set-associative cache with LRU
 // replacement — the paper's baseline L2 organization (Table 1) — plus
 // the per-line footprint instrumentation the motivation experiments need
-// (Figures 1 and 2) and an auxiliary tag-directory mode used by the
-// reverter circuit and set-sampling machinery.
+// (Figures 1 and 2) and optional per-tenant way partitioning.
 package cache
 
 import (
@@ -158,8 +157,8 @@ func New(cfg Config) *Cache {
 	for n := numSets; n > 1; n >>= 1 {
 		c.tagShift++
 	}
-	// Histograms are allocated eagerly so Access/Install never test for
-	// them on the hot path.
+	// Histograms are allocated eagerly so the access path never tests
+	// for them.
 	c.st.WordsUsedAtEvict = stats.NewHistogram(cfg.Name+" words used", mem.WordsPerLine+1)
 	c.st.FPChangePos = stats.NewHistogram(cfg.Name+" fp-change pos", cfg.Ways)
 	if cfg.WayMemo != nil {
@@ -190,13 +189,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the live statistics.
 func (c *Cache) Stats() *Stats { return &c.st }
 
-// Victim describes a line evicted by an install.
-type Victim struct {
-	Line      mem.LineAddr
-	Dirty     bool
-	Footprint mem.Footprint
-}
-
 // Lookup reports whether the line is present without touching LRU state
 // or stats (used by auxiliary structures and tests).
 func (c *Cache) Lookup(line mem.LineAddr) bool {
@@ -207,121 +199,6 @@ func (c *Cache) Lookup(line mem.LineAddr) bool {
 			return true
 		}
 	}
-	return false
-}
-
-// Access performs a demand access for one word of a line. On a hit the
-// line moves to MRU and its footprint is updated; the access counts in
-// the stats. On a miss nothing is installed — callers model the fill
-// with Install, mirroring how the simulated hierarchy overlaps fills
-// with memory latency.
-//
-//ldis:noalloc
-func (c *Cache) Access(line mem.LineAddr, word int, write bool) bool {
-	st := &c.st
-	st.Accesses++
-	si := c.setIndexOf(line)
-	set := c.sets[si]
-	tag := c.tagOf(line)
-	c.memoLookup(si, tag)
-	// MRU fast path: a hit on way 0 needs no promotion (and cannot
-	// raise MaxFPPos), so it updates the line in place.
-	if l := &set[0]; l.Valid && l.Tag == tag {
-		st.Hits++
-		l.Footprint = l.Footprint.Set(word)
-		if write {
-			l.Dirty = true
-		}
-		c.memoRecord(si, tag)
-		return true
-	}
-	for pos := 1; pos < len(set); pos++ {
-		if !set[pos].Valid || set[pos].Tag != tag {
-			continue
-		}
-		st.Hits++
-		l := set[pos]
-		if !l.Footprint.Has(word) {
-			l.Footprint = l.Footprint.Set(word)
-			if uint8(pos) > l.MaxFPPos {
-				l.MaxFPPos = uint8(pos)
-			}
-		}
-		if write {
-			l.Dirty = true
-		}
-		c.promote(set, pos, l)
-		c.memoRecord(si, tag)
-		return true
-	}
-	st.Misses++
-	return false
-}
-
-// AccessInstall fuses Access with the Install that follows a miss: the
-// lookup scan that proves the line absent doubles as Install's
-// presence check, so the miss path walks the set once instead of
-// twice. Counters and LRU state evolve exactly as Access-then-Install;
-// the victim (unused by the traditional L2, which counts writebacks
-// internally) is not materialized. Returns whether the access hit.
-//
-//ldis:noalloc
-func (c *Cache) AccessInstall(line mem.LineAddr, word int, write bool) bool {
-	st := &c.st
-	st.Accesses++
-	si := c.setIndexOf(line)
-	set := c.sets[si]
-	tag := c.tagOf(line)
-	c.memoLookup(si, tag)
-	// MRU fast path, as in Access.
-	if l := &set[0]; l.Valid && l.Tag == tag {
-		st.Hits++
-		l.Footprint = l.Footprint.Set(word)
-		if write {
-			l.Dirty = true
-		}
-		c.memoRecord(si, tag)
-		return true
-	}
-	for pos := 1; pos < len(set); pos++ {
-		if !set[pos].Valid || set[pos].Tag != tag {
-			continue
-		}
-		st.Hits++
-		l := set[pos]
-		if !l.Footprint.Has(word) {
-			l.Footprint = l.Footprint.Set(word)
-			if uint8(pos) > l.MaxFPPos {
-				l.MaxFPPos = uint8(pos)
-			}
-		}
-		if write {
-			l.Dirty = true
-		}
-		c.promote(set, pos, l)
-		c.memoRecord(si, tag)
-		return true
-	}
-	st.Misses++
-	victimPos := len(set) - 1
-	if v := set[victimPos]; v.Valid {
-		st.Evictions++
-		c.obsEvictions.Inc()
-		st.WordsUsedAtEvict.Add(v.Footprint.Count())
-		st.FPChangePos.Add(int(v.MaxFPPos))
-		if v.Dirty {
-			st.Writebacks++
-			c.obsWritebacks.Inc()
-		}
-		c.memoInvalidate(si, v.Tag)
-	}
-	c.promote(set, victimPos, Line{
-		Valid:     true,
-		Dirty:     write,
-		Tag:       tag,
-		Footprint: mem.FootprintOfWord(word),
-	})
-	c.memoRecord(si, tag)
 	return false
 }
 
@@ -365,12 +242,16 @@ func (c *Cache) SetPartition(quota []int) {
 	}
 }
 
-// AccessInstallTenant is AccessInstall with way-partition enforcement:
-// the hit path is identical (any tenant hits any resident line), but a
-// miss selects its victim under the quotas installed by SetPartition —
-// a tenant at or over its quota evicts its own LRU-most line, a tenant
-// under it evicts the LRU-most line of an over-quota tenant. Without a
-// partition installed it degenerates to plain LRU.
+// AccessInstallTenant performs a demand access for one word of a line
+// on behalf of tenant (0 when unpartitioned), filling the line on a
+// miss. A hit moves the line to MRU and updates its footprint; any
+// tenant hits any resident line. A miss installs the line as MRU with
+// the demand word's footprint bit set, in the way chosen by the LRU
+// rule — under the quotas installed by SetPartition, a tenant at or
+// over its quota evicts its own LRU-most line and a tenant under it
+// evicts the LRU-most line of an over-quota tenant. The victim's
+// eviction and writeback are counted here; one set scan serves both
+// the lookup and the install. Returns whether the access hit.
 //
 //ldis:noalloc
 func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, tenant int) bool {
@@ -380,8 +261,9 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 	set := c.sets[si]
 	tag := c.tagOf(line)
 	c.memoLookup(si, tag)
-	// MRU fast path, as in Access. Hits never transfer ownership: the
-	// installing tenant keeps the line against its quota.
+	// MRU fast path: a hit on way 0 needs no promotion (and cannot raise
+	// MaxFPPos), so it updates the line in place. Hits never transfer
+	// ownership: the installing tenant keeps the line against its quota.
 	if l := &set[0]; l.Valid && l.Tag == tag {
 		st.Hits++
 		l.Footprint = l.Footprint.Set(word)
@@ -411,7 +293,10 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 		return true
 	}
 	st.Misses++
-	victimPos := c.partitionVictim(set, tenant)
+	victimPos := len(set) - 1
+	if c.quota != nil {
+		victimPos = c.partitionVictim(set, tenant)
+	}
 	if v := set[victimPos]; v.Valid {
 		st.Evictions++
 		c.obsEvictions.Inc()
@@ -435,18 +320,15 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 }
 
 // partitionVictim picks the way to replace for a missing tenant under
-// the installed quotas (plain LRU when unpartitioned). Invalid ways
-// fill first; then the quota rule above. The global-LRU fallbacks are
-// unreachable when quotas sum to the associativity and every tenant's
-// quota is at least one, but a transient quota shrink can leave every
-// other tenant exactly at its new quota — falling back to global LRU
-// keeps the install total even then.
+// the installed quotas. Invalid ways fill first; then the quota rule
+// above. The global-LRU fallbacks are unreachable when quotas sum to
+// the associativity and every tenant's quota is at least one, but a
+// transient quota shrink can leave every other tenant exactly at its
+// new quota — falling back to global LRU keeps the install total even
+// then.
 //
 //ldis:noalloc
 func (c *Cache) partitionVictim(set []Line, tenant int) int {
-	if c.quota == nil {
-		return len(set) - 1
-	}
 	var occ [MaxPartitionTenants]int32
 	invalid := -1
 	for pos := range set {
@@ -476,83 +358,16 @@ func (c *Cache) partitionVictim(set []Line, tenant int) int {
 	return len(set) - 1
 }
 
-// Install fills a line (after a miss) as MRU with the demand word's
-// footprint bit set, evicting the LRU entry if the set is full. It
-// returns the victim, if any. Installing a line that is already present
-// is a programming error and panics.
-//
-//ldis:noalloc
-func (c *Cache) Install(line mem.LineAddr, word int, write bool) (Victim, bool) {
-	si := c.setIndexOf(line)
-	set := c.sets[si]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			panic(fmt.Sprintf("cache %q: installing already-present %v", c.cfg.Name, line))
-		}
-	}
-	st := &c.st
-	victimPos := len(set) - 1
-	var victim Victim
-	had := false
-	if v := set[victimPos]; v.Valid {
-		st.Evictions++
-		c.obsEvictions.Inc()
-		st.WordsUsedAtEvict.Add(v.Footprint.Count())
-		st.FPChangePos.Add(int(v.MaxFPPos))
-		if v.Dirty {
-			st.Writebacks++
-			c.obsWritebacks.Inc()
-		}
-		victim = Victim{
-			Line:      c.lineFromTag(v.Tag, si),
-			Dirty:     v.Dirty,
-			Footprint: v.Footprint,
-		}
-		had = true
-		c.memoInvalidate(si, v.Tag)
-	}
-	nl := Line{
-		Valid:     true,
-		Dirty:     write,
-		Tag:       tag,
-		Footprint: mem.FootprintOfWord(word),
-	}
-	c.promote(set, victimPos, nl)
-	c.memoRecord(si, tag)
-	return victim, had
-}
-
 // lineFromTag reconstructs a line address from a tag and set index.
 func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
 }
 
-// MergeFootprint ORs fp into the line's footprint if present (the LOC
-// does this with footprints arriving from L1D evictions; the baseline
-// cache does it too so its Figure 1/2 statistics see the full word-usage
-// information). Position tracking: if new bits appear, the line's
-// current recency position competes for MaxFPPos.
-func (c *Cache) MergeFootprint(line mem.LineAddr, fp mem.Footprint) {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			if merged := set[pos].Footprint.Or(fp); merged != set[pos].Footprint {
-				set[pos].Footprint = merged
-				if uint8(pos) > set[pos].MaxFPPos {
-					set[pos].MaxFPPos = uint8(pos)
-				}
-			}
-			return
-		}
-	}
-}
-
-// MergeWriteback is the fused MergeFootprint + SetDirty the hierarchy
-// uses for L1D eviction notices: one set scan merges the footprint and
-// marks the line dirty (when the writeback carries dirty words),
-// instead of two.
+// MergeWriteback applies an L1D eviction notice to the resident copy, if
+// any: fp is ORed into the line's footprint (so the baseline's Figure 1
+// and 2 statistics see the full word-usage information; if new bits
+// appear, the line's current recency position competes for MaxFPPos),
+// and the line is marked dirty when the notice carries dirty words.
 //
 //ldis:noalloc
 func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
@@ -570,19 +385,6 @@ func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
 			if dirty != 0 {
 				e.Dirty = true
 			}
-			return
-		}
-	}
-}
-
-// SetDirty marks the line dirty if present (used when a dirty L1D line
-// is written back into a clean L2 copy).
-func (c *Cache) SetDirty(line mem.LineAddr) {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			set[pos].Dirty = true
 			return
 		}
 	}

@@ -28,7 +28,7 @@ func TestWayMemoFunctionallyTransparent(t *testing.T) {
 		la := mem.LineAddr(next(64 * 24))
 		word := int(next(8))
 		write := next(4) == 0
-		if base.AccessInstall(la, word, write) != memo.AccessInstall(la, word, write) {
+		if access(base, la, word, write) != access(memo, la, word, write) {
 			t.Fatalf("access %d: outcomes diverge", i)
 		}
 		if i%10_000 == 0 {
@@ -57,14 +57,14 @@ func TestWayMemoFunctionallyTransparent(t *testing.T) {
 func TestWayMemoInvalidateOnEvict(t *testing.T) {
 	c := New(memoCfg())
 	la := mem.LineAddr(3)
-	c.AccessInstall(la, 0, false) // miss + fill records the memo
-	c.AccessInstall(la, 1, false) // must match
+	access(c, la, 0, false) // miss + fill records the memo
+	access(c, la, 1, false) // must match
 	if c.Stats().MemoHits != 1 {
 		t.Fatalf("memo hits %d after refill+retouch, want 1", c.Stats().MemoHits)
 	}
 	// March 8 distinct tags through the set to evict la.
 	for i := 1; i <= 8; i++ {
-		c.AccessInstall(la+mem.LineAddr(i*64), 0, false)
+		access(c, la+mem.LineAddr(i*64), 0, false)
 	}
 	if c.Lookup(la) {
 		t.Fatal("victim still resident; widen the march")
@@ -73,7 +73,7 @@ func TestWayMemoInvalidateOnEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	hitsBefore := c.Stats().MemoHits
-	c.AccessInstall(la, 0, false) // miss: memo must not claim it
+	access(c, la, 0, false) // miss: memo must not claim it
 	if c.Stats().MemoHits != hitsBefore {
 		t.Fatal("memo matched an absent line")
 	}
@@ -87,8 +87,8 @@ func TestWayMemoAccessInstallZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		l := mem.LineAddr(i*64 + 3)
 		i++
-		c.AccessInstall(l, 0, false)
-		c.AccessInstall(l, 1, true) // memo hit path
+		access(c, l, 0, false)
+		access(c, l, 1, true) // memo hit path
 	}); n != 0 {
 		t.Errorf("memoized access path allocates %.1f/op", n)
 	}

@@ -496,13 +496,14 @@ func (c *Cache) wocInsert(s *set, wl wordstore.Line, tenant uint8) {
 		}
 	}
 	var evicted []wordstore.Line
-	switch {
-	case c.cfg.WOCLRU:
+	if c.cfg.WOCLRU {
 		evicted = s.woc.InstallLRU(wl)
-	case c.wocMask != nil && int(tenant) < len(c.wocMask):
-		evicted = s.woc.InstallMasked(wl, c.nextRand(), c.wocMask[tenant])
-	default:
-		evicted = s.woc.Install(wl, c.nextRand())
+	} else {
+		var mask uint64 // every WOC way
+		if int(tenant) < len(c.wocMask) {
+			mask = c.wocMask[tenant]
+		}
+		evicted = s.woc.Install(wl, c.nextRand(), mask)
 	}
 	for _, ev := range evicted {
 		c.st.WOCEvictions++
@@ -615,47 +616,20 @@ func (c *Cache) switchMode(s *set, si int, trad bool) {
 		// Expose the full-width LOC; the extra entries were zeroed at
 		// allocation or by the previous narrow step.
 		s.loc = s.loc[:c.cfg.Ways]
-	} else {
-		// Distill the entries that no longer fit, LRU-most first.
-		for i := len(s.loc) - 1; i >= c.cfg.LOCWays(); i-- {
-			if s.loc[i].valid {
-				c.evictLOCNarrow(s, si, s.loc[i])
-			}
-			s.loc[i] = locEntry{}
-		}
-		s.loc = s.loc[:c.cfg.LOCWays()]
-	}
-	s.trad = trad
-}
-
-// evictLOCNarrow distills a line displaced by a traditional->distill
-// mode switch. The set's trad flag is still true at this point, so it
-// bypasses the trad check in evictLOC.
-func (c *Cache) evictLOCNarrow(s *set, si int, v locEntry) {
-	if v.instr {
-		c.st.InstrEvictions++
-		if v.dirty != 0 {
-			c.st.Writebacks++
-		}
+		s.trad = true
 		return
 	}
-	used := v.fp.Count()
-	c.st.WordsUsedAtEvict.Add(used)
-	c.st.FPChangePos.Add(int(v.maxFPPos))
-	if !c.admit(used) {
-		c.st.ThresholdSkips++
-		c.obsThresholdSkips.Inc()
-		if v.dirty != 0 {
-			c.st.Writebacks++
+	// Distill the entries that no longer fit, LRU-most first. The set is
+	// back in distill mode before they leave, so evictLOC distills them
+	// instead of evicting them traditionally.
+	s.trad = false
+	for i := len(s.loc) - 1; i >= c.cfg.LOCWays(); i-- {
+		if s.loc[i].valid {
+			c.evictLOC(s, si, s.loc[i])
 		}
-		return
+		s.loc[i] = locEntry{}
 	}
-	slots := mem.Pow2WordsFor(used)
-	if c.cfg.Slots != nil {
-		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
-		slots = c.cfg.Slots(c.lineFromTag(v.tag, si), v.fp)
-	}
-	c.installWOC(s, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: slots}, v.tenant)
+	s.loc = s.loc[:c.cfg.LOCWays()]
 }
 
 // admit applies the configured distillation threshold: the running

@@ -416,13 +416,33 @@ func TestModeSwitchRoundTrip(t *testing.T) {
 		t.Fatal("sampler should be enabled")
 	}
 	// Next access to follower set 1 narrows it back; the overflow lines
-	// are distilled into the WOC.
-	d.Access(mem.LineAddr(100*8+1), 0, false)
+	// (the LRU-most Ways-LOCWays of the four, all valid) are distilled
+	// into the WOC, not evicted traditionally. The access itself hits the
+	// MRU line, so no install adds an eviction of its own.
+	st := d.Stats()
+	before, tradBefore := st.Distilled+st.ThresholdSkips, st.TradEvictions
+	if r := d.Access(mem.LineAddr(3*8+1), 0, false); r.Outcome != LOCHit {
+		t.Fatalf("MRU line after narrowing: %v, want loc-hit", r.Outcome)
+	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().ModeSwitches < 2 {
-		t.Errorf("ModeSwitches = %d, want >= 2", d.Stats().ModeSwitches)
+	if st.ModeSwitches < 2 {
+		t.Errorf("ModeSwitches = %d, want >= 2", st.ModeSwitches)
+	}
+	if got, want := st.Distilled+st.ThresholdSkips-before, uint64(cfg.Ways-cfg.LOCWays()); got != want {
+		t.Errorf("narrowing distilled or filtered %d lines, want %d", got, want)
+	}
+	if st.TradEvictions != tradBefore {
+		t.Errorf("narrowing evicted %d lines traditionally", st.TradEvictions-tradBefore)
+	}
+	if d.Present(mem.LineAddr(1)) != "woc" {
+		t.Error("LRU-most overflow line not distilled into the WOC")
+	}
+	// A miss afterwards distills its LOC victim as usual.
+	d.Access(mem.LineAddr(100*8+1), 0, false)
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

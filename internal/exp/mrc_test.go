@@ -88,10 +88,7 @@ func simulatedMissRatio(t *testing.T, benchmark string, o Options, sizeMB float6
 		if !a.Kind.IsData() {
 			continue
 		}
-		hit := c.Access(a.Line(), a.Word(), a.IsWrite())
-		if !hit {
-			c.Install(a.Line(), a.Word(), a.IsWrite())
-		}
+		hit := c.AccessInstallTenant(a.Line(), a.Word(), a.IsWrite(), 0)
 		if i >= o.warmup() {
 			refs++
 			if !hit {

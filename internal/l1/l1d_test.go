@@ -11,6 +11,13 @@ func tiny() *Cache {
 	return New(Config{SizeBytes: 2 * 2 * mem.LineSize, Ways: 2})
 }
 
+// access performs a processor access through AccessEvict, the L1D's
+// one demand path, and returns its outcome.
+func access(c *Cache, la mem.LineAddr, word int, write bool) Outcome {
+	out, _, _ := c.AccessEvict(la, word, write)
+	return out
+}
+
 func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig()
 	if err := c.Validate(); err != nil {
@@ -37,16 +44,16 @@ func TestConfigValidateErrors(t *testing.T) {
 func TestMissFillHit(t *testing.T) {
 	c := tiny()
 	l := mem.LineAddr(10)
-	if got := c.Access(l, 3, false); got != LineMiss {
+	if got := access(c, l, 3, false); got != LineMiss {
 		t.Fatalf("cold access = %v", got)
 	}
-	if _, had := c.Fill(l, mem.FullFootprint, 3, false); had {
+	if _, had := c.FillNew(l, mem.FullFootprint, 3, false); had {
 		t.Fatal("fill into empty set evicted")
 	}
-	if got := c.Access(l, 3, false); got != Hit {
+	if got := access(c, l, 3, false); got != Hit {
 		t.Fatalf("after fill = %v", got)
 	}
-	if got := c.Access(l, 6, false); got != Hit {
+	if got := access(c, l, 6, false); got != Hit {
 		t.Fatalf("other word = %v", got)
 	}
 	st := c.Stats()
@@ -60,12 +67,12 @@ func TestSectorMiss(t *testing.T) {
 	l := mem.LineAddr(4)
 	// Fill with only words 0 and 1 valid (a partial WOC response).
 	partial := mem.FootprintOfWord(0).Or(mem.FootprintOfWord(1))
-	c.Access(l, 0, false)
+	access(c, l, 0, false)
 	c.Fill(l, partial, 0, false)
-	if got := c.Access(l, 1, false); got != Hit {
+	if got := access(c, l, 1, false); got != Hit {
 		t.Fatalf("valid word = %v", got)
 	}
-	if got := c.Access(l, 5, false); got != SectorMiss {
+	if got := access(c, l, 5, false); got != SectorMiss {
 		t.Fatalf("invalid word = %v", got)
 	}
 	if c.Stats().SectorMisses != 1 {
@@ -78,7 +85,7 @@ func TestSectorMiss(t *testing.T) {
 	if got := c.ValidBits(l); got != mem.FullFootprint {
 		t.Errorf("valid bits after merge = %v", got)
 	}
-	if got := c.Access(l, 5, false); got != Hit {
+	if got := access(c, l, 5, false); got != Hit {
 		t.Fatalf("after sector fill = %v", got)
 	}
 }
@@ -88,8 +95,8 @@ func TestFootprintHandoffOnEviction(t *testing.T) {
 	// Lines 0, 2, 4 all map to set 0 (2 sets).
 	a, b, d := mem.LineAddr(0), mem.LineAddr(2), mem.LineAddr(4)
 	c.Fill(a, mem.FullFootprint, 1, false)
-	c.Access(a, 4, false)
-	c.Access(a, 4, true) // write word 4
+	access(c, a, 4, false)
+	access(c, a, 4, true) // write word 4
 	c.Fill(b, mem.FullFootprint, 0, false)
 	ev, had := c.Fill(d, mem.FullFootprint, 0, false) // evicts a
 	if !had || ev.Line != a {
@@ -125,7 +132,7 @@ func TestLRUPromotionOnHit(t *testing.T) {
 	a, b, d := mem.LineAddr(0), mem.LineAddr(2), mem.LineAddr(4)
 	c.Fill(a, mem.FullFootprint, 0, false)
 	c.Fill(b, mem.FullFootprint, 0, false)
-	c.Access(a, 0, false) // promote a
+	access(c, a, 0, false) // promote a
 	ev, _ := c.Fill(d, mem.FullFootprint, 0, false)
 	if ev.Line != b {
 		t.Errorf("victim %v, want %v", ev.Line, b)
@@ -156,22 +163,6 @@ func TestWriteOnFillSetsDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := tiny()
-	a := mem.LineAddr(0)
-	c.Fill(a, mem.FullFootprint, 3, true)
-	ev, ok := c.Invalidate(a)
-	if !ok || ev.Dirty != mem.FootprintOfWord(3) || ev.Footprint != mem.FootprintOfWord(3) {
-		t.Errorf("invalidate = %+v ok=%v", ev, ok)
-	}
-	if c.Present(a) {
-		t.Error("line still present after invalidate")
-	}
-	if _, ok := c.Invalidate(a); ok {
-		t.Error("double invalidate reported ok")
-	}
-}
-
 func TestValidBitsAbsent(t *testing.T) {
 	c := tiny()
 	if c.ValidBits(123) != 0 {
@@ -185,7 +176,7 @@ func TestSectorMissDoesNotTouchLRU(t *testing.T) {
 	c.Fill(a, mem.FootprintOfWord(0), 0, false)
 	c.Fill(b, mem.FullFootprint, 0, false)
 	// Sector-missing on a must not promote it...
-	if got := c.Access(a, 7, false); got != SectorMiss {
+	if got := access(c, a, 7, false); got != SectorMiss {
 		t.Fatalf("access = %v", got)
 	}
 	// ...so a is still LRU and gets evicted by the next fill.
@@ -204,33 +195,45 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
-func TestEvictFor(t *testing.T) {
+// AccessEvict evicts the LRU way on a line miss in a full set, before
+// the fill, and never on a hit, a sector miss, or a miss with a free
+// way; the FillNew that follows then has a free way.
+func TestAccessEvict(t *testing.T) {
 	c := tiny()
-	a, b := mem.LineAddr(0), mem.LineAddr(2)
+	a, b, d := mem.LineAddr(0), mem.LineAddr(2), mem.LineAddr(4)
 	// Empty set: no eviction needed.
-	if _, had := c.EvictFor(a); had {
-		t.Fatal("empty set should not evict")
+	if out, _, had := c.AccessEvict(a, 1, true); out != LineMiss || had {
+		t.Fatalf("cold access = %v (had=%v)", out, had)
 	}
-	c.Fill(a, mem.FullFootprint, 1, true)
-	// Line present (sector fill): no eviction.
-	if _, had := c.EvictFor(a); had {
-		t.Fatal("present line should not trigger eviction")
+	c.FillNew(a, mem.FootprintOfWord(1).Or(mem.FootprintOfWord(2)), 1, true)
+	// Line present: a hit, then a sector miss, neither evicts.
+	if out, _, had := c.AccessEvict(a, 2, false); out != Hit || had {
+		t.Fatalf("hit = %v (had=%v)", out, had)
 	}
-	c.Fill(b, mem.FullFootprint, 0, false)
+	if out, _, had := c.AccessEvict(a, 5, false); out != SectorMiss || had {
+		t.Fatalf("sector miss = %v (had=%v)", out, had)
+	}
+	c.FillNew(b, mem.FullFootprint, 0, false)
 	// Set full, new line: the LRU victim (a) is evicted early with its
 	// footprint and dirty words.
-	ev, had := c.EvictFor(mem.LineAddr(4))
-	if !had || ev.Line != a {
-		t.Fatalf("eviction = %+v (had=%v)", ev, had)
+	out, ev, had := c.AccessEvict(d, 0, false)
+	if out != LineMiss || !had || ev.Line != a {
+		t.Fatalf("eviction = %v %+v (had=%v)", out, ev, had)
 	}
-	if ev.Dirty != mem.FootprintOfWord(1) {
-		t.Errorf("dirty = %v", ev.Dirty)
+	if ev.Footprint != mem.FootprintOfWord(1).Or(mem.FootprintOfWord(2)) || ev.Dirty != mem.FootprintOfWord(1) {
+		t.Errorf("footprint %v dirty %v", ev.Footprint, ev.Dirty)
 	}
 	if c.Present(a) {
 		t.Error("victim still present")
 	}
+	if st := c.Stats(); st.Evictions != 1 || st.Writebacks != 1 || st.LineMisses != 2 {
+		t.Errorf("stats = %+v", st)
+	}
 	// The follow-up fill must not evict again.
-	if _, had := c.Fill(mem.LineAddr(4), mem.FullFootprint, 0, false); had {
-		t.Error("fill evicted despite EvictFor")
+	if _, had := c.FillNew(d, mem.FullFootprint, 0, false); had {
+		t.Error("fill evicted after AccessEvict freed a way")
+	}
+	if !c.Present(b) || !c.Present(d) {
+		t.Error("contents wrong after fill")
 	}
 }

@@ -371,7 +371,7 @@ func (c *Cache) install(s *sfpSet, si int, la mem.LineAddr, word int, pc mem.Add
 		(!s.store.HasFreeRegion(nl.Slots) || len(s.store.Lines)+1 > c.cfg.TagsPerSet) {
 		c.evicted(s, si, s.store.RemoveAt(c.lruIndex(s)))
 	}
-	for _, ev := range s.store.Install(nl, c.nextRand()) {
+	for _, ev := range s.store.Install(nl, c.nextRand(), 0) {
 		c.evicted(s, si, ev)
 	}
 	c.tick++

@@ -27,7 +27,7 @@ func findAlias(t *testing.T, tt *ToucheTags, wantCkCollide bool) (a, b uint64) {
 }
 
 func installWhole(s *Set, tag uint64) {
-	s.Install(Line{Tag: tag, Words: mem.FullFootprint, Slots: mem.WordsPerLine}, 0)
+	s.Install(Line{Tag: tag, Words: mem.FullFootprint, Slots: mem.WordsPerLine}, 0, 0)
 }
 
 // A signature alias with a DIFFERING checksum must miss safely and be
@@ -90,9 +90,9 @@ func TestToucheSuperblockPressure(t *testing.T) {
 	s := NewSet(4)
 	// Superblock 1: two lines, 4 words each. Superblock 2: one line,
 	// 2 words — the cheapest victim.
-	s.Install(Line{Tag: 4, Words: 0x0f, Slots: 4}, 0)
-	s.Install(Line{Tag: 5, Words: 0x0f, Slots: 4}, 0)
-	s.Install(Line{Tag: 8, Words: 0x03, Slots: 2}, 0)
+	s.Install(Line{Tag: 4, Words: 0x0f, Slots: 4}, 0, 0)
+	s.Install(Line{Tag: 5, Words: 0x0f, Slots: 4}, 0, 0)
+	s.Install(Line{Tag: 8, Words: 0x03, Slots: 2}, 0, 0)
 	// Installing a line of superblock 3 exceeds the two-entry budget.
 	ev := tt.PrepareInstall(&s, 12)
 	if len(ev) != 1 || ev[0].Tag != 8 {
@@ -133,7 +133,7 @@ func TestToucheStressNeverFalseHit(t *testing.T) {
 			tt.PrepareInstall(&s, tag)
 			words := mem.Footprint(1<<next(8)) | 1
 			slots := mem.Pow2WordsFor(words.Count())
-			s.Install(Line{Tag: tag, Words: words, Slots: slots}, next(1<<32))
+			s.Install(Line{Tag: tag, Words: words, Slots: slots}, next(1<<32), 0)
 			if err := tt.CheckInvariants(&s); err != nil {
 				t.Fatalf("after installing %x: %v", tag, err)
 			}

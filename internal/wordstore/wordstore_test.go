@@ -21,7 +21,7 @@ func TestRegionMask(t *testing.T) {
 
 func TestWOCInstallIntoFree(t *testing.T) {
 	s := NewSet(2)
-	ev := s.Install(Line{Tag: 1, Words: mem.FootprintOfWord(0), Slots: 1}, 0)
+	ev := s.Install(Line{Tag: 1, Words: mem.FootprintOfWord(0), Slots: 1}, 0, 0)
 	if len(ev) != 0 {
 		t.Fatalf("install into empty set evicted %d lines", len(ev))
 	}
@@ -43,7 +43,7 @@ func TestWOCAlignment(t *testing.T) {
 		for w := 0; w < sz; w++ {
 			words = words.Set(w)
 		}
-		ev := s.Install(Line{Tag: uint64(i + 1), Words: words, Slots: sz}, uint64(i*3+1))
+		ev := s.Install(Line{Tag: uint64(i + 1), Words: words, Slots: sz}, uint64(i*3+1), 0)
 		if len(ev) != 0 {
 			t.Fatalf("install %d evicted %d lines prematurely", i, len(ev))
 		}
@@ -65,10 +65,10 @@ func TestWOCAlignment(t *testing.T) {
 func TestWOCReplacementEvictsWholeLines(t *testing.T) {
 	s := NewSet(1)
 	// Two 4-slot lines fill the way.
-	s.Install(Line{Tag: 1, Words: mem.Footprint(0b1111), Slots: 4}, 0)
-	s.Install(Line{Tag: 2, Words: mem.Footprint(0b1111), Slots: 4}, 0)
+	s.Install(Line{Tag: 1, Words: mem.Footprint(0b1111), Slots: 4}, 0, 0)
+	s.Install(Line{Tag: 2, Words: mem.Footprint(0b1111), Slots: 4}, 0, 0)
 	// Installing an 8-slot line must evict both.
-	ev := s.Install(Line{Tag: 3, Words: mem.FullFootprint, Slots: 8}, 5)
+	ev := s.Install(Line{Tag: 3, Words: mem.FullFootprint, Slots: 8}, 5, 0)
 	if len(ev) != 2 {
 		t.Fatalf("evicted %d lines, want 2", len(ev))
 	}
@@ -82,10 +82,10 @@ func TestWOCReplacementEvictsWholeLines(t *testing.T) {
 
 func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 	s := NewSet(1)
-	s.Install(Line{Tag: 1, Words: mem.FullFootprint, Slots: 8}, 0)
+	s.Install(Line{Tag: 1, Words: mem.FullFootprint, Slots: 8}, 0, 0)
 	// A 1-slot install: the only eligible candidate is the head (slot 0)
 	// of the 8-slot line, which must be evicted whole (head-bit rule).
-	ev := s.Install(Line{Tag: 2, Words: mem.FootprintOfWord(3), Slots: 1}, 9)
+	ev := s.Install(Line{Tag: 2, Words: mem.FootprintOfWord(3), Slots: 1}, 9, 0)
 	if len(ev) != 1 || ev[0].Tag != 1 {
 		t.Fatalf("evictions = %+v", ev)
 	}
@@ -94,7 +94,7 @@ func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 	}
 	// The freed 7 slots are available for subsequent installs.
 	for i := 0; i < 7; i++ {
-		if ev := s.Install(Line{Tag: uint64(10 + i), Words: mem.FootprintOfWord(0), Slots: 1}, uint64(i)); len(ev) != 0 {
+		if ev := s.Install(Line{Tag: uint64(10 + i), Words: mem.FootprintOfWord(0), Slots: 1}, uint64(i), 0); len(ev) != 0 {
 			t.Fatalf("install %d into freed space evicted %d lines", i, len(ev))
 		}
 	}
@@ -109,26 +109,26 @@ func TestWOCInstallPanicsOnBadSlots(t *testing.T) {
 					t.Errorf("slots=%d should panic", bad)
 				}
 			}()
-			s.Install(Line{Tag: 99, Words: 1, Slots: bad}, 0)
+			s.Install(Line{Tag: 99, Words: 1, Slots: bad}, 0, 0)
 		}()
 	}
 }
 
 func TestWOCDuplicateInstallPanics(t *testing.T) {
 	s := NewSet(1)
-	s.Install(Line{Tag: 7, Words: 1, Slots: 1}, 0)
+	s.Install(Line{Tag: 7, Words: 1, Slots: 1}, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate tag install should panic")
 		}
 	}()
-	s.Install(Line{Tag: 7, Words: 1, Slots: 1}, 0)
+	s.Install(Line{Tag: 7, Words: 1, Slots: 1}, 0, 0)
 }
 
 func TestWOCClear(t *testing.T) {
 	s := NewSet(2)
-	s.Install(Line{Tag: 1, Words: 1, Slots: 1}, 0)
-	s.Install(Line{Tag: 2, Words: 3, Dirty: 1, Slots: 2}, 0)
+	s.Install(Line{Tag: 1, Words: 1, Slots: 1}, 0, 0)
+	s.Install(Line{Tag: 2, Words: 3, Dirty: 1, Slots: 2}, 0, 0)
 	removed := s.Clear()
 	if len(removed) != 2 {
 		t.Fatalf("clear removed %d", len(removed))
@@ -161,7 +161,7 @@ func TestWOCStressInvariants(t *testing.T) {
 			if op.Dirty {
 				wl.Dirty = words
 			}
-			s.Install(wl, op.Rnd)
+			s.Install(wl, op.Rnd, 0)
 			if err := s.CheckInvariants(); err != nil {
 				t.Logf("invariant: %v", err)
 				return false
@@ -194,12 +194,12 @@ func TestHasFreeRegion(t *testing.T) {
 	if !s.HasFreeRegion(8) {
 		t.Fatal("empty set must have a free 8-region")
 	}
-	s.Install(Line{Tag: 1, Words: mem.FullFootprint, Slots: 8}, 0)
+	s.Install(Line{Tag: 1, Words: mem.FullFootprint, Slots: 8}, 0, 0)
 	if s.HasFreeRegion(1) {
 		t.Error("full way should have no free region")
 	}
 	s2 := NewSet(1)
-	s2.Install(Line{Tag: 2, Words: mem.Footprint(0b11), Slots: 2}, 0)
+	s2.Install(Line{Tag: 2, Words: mem.Footprint(0b11), Slots: 2}, 0, 0)
 	if !s2.HasFreeRegion(4) {
 		t.Error("half-empty way should have a free 4-region")
 	}
@@ -213,8 +213,8 @@ func TestOccupiedSlots(t *testing.T) {
 	if s.OccupiedSlots() != 0 {
 		t.Fatal("empty set should have 0 slots used")
 	}
-	s.Install(Line{Tag: 1, Words: 1, Slots: 1}, 0)
-	s.Install(Line{Tag: 2, Words: 0b1111, Slots: 4}, 0)
+	s.Install(Line{Tag: 1, Words: 1, Slots: 1}, 0, 0)
+	s.Install(Line{Tag: 2, Words: 0b1111, Slots: 4}, 0, 0)
 	if got := s.OccupiedSlots(); got != 5 {
 		t.Errorf("OccupiedSlots = %d, want 5", got)
 	}
@@ -223,8 +223,8 @@ func TestOccupiedSlots(t *testing.T) {
 func TestInstallLRUPrefersOldest(t *testing.T) {
 	s := NewSet(1)
 	// Two 4-slot lines with distinct ages.
-	s.Install(Line{Tag: 1, Words: 0b1111, Slots: 4, LastUse: 10}, 0)
-	s.Install(Line{Tag: 2, Words: 0b1111, Slots: 4, LastUse: 20}, 0)
+	s.Install(Line{Tag: 1, Words: 0b1111, Slots: 4, LastUse: 10}, 0, 0)
+	s.Install(Line{Tag: 2, Words: 0b1111, Slots: 4, LastUse: 20}, 0, 0)
 	// No free 4-region remains: LRU install must evict tag 1 (older).
 	ev := s.InstallLRU(Line{Tag: 3, Words: 0b1111, Slots: 4, LastUse: 30})
 	if len(ev) != 1 || ev[0].Tag != 1 {
@@ -240,7 +240,7 @@ func TestInstallLRUPrefersOldest(t *testing.T) {
 
 func TestInstallLRUUsesFreeRegionFirst(t *testing.T) {
 	s := NewSet(1)
-	s.Install(Line{Tag: 1, Words: 0b1111, Slots: 4, LastUse: 1}, 0)
+	s.Install(Line{Tag: 1, Words: 0b1111, Slots: 4, LastUse: 1}, 0, 0)
 	// Half the way is free: no eviction expected.
 	if ev := s.InstallLRU(Line{Tag: 2, Words: 0b1111, Slots: 4, LastUse: 2}); len(ev) != 0 {
 		t.Errorf("free region available but evicted %+v", ev)
@@ -278,5 +278,67 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		Line{Tag: 2, Words: 0b11, Slots: 2, Start: 0})
 	if err := s.CheckInvariants(); err == nil {
 		t.Error("overlap not detected")
+	}
+}
+
+// installSeq drives the same pseudo-random install sequence into a
+// fresh 4-way set under wayMask and returns the set.
+func installSeq(t *testing.T, wayMask uint64) *Set {
+	t.Helper()
+	s := NewSet(4)
+	x := uint64(99)
+	for i := 0; i < 400; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		tag := x >> 54
+		if s.Find(tag) >= 0 {
+			continue
+		}
+		words := mem.Footprint(x>>8) | 1
+		s.Install(Line{Tag: tag, Words: words, Slots: mem.Pow2WordsFor(words.Count())}, x>>17, wayMask)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &s
+}
+
+// sameLines reports whether two sets hold identical lines in identical
+// places.
+func sameLines(a, b *Set) bool {
+	if len(a.Lines) != len(b.Lines) {
+		return false
+	}
+	for i := range a.Lines {
+		if a.Lines[i] != b.Lines[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A way mask confines placements to the selected ways; bits above the
+// way count are ignored, and a mask selecting no way (after that)
+// selects every way, exactly like the zero mask and the full mask.
+func TestWOCInstallWayMask(t *testing.T) {
+	masked := installSeq(t, 0b0110)
+	for _, l := range masked.Lines {
+		if l.Way != 1 && l.Way != 2 {
+			t.Fatalf("line %x placed in way %d outside mask 0b0110", l.Tag, l.Way)
+		}
+	}
+	if masked.occ[0] != 0 || masked.occ[3] != 0 {
+		t.Fatal("masked-out ways occupied")
+	}
+	if !sameLines(masked, installSeq(t, 0b0110|0xf0)) {
+		t.Error("mask bits above the way count changed placement")
+	}
+	all := installSeq(t, 0)
+	if all.occ[0] == 0 || all.occ[3] == 0 {
+		t.Error("zero mask did not use every way")
+	}
+	for _, m := range []uint64{0b1111, 0xf0} {
+		if !sameLines(all, installSeq(t, m)) {
+			t.Errorf("mask %#x placed lines differently from the zero mask", m)
+		}
 	}
 }
