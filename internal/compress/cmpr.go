@@ -182,6 +182,22 @@ func (c *CMPR) install(si int, la mem.LineAddr, write bool) {
 	c.sets[si] = set
 }
 
+// MarkDirty marks the resident copy of la dirty in place — a dirty L1D
+// writeback — without counting an access or changing recency. An
+// absent line is left alone.
+//
+//ldis:noalloc
+func (c *CMPR) MarkDirty(la mem.LineAddr) {
+	set := c.sets[c.setIndexOf(la)]
+	tag := c.tagOf(la)
+	for pos := range set {
+		if set[pos].tag == tag {
+			set[pos].dirty = true
+			return
+		}
+	}
+}
+
 // Present reports whether the line is resident (for tests).
 func (c *CMPR) Present(la mem.LineAddr) bool {
 	set := c.sets[c.setIndexOf(la)]

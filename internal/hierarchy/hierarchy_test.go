@@ -157,6 +157,34 @@ func TestCMPRSystem(t *testing.T) {
 	}
 }
 
+// A dirty L1D writeback into a CMPR L2 dirties the resident copy in
+// place: it counts no demand access or hit, leaves the LRU order alone
+// (the written-back LRU line is still the next victim), and the line is
+// written back to memory when it is evicted.
+func TestCMPRWritebackFromL1DirtiesInPlace(t *testing.T) {
+	// One set, two tag entries: the tag budget forces LRU evictions.
+	cc := ccompress.NewCMPR(ccompress.CMPRConfig{Name: "c", SizeBytes: mem.LineSize, Ways: 1, TagFactor: 2},
+		values.NewModel(1, values.Mix{Zero: 1}))
+	l2 := NewCMPRL2(cc)
+	a, b := mem.LineAddr(0), mem.LineAddr(1)
+	l2.Access(a, 0, 0, false)
+	l2.Access(b, 0, 0, false) // MRU b, LRU a; both clean
+	accesses, hits := l2.Accesses(), cc.Stats().Hits
+	l2.WritebackFromL1(a, mem.FootprintOfWord(3), mem.FootprintOfWord(3))
+	if l2.Accesses() != accesses || cc.Stats().Hits != hits {
+		t.Fatalf("writeback counted as a demand access: accesses %d->%d hits %d->%d",
+			accesses, l2.Accesses(), hits, cc.Stats().Hits)
+	}
+	l2.WritebackFromL1(mem.LineAddr(7), 0, mem.FullFootprint) // absent: no-op
+	l2.Access(mem.LineAddr(2), 0, 0, false)                   // evicts the LRU line
+	if cc.Present(a) || !cc.Present(b) {
+		t.Fatal("writeback changed the LRU order: a should still be the victim")
+	}
+	if st := cc.Stats(); st.Evictions != 1 || st.Writebacks != 1 {
+		t.Errorf("evictions %d writebacks %d, want the dirtied line written back", st.Evictions, st.Writebacks)
+	}
+}
+
 func TestSFPSystem(t *testing.T) {
 	cfg := sfp.Config{
 		Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
