@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"maps"
@@ -13,6 +14,7 @@ import (
 	"ldis/internal/distill"
 	"ldis/internal/hierarchy"
 	"ldis/internal/obs"
+	"ldis/internal/partition"
 	"ldis/internal/stats"
 	"ldis/internal/trace"
 	"ldis/internal/workload"
@@ -201,6 +203,99 @@ func TestOrganizationGoldenDigests(t *testing.T) {
 		}
 		if d != want {
 			t.Errorf("%s: stats digest %#016x, want %#016x", key, d, want)
+		}
+	}
+}
+
+// goldenControllerAccesses is how many interleaved accesses each
+// controller golden digest observes: twenty 10k-access epochs.
+const goldenControllerAccesses = 200_000
+
+// goldenControllerDigests pins the partition controller over the
+// two-tenant and four-tenant bundled mixes under both curve-driven
+// policies, with partitionSim's engine settings (SHARDS rate and
+// fixed-size bound, 0.75 decay, exact shadow engines): FNV-1a over
+// every epoch Decision, the agreement, rebalance and grain tallies,
+// and each tenant's final online line- and word-grain curves. An MRC
+// engine or controller change meant to keep every curve identical
+// must leave every entry unchanged.
+var goldenControllerDigests = map[string]uint64{
+	"twolf+mcf/ucp":              0xf764215e4ceabb2e,
+	"twolf+mcf/ldis":             0x1f4ae82e30e9d96e,
+	"twolf+vpr+mcf+wupwise/ucp":  0x7841c00e6b8ca46a,
+	"twolf+vpr+mcf+wupwise/ldis": 0x942a36703917868e,
+}
+
+// controllerDigest observes n round-robin accesses of the named
+// tenants through a controller configured as partitionSim configures
+// it, and hashes everything it decided and the curves it ends with.
+func controllerDigest(t *testing.T, tenants []string, policyName string, n int) uint64 {
+	t.Helper()
+	streams := make([]trace.Stream, len(tenants))
+	seed := uint64(0x9a2b_71c5)
+	for i, name := range tenants {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = prof.Stream()
+		seed = seed*0x100000001b3 ^ prof.Seed
+	}
+	policy, ok := partition.ByName(policyName)
+	if !ok {
+		t.Fatalf("unknown policy %q", policyName)
+	}
+	ctrl, err := partition.NewController(partition.Config{
+		Tenants: len(tenants), TotalWays: partWays, WayBytes: partWayBytes,
+		EpochAccesses: 10_000, Policy: policy, SampleRate: partSampleRate,
+		MaxSamples: partMaxSamples, Seed: seed, DecayAlpha: 0.75,
+		Shadow: true, AccessBudget: n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := trace.NewInterleave(streams...)
+	for i := 0; i < n; i++ {
+		a, ok := st.Next()
+		if !ok {
+			t.Fatalf("stream ended after %d of %d accesses", i, n)
+		}
+		ctrl.Observe(i%len(tenants), a.Line(), a.Word())
+	}
+	h := fnv.New64a()
+	for _, d := range ctrl.Decisions() {
+		fmt.Fprintf(h, "%v\n", d)
+	}
+	agree, total := ctrl.Agreement()
+	if total != ctrl.Epochs() || ctrl.Rebalances() == 0 {
+		t.Errorf("%v/%s: %d of %d epochs shadowed, %d rebalances; the digest must cover shadowed epochs and an adopted allocation",
+			tenants, policyName, total, ctrl.Epochs(), ctrl.Rebalances())
+	}
+	fmt.Fprintf(h, "%d %d %d %d\n", agree, total, ctrl.Rebalances(), ctrl.GrainDisagreements())
+	for i, name := range tenants {
+		line, word := ctrl.Curves(i, name)
+		fmt.Fprintf(h, "%v\n%v\n", line, word)
+	}
+	return h.Sum64()
+}
+
+// TestControllerGoldenDigests pins the controller's decisions and
+// curves, so an MRC engine or controller refactor meant to be
+// byte-identical is checked in tier 1.
+func TestControllerGoldenDigests(t *testing.T) {
+	scens := bundledScenarios()
+	for _, scen := range []partitionScenario{scens[0], scens[3]} {
+		for _, policy := range []string{"ucp", "ldis"} {
+			key := scen.Name + "/" + policy
+			d := controllerDigest(t, scen.Tenants, policy, goldenControllerAccesses)
+			want, ok := goldenControllerDigests[key]
+			if !ok {
+				t.Errorf("%s: no golden digest (got %#016x)", key, d)
+				continue
+			}
+			if d != want {
+				t.Errorf("%s: controller digest %#016x, want %#016x", key, d, want)
+			}
 		}
 	}
 }

@@ -5,10 +5,12 @@
 // time, and the reuse distance of an access is the total weight of
 // lines touched since — the running live total minus one O(log M)
 // prefix-sum query, instead of an O(M) stack scan, where M is the
-// number of live tracked lines. The clock is compacted (live lines
-// renumbered in recency order) whenever it fills the tree, so memory
-// and per-access cost follow M, never the trace length. Because LRU
-// has the inclusion property, one
+// number of live tracked lines. A re-touch of the line already on top
+// of the stack costs O(1): its distance is one line at every capacity,
+// and it changes no recency order, so the clock does not tick. The
+// clock is compacted (live lines renumbered in recency order)
+// whenever it fills the tree, so memory and per-tick cost follow M,
+// never the trace length. Because LRU has the inclusion property, one
 // histogram of reuse distances yields the miss ratio at every capacity
 // at once: an access hits in a cache of C bytes iff its (inclusive)
 // reuse distance is at most C.
@@ -200,9 +202,11 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Access feeds one data access (line, word-in-line) through the
-// Mattson stack. A reuse costs one O(log L) Fenwick prefix walk and
-// one fused O(log L) update over L live lines, plus an O(1)
-// open-addressing probe and amortized O(1) compaction; no allocation.
+// Mattson stack. A re-touch of the top-of-stack line costs an O(1)
+// open-addressing probe, plus one O(log L) update when its footprint
+// needs more slots. Any other reuse costs one O(log L) Fenwick prefix
+// walk and one fused O(log L) update over L live lines, plus the
+// probe and compaction amortized over clock ticks; no allocation.
 //
 //ldis:noalloc
 func (e *Engine) Access(line mem.LineAddr, word int) {
@@ -215,6 +219,8 @@ func (e *Engine) Access(line mem.LineAddr, word int) {
 // touch advances the stack by one access and returns its scaled
 // inclusive reuse distances at both grains. reuse is false for
 // untracked lines and first touches (compulsory misses, counted here).
+// The clock ticks only when the recency order changes: a re-touch of
+// the line at position now is served in place.
 //
 //ldis:noalloc
 func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse bool) {
@@ -233,22 +239,39 @@ func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse
 	if e.ticks&0xFFFF == 0 {
 		e.publishGauges()
 	}
+
+	idx := e.tab.find(key)
+	var oldSlots, newSlots int32
+	var nfp mem.Footprint
+	if idx >= 0 {
+		oldSlots = int32(mem.Pow2WordsFor(e.tab.fp[idx].Count()))
+		nfp = e.tab.fp[idx].Set(word)
+		newSlots = int32(mem.Pow2WordsFor(nfp.Count()))
+		if int(e.tab.pos[idx]) == e.now {
+			// Re-touch of the top of the stack: distance 1 line, and
+			// only the line's own slots at word grain. The recency order
+			// is unchanged, so the clock does not tick and only a
+			// footprint that needs more slots touches the tree.
+			if newSlots != oldSlots {
+				e.fw.add(e.now, 0, newSlots-oldSlots)
+				e.liveSlots += int64(newSlots - oldSlots)
+			}
+			e.tab.fp[idx] = nfp
+			return mem.LineSize * e.invR, float64(newSlots) * mem.WordSize * e.invR, true
+		}
+	}
 	if e.now+1 >= len(e.fw.tree) {
 		e.compact()
 	}
 	e.now++
 	t := e.now
 
-	if idx := e.tab.find(key); idx >= 0 {
+	if idx >= 0 {
 		// Reuse: distance = weight of lines touched strictly after the
 		// previous touch, plus this line's own (inclusive) cost. Every
 		// live line sits at a position below t, so that weight is the
 		// live total minus the prefix up to the previous touch.
 		p := int(e.tab.pos[idx])
-		oldSlots := int32(mem.Pow2WordsFor(e.tab.fp[idx].Count()))
-		nfp := e.tab.fp[idx].Set(word)
-		newSlots := int32(mem.Pow2WordsFor(nfp.Count()))
-
 		lines, slots := e.fw.prefix(p)
 		dLine = float64(int64(e.tab.n)-lines+1) * mem.LineSize * e.invR
 		dWord = float64(e.liveSlots-slots+int64(newSlots)) * mem.WordSize * e.invR
@@ -265,7 +288,7 @@ func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse
 	slots := int32(mem.Pow2WordsFor(1))
 	e.fw.add(t, 1, slots)
 	e.liveSlots += int64(slots)
-	idx := e.tab.insert(key)
+	idx = e.tab.insert(key)
 	e.tab.pos[idx] = int32(t)
 	e.tab.fp[idx] = mem.FootprintOfWord(word)
 	if e.cfg.MaxSamples > 0 {
@@ -280,7 +303,8 @@ func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse
 // distance depends on, so every distance is unchanged. The tree
 // doubles only when L exceeds a quarter of it; either way at least
 // half the capacity is free afterwards, so compaction costs amortized
-// O(1) per access and the tree stays within a small multiple of L.
+// O(1) per clock tick (top-of-stack re-touches do not tick) and the
+// tree stays within a small multiple of L.
 //
 //ldis:noalloc
 func (e *Engine) compact() {
@@ -410,7 +434,7 @@ func (e *Engine) ResetCounts() {
 // epochs dominate allocation decisions, yet the curve never empties
 // between epochs the way ResetCounts would leave it.
 func (e *Engine) DecayCounts(alpha float64) {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		panic(fmt.Sprintf("mrc: decay factor %g outside [0, 1]", alpha))
 	}
 	for i := range e.histLine {

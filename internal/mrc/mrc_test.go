@@ -164,6 +164,21 @@ func TestResetCounts(t *testing.T) {
 	}
 }
 
+// TestDecayCountsRejectsBadFactor: a decay factor outside [0, 1],
+// NaN included, panics instead of corrupting every histogram bucket.
+func TestDecayCountsRejectsBadFactor(t *testing.T) {
+	for _, alpha := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DecayCounts(%v) did not panic", alpha)
+				}
+			}()
+			mustNew(t, Config{}).DecayCounts(alpha)
+		}()
+	}
+}
+
 // TestEmptyCurve: an engine that saw nothing renders an empty curve
 // and NaN ratios.
 func TestEmptyCurve(t *testing.T) {

@@ -148,8 +148,10 @@ const (
 // diffAgainstStack drives an engine whose tree starts at the given
 // capacity (0 = the default) and the naive stack through ops, failing
 // on the first access whose inclusive line- or word-grain distance
-// differs, and on any difference in the filled miss-ratio curves.
-func diffAgainstStack(tb testing.TB, cfg Config, capacity int, ops []stackOp) {
+// differs, and on any difference in the filled miss-ratio curves. It
+// returns how many reuses re-touched the top of the stack: those that
+// left the clock and the tree as they were.
+func diffAgainstStack(tb testing.TB, cfg Config, capacity int, ops []stackOp) (topRetouches int) {
 	tb.Helper()
 	e, err := New(cfg)
 	if err != nil {
@@ -171,7 +173,11 @@ func diffAgainstStack(tb testing.TB, cfg Config, capacity int, ops []stackOp) {
 				tb.Fatalf("op %d: distance(%d) = %v, %v; naive stack %v, %v", i, op.line, got, gotOK, want, wantOK)
 			}
 		default:
+			now, tree := e.now, len(e.fw.tree)
 			dLine, dWord, reuse := e.touch(op.line, op.word)
+			if reuse && e.now == now && len(e.fw.tree) == tree {
+				topRetouches++
+			}
 			if reuse {
 				e.record(e.histLine, dLine)
 				e.record(e.histWord, dWord)
@@ -205,6 +211,7 @@ func diffAgainstStack(tb testing.TB, cfg Config, capacity int, ops []stackOp) {
 			}
 		}
 	}
+	return topRetouches
 }
 
 // phasedOps builds a stream whose working set changes size from phase
@@ -238,22 +245,68 @@ func phasedOps(n int, seed uint64) []stackOp {
 // query, and the final curves against an O(M) LRU list, over streams
 // long enough to cross many clock compactions, in exact, fixed-rate
 // and fixed-size modes, at the default tree capacity and at a tiny one
-// that compacts every few accesses.
+// that compacts every few accesses. Each mode must re-touch the top of
+// the stack often enough that the oracle checks that path too.
 func TestEngineMatchesNaiveStack(t *testing.T) {
 	const accesses = 60_000
 	ops := phasedOps(accesses, 3)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		minTops int
 	}{
-		{"exact", Config{MaxBytes: 64 << 10, ResolutionBytes: 512}},
-		{"fixed-rate", Config{MaxBytes: 64 << 10, ResolutionBytes: 512, SampleRate: 0.5, Seed: 5}},
-		{"fixed-size", Config{MaxBytes: 64 << 10, ResolutionBytes: 512, SampleRate: 0.5, MaxSamples: 150, Seed: 5}},
+		{"exact", Config{MaxBytes: 64 << 10, ResolutionBytes: 512}, 1000},
+		{"fixed-rate", Config{MaxBytes: 64 << 10, ResolutionBytes: 512, SampleRate: 0.5, Seed: 5}, 1000},
+		{"fixed-size", Config{MaxBytes: 64 << 10, ResolutionBytes: 512, SampleRate: 0.5, MaxSamples: 150, Seed: 5}, 500},
 	} {
 		for _, capacity := range []int{0, 4} {
-			diffAgainstStack(t, tc.cfg, capacity, ops)
+			tops := diffAgainstStack(t, tc.cfg, capacity, ops)
+			if tops < tc.minTops {
+				t.Errorf("%s, capacity %d: %d top-of-stack re-touches, want at least %d", tc.name, capacity, tops, tc.minTops)
+			}
 		}
 	}
+}
+
+// TestFixedSizeEvictsNewTop: in fixed-size mode pushSample can evict
+// the line it has just inserted, which leaves no live line at the
+// clock's position. The next access to the line below it must take
+// the full reuse path and still see a distance of one line; the access
+// after that re-touches the top in place.
+func TestFixedSizeEvictsNewTop(t *testing.T) {
+	cfg := Config{MaxBytes: 4096, ResolutionBytes: 64, SampleRate: 0.75, MaxSamples: 2, Seed: 11}
+	threshold := uint64(cfg.SampleRate * twoPow64)
+	hash := func(l mem.LineAddr) uint64 { return splitmix64(uint64(l) ^ cfg.Seed) }
+	// Two tracked lines, then a third whose hash tops both: inserting it
+	// overflows the two-line sample and evicts it at once.
+	var lines []mem.LineAddr
+	for l := mem.LineAddr(0); len(lines) < 3; l++ {
+		if h := hash(l); h < threshold && (len(lines) < 2 || h > max(hash(lines[0]), hash(lines[1]))) {
+			lines = append(lines, l)
+		}
+	}
+	a, b, c := lines[0], lines[1], lines[2]
+	e := mustNew(t, cfg)
+	e.Access(a, 0)
+	e.Access(b, 0)
+	e.Access(c, 0)
+	if e.tab.find(uint64(c)) >= 0 || int(e.tab.pos[e.tab.find(uint64(b))]) == e.now {
+		t.Fatalf("line %d was not evicted on insert, or line %d still sits at the clock", c, b)
+	}
+	for i, word := range []int{1, 2} {
+		now := e.now
+		dLine, _, reuse := e.touch(b, word)
+		if want := mem.LineSize * e.invR; !reuse || dLine != want {
+			t.Errorf("re-touch %d of line %d: distance %v (reuse %v), want %v", i, b, dLine, reuse, want)
+		}
+		if ticked := e.now != now; ticked != (i == 0) {
+			t.Errorf("re-touch %d of line %d: clock ticked = %v, want %v", i, b, ticked, i == 0)
+		}
+	}
+	diffAgainstStack(t, cfg, 0, []stackOp{
+		{line: a}, {line: b}, {line: c}, {line: b, word: 1}, {line: b, word: 2},
+		{kind: opQuery, line: c}, {kind: opQuery, line: a}, {line: a, word: 3},
+	})
 }
 
 // TestSampleTableStaysBounded: in fixed-size mode the line table holds

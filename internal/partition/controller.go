@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"ldis/internal/mem"
 	"ldis/internal/mrc"
@@ -102,6 +103,9 @@ func (c Config) validate() error {
 	if c.Tenants < 2 || c.Tenants > MaxTenants {
 		return fmt.Errorf("partition: %d tenants outside [2, %d]", c.Tenants, MaxTenants)
 	}
+	if c.MinWays < 0 {
+		return fmt.Errorf("partition: negative minimum ways %d", c.MinWays)
+	}
 	if c.TotalWays < c.Tenants*c.minWays() {
 		return fmt.Errorf("partition: %d ways cannot grant %d tenants %d each", c.TotalWays, c.Tenants, c.minWays())
 	}
@@ -114,8 +118,11 @@ func (c Config) validate() error {
 	if c.Policy == nil {
 		return fmt.Errorf("partition: nil policy")
 	}
-	if c.Hysteresis < 0 || c.DecayAlpha < 0 || c.DecayAlpha > 1 {
-		return fmt.Errorf("partition: hysteresis %g / decay %g out of range", c.Hysteresis, c.DecayAlpha)
+	if !(c.Hysteresis >= 0) || math.IsInf(c.Hysteresis, 1) {
+		return fmt.Errorf("partition: hysteresis %g is not a finite non-negative fraction", c.Hysteresis)
+	}
+	if !(c.DecayAlpha >= 0 && c.DecayAlpha <= 1) {
+		return fmt.Errorf("partition: decay %g outside [0, 1]", c.DecayAlpha)
 	}
 	if c.AccessBudget <= 0 {
 		return fmt.Errorf("partition: non-positive access budget %d", c.AccessBudget)

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -368,6 +369,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.Hysteresis = -0.5 },
 		func(c *Config) { c.DecayAlpha = 1.5 },
+		func(c *Config) { c.DecayAlpha = math.NaN() },
+		func(c *Config) { c.Hysteresis = math.NaN() },
+		func(c *Config) { c.Hysteresis = math.Inf(1) },
+		func(c *Config) { c.MinWays = -1 },
 		func(c *Config) { c.AccessBudget = 0 },
 	}
 	for i, mutate := range bad {
