@@ -28,8 +28,9 @@
 # judged by comparing full BENCHMARK.json runs, not by this target.
 # `make microbench` runs the Go testing benchmarks (per-figure,
 # hot-path, and scheduler fan-out).
-# `make fuzz-smoke` runs the trace-codec, checkpoint-scan, job-spec
-# and MRC-engine fuzzers briefly over their committed seed corpora.
+# `make fuzz-smoke` runs the trace-codec, checkpoint-scan, job-spec,
+# MRC-engine, branch-predictor and DRAM-MSHR fuzzers briefly over their
+# committed seed corpora.
 # `make mrc-smoke` validates the miss-ratio-curve engine: SHARDS-vs-
 # exact tolerance on every benchmark, curve-vs-simulation spot checks,
 # and a short end-to-end ldisexp mrc run.
@@ -160,13 +161,18 @@ chaos:
 # Short fuzz runs over the committed seed corpora: the trace codec
 # (internal/trace/testdata/fuzz), the checkpoint record scanner
 # (internal/exp/testdata/fuzz), the ldisd job-spec decoder
-# (internal/server/testdata/fuzz), and the MRC engine against a naive
-# LRU stack (internal/mrc/testdata/fuzz). Sized for CI.
+# (internal/server/testdata/fuzz), the MRC engine against a naive
+# LRU stack (internal/mrc/testdata/fuzz), the branch predictor against
+# its branchy reference (internal/branch/testdata/fuzz), and the DRAM
+# model's FIFO MSHR against a linear-scan one
+# (internal/dram/testdata/fuzz). Sized for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointScan -fuzztime 10s ./internal/exp
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesStack -fuzztime 10s ./internal/mrc
+	$(GO) test -run '^$$' -fuzz FuzzPredictorMatchesReference -fuzztime 10s ./internal/branch
+	$(GO) test -run '^$$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s ./internal/dram
 
 # Miss-ratio-curve validation: the acceptance gate for internal/mrc.
 # The tests assert the SHARDS curve within 0.02 absolute error of the

@@ -45,23 +45,28 @@ func (c Config) Validate() error {
 }
 
 // counter2 is a 2-bit saturating counter: 0,1 predict not-taken; 2,3
-// predict taken.
+// predict taken, so its high bit is its prediction.
 type counter2 uint8
 
-func (c counter2) taken() bool { return c >= 2 }
+// satNext[c<<1|taken] is counter c trained on one outcome: the 2-bit
+// saturating update as a table, so a random outcome costs no host
+// branch.
+var satNext = [8]counter2{0, 1, 0, 2, 1, 3, 2, 3}
 
-func (c counter2) update(taken bool) counter2 {
-	if taken {
-		if c < 3 {
-			return c + 1
+// chooserNext[c<<2|disagree<<1|gshareRight] is chooser counter c after
+// one branch. The tournament rule trains it toward whichever component
+// was right, and only when the two components disagree.
+var chooserNext = func() (t [16]counter2) {
+	for i := range t {
+		c := counter2(i >> 2)
+		if i>>1&1 == 0 {
+			t[i] = c
+		} else {
+			t[i] = satNext[c<<1|counter2(i&1)]
 		}
-		return c
 	}
-	if c > 0 {
-		return c - 1
-	}
-	return c
-}
+	return t
+}()
 
 // Stats counts predictor behaviour.
 type Stats struct {
@@ -81,13 +86,17 @@ func (s Stats) Rate() float64 {
 
 // Predictor is the gshare/PAs hybrid.
 type Predictor struct {
-	cfg     Config
 	gshare  []counter2
 	pas     []counter2
 	pasHist []uint16 // per-address local history
 	chooser []counter2
 	ghist   uint64
-	st      Stats
+
+	// Index masks, fixed by the config.
+	gMask, pMask, cMask uint64
+	histMask            uint16
+
+	branches, mispredicts, gshareUsed uint64
 }
 
 // New builds the predictor with all counters weakly taken; panics on
@@ -97,11 +106,14 @@ func New(cfg Config) *Predictor {
 		panic(err)
 	}
 	p := &Predictor{
-		cfg:     cfg,
-		gshare:  make([]counter2, cfg.GshareEntries),
-		pas:     make([]counter2, cfg.PAsEntries),
-		pasHist: make([]uint16, cfg.PAsEntries),
-		chooser: make([]counter2, cfg.ChooserEntries),
+		gshare:   make([]counter2, cfg.GshareEntries),
+		pas:      make([]counter2, cfg.PAsEntries),
+		pasHist:  make([]uint16, cfg.PAsEntries),
+		chooser:  make([]counter2, cfg.ChooserEntries),
+		gMask:    uint64(cfg.GshareEntries - 1),
+		pMask:    uint64(cfg.PAsEntries - 1),
+		cMask:    uint64(cfg.ChooserEntries - 1),
+		histMask: uint16(1)<<cfg.PAsHistoryBits - 1,
 	}
 	for i := range p.gshare {
 		p.gshare[i] = 2
@@ -115,65 +127,52 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Stats returns the cumulative counters.
-func (p *Predictor) Stats() Stats { return p.st }
-
-func (p *Predictor) gshareIndex(pc mem.Addr) int {
-	return int((uint64(pc)>>2 ^ p.ghist) & uint64(p.cfg.GshareEntries-1))
-}
-
-func (p *Predictor) pasIndex(pc mem.Addr) (hist int, pht int) {
-	hi := int(uint64(pc) >> 2 & uint64(p.cfg.PAsEntries-1))
-	mask := uint16(1)<<p.cfg.PAsHistoryBits - 1
-	ph := int((uint64(p.pasHist[hi]&mask)<<6 ^ uint64(pc)>>2) & uint64(p.cfg.PAsEntries-1))
-	return hi, ph
-}
-
-func (p *Predictor) chooserIndex(pc mem.Addr) int {
-	return int(uint64(pc) >> 2 & uint64(p.cfg.ChooserEntries-1))
+// Stats returns the cumulative counters. Every branch uses exactly one
+// component, so PAsUsed is the branches gshare did not serve.
+func (p *Predictor) Stats() Stats {
+	return Stats{
+		Branches:    p.branches,
+		Mispredicts: p.mispredicts,
+		GshareUsed:  p.gshareUsed,
+		PAsUsed:     p.branches - p.gshareUsed,
+	}
 }
 
 // PredictAndUpdate runs one branch through the hybrid: both components
 // predict, the chooser arbitrates, every structure trains on the actual
 // outcome, and the return value reports whether the final prediction
-// was wrong.
+// was wrong. Outcomes are 0/1 integers throughout and every update is a
+// table lookup, so the host never branches on a simulated outcome.
+//
+//ldis:noalloc
 func (p *Predictor) PredictAndUpdate(pc mem.Addr, taken bool) (mispredicted bool) {
-	gi := p.gshareIndex(pc)
-	hi, ph := p.pasIndex(pc)
-	ci := p.chooserIndex(pc)
+	t := b2u(taken)
+	a := uint64(pc) >> 2
+	gi := (a ^ p.ghist) & p.gMask
+	hi := a & p.pMask
+	ph := (uint64(p.pasHist[hi]&p.histMask)<<6 ^ a) & p.pMask
+	ci := a & p.cMask
 
-	gPred := p.gshare[gi].taken()
-	lPred := p.pas[ph].taken()
+	g, l, c := p.gshare[gi], p.pas[ph], p.chooser[ci]
+	gPred, lPred, useG := g>>1, l>>1, c>>1
+	pred := lPred ^ (gPred^lPred)&useG
 
-	var pred bool
-	if p.chooser[ci].taken() {
-		pred = gPred
-		p.st.GshareUsed++
-	} else {
-		pred = lPred
-		p.st.PAsUsed++
-	}
+	p.chooser[ci] = chooserNext[(c<<2|(gPred^lPred)<<1|gPred^t^1)&15]
+	p.gshare[gi] = satNext[(g<<1|t)&7]
+	p.pas[ph] = satNext[(l<<1|t)&7]
+	p.pasHist[hi] = p.pasHist[hi]<<1 | uint16(t)
+	p.ghist = p.ghist<<1 | uint64(t)
 
-	// Train the chooser toward whichever component was right (only when
-	// they disagree, the standard tournament rule).
-	if gPred != lPred {
-		p.chooser[ci] = p.chooser[ci].update(gPred == taken)
-	}
-	p.gshare[gi] = p.gshare[gi].update(taken)
-	p.pas[ph] = p.pas[ph].update(taken)
-
-	p.pasHist[hi] = p.pasHist[hi]<<1 | b2u(taken)
-	p.ghist = p.ghist<<1 | uint64(b2u(taken))
-
-	p.st.Branches++
-	if pred != taken {
-		p.st.Mispredicts++
-		return true
-	}
-	return false
+	miss := pred ^ t
+	p.branches++
+	p.gshareUsed += uint64(useG)
+	p.mispredicts += uint64(miss)
+	return miss != 0
 }
 
-func b2u(b bool) uint16 {
+// b2u returns b as a 0/1 counter2; the compiler lowers it to a
+// zero-extension, not a branch.
+func b2u(b bool) counter2 {
 	if b {
 		return 1
 	}

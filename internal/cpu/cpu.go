@@ -76,15 +76,19 @@ func DistillConfig() Config {
 	return c
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters, the DRAM ones through dram's own
+// check.
 func (c Config) Validate() error {
 	if c.IssueWidth <= 0 || c.MemLatency <= 0 || c.DRAMBanks <= 0 || c.MSHREntries <= 0 {
 		return fmt.Errorf("cpu: non-positive core parameter: %+v", c)
 	}
-	if c.L2HitExposedFrac < 0 || c.L2HitExposedFrac > 1 || c.MissExposedBaseline < 0 || c.MissExposedBaseline > 1 {
+	if c.BranchPenalty < 0 || c.L2HitLatency < 0 || c.L2ExtraTagCycles < 0 || c.WOCRearrangeCycles < 0 {
+		return fmt.Errorf("cpu: negative latency parameter: %+v", c)
+	}
+	if !(c.L2HitExposedFrac >= 0 && c.L2HitExposedFrac <= 1) || !(c.MissExposedBaseline >= 0 && c.MissExposedBaseline <= 1) {
 		return fmt.Errorf("cpu: exposure fractions out of [0,1]: %+v", c)
 	}
-	return nil
+	return c.memoryConfig().Validate()
 }
 
 // Result reports a timing run.
@@ -225,6 +229,22 @@ func (m *Model) missStall(now float64, la mem.LineAddr, mlp float64) float64 {
 	return exposed
 }
 
+// branchSites is how many static branch sites the synthetic stream
+// spreads its branches over.
+const branchSites = 256
+
+// Bit positions in a site's byte: its class, fixed when the stream is
+// built, and its visit-count parity.
+const (
+	siteRandom = iota // data-dependent: a fresh random outcome
+	siteLoop          // alternates with the visit-count parity
+	siteBiased        // always taken
+	siteParity        // set after an odd number of visits
+)
+
+// bit returns bit i of v as 0 or 1.
+func bit(v uint8, i int) uint64 { return uint64(v >> i & 1) }
+
 // branchStream synthesizes the conditional-branch stream implied by a
 // profile's rates and drives the hybrid predictor with it. Branch sites
 // split into three populations: strongly biased (taken), loop-like
@@ -233,13 +253,11 @@ func (m *Model) missStall(now float64, la mem.LineAddr, mlp float64) float64 {
 // sized so the emergent misprediction rate tracks the profile's
 // configured rate.
 type branchStream struct {
-	pred       *branch.Predictor
-	acc        float64 // fractional branches owed
-	perInst    float64
-	randFrac   float64
-	pcs        int
-	rng        uint64
-	siteVisits []uint32
+	pred    *branch.Predictor
+	acc     float64 // fractional branches owed
+	perInst float64
+	rng     uint64
+	sites   [branchSites]uint8 // one class bit plus the parity bit
 }
 
 func newBranchStream(prof *workload.Profile) *branchStream {
@@ -247,48 +265,62 @@ func newBranchStream(prof *workload.Profile) *branchStream {
 	if randFrac > 1 {
 		randFrac = 1
 	}
-	const sites = 256
-	return &branchStream{
-		pred:       branch.New(branch.DefaultConfig()),
-		perInst:    prof.BranchPerKInst / 1000,
-		randFrac:   randFrac,
-		pcs:        sites,
-		rng:        prof.Seed | 1,
-		siteVisits: make([]uint32, sites),
+	b := &branchStream{
+		pred:    branch.New(branch.DefaultConfig()),
+		perInst: prof.BranchPerKInst / 1000,
+		rng:     prof.Seed | 1,
 	}
+	for s := range b.sites {
+		switch {
+		case float64(s) < randFrac*branchSites:
+			b.sites[s] = 1 << siteRandom
+		case s%8 == 0:
+			// Loop branch: a per-site alternating pattern, learnable
+			// from the PAs side's local history after warmup.
+			b.sites[s] = 1 << siteLoop
+		default:
+			b.sites[s] = 1 << siteBiased
+		}
+	}
+	return b
 }
 
-func (b *branchStream) next() uint64 {
-	x := b.rng
+// xorshift advances the stream's generator state by one step; a draw
+// is the new state times the xorshift* multiplier.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	b.rng = x
-	return x * 0x2545f4914f6cdd1d
+	return x
 }
 
 // run advances the stream by instret instructions and returns the number
-// of mispredicted branches.
+// of mispredicted branches. Each branch draws its site, and a
+// data-dependent site draws its outcome too. The second draw is always
+// computed but committed to the generator only for a data-dependent
+// site, and the outcome is selected with bit arithmetic, so the host
+// never branches on a random outcome.
+//
+//ldis:noalloc
 func (b *branchStream) run(instret uint32) int {
+	const mul = 0x2545f4914f6cdd1d
 	b.acc += float64(instret) * b.perInst
 	miss := 0
 	for b.acc >= 1 {
 		b.acc--
-		site := b.next() % uint64(b.pcs)
-		b.siteVisits[site]++
+		x1 := xorshift(b.rng)
+		site := x1 * mul & (branchSites - 1)
+		x2 := xorshift(x1)
+
+		cls := b.sites[site] ^ 1<<siteParity
+		b.sites[site] = cls
+		random := bit(cls, siteRandom)
+		b.rng = x1 ^ (x1^x2)&-random
+
+		outcome := x2*mul>>33&1 ^ 1
+		taken := random&outcome | bit(cls, siteLoop)&bit(cls, siteParity) | bit(cls, siteBiased)
 		pc := mem.Addr(0x700000 + site*4)
-		var taken bool
-		switch {
-		case float64(site) < b.randFrac*float64(b.pcs):
-			taken = b.next()>>33&1 == 0 // data-dependent: unpredictable
-		case site%8 == 0:
-			// Loop branch: a per-site alternating pattern, learnable
-			// from the PAs side's local history after warmup.
-			taken = b.siteVisits[site]%2 != 0
-		default:
-			taken = true // strongly biased
-		}
-		if b.pred.PredictAndUpdate(pc, taken) {
+		if b.pred.PredictAndUpdate(pc, taken != 0) {
 			miss++
 		}
 	}

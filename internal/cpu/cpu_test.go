@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"ldis/internal/distill"
@@ -10,18 +11,36 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
+	for _, c := range []Config{DefaultConfig(), DistillConfig()} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	bad := DefaultConfig()
-	bad.IssueWidth = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero issue width should fail")
+	cases := map[string]func(*Config){
+		"zero issue width":             func(c *Config) { c.IssueWidth = 0 },
+		"L2 hit exposure above 1":      func(c *Config) { c.L2HitExposedFrac = 1.5 },
+		"NaN L2 hit exposure":          func(c *Config) { c.L2HitExposedFrac = math.NaN() },
+		"NaN miss exposure floor":      func(c *Config) { c.MissExposedBaseline = math.NaN() },
+		"negative L2 hit latency":      func(c *Config) { c.L2HitLatency = -1 },
+		"negative branch penalty":      func(c *Config) { c.BranchPenalty = -1 },
+		"negative extra tag cycles":    func(c *Config) { c.L2ExtraTagCycles = -1 },
+		"negative WOC rearrange":       func(c *Config) { c.WOCRearrangeCycles = -1 },
+		"negative DRAM bank busy time": func(c *Config) { c.BankBusy = -1 },
+		"negative DRAM bus cycles":     func(c *Config) { c.BusCycles = -1 },
 	}
-	bad2 := DefaultConfig()
-	bad2.L2HitExposedFrac = 1.5
-	if err := bad2.Validate(); err == nil {
-		t.Error("exposure > 1 should fail")
+	for name, mutate := range cases {
+		c := DefaultConfig()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+	}
+	// The DRAM parameters are checked by dram's own Validate, so New
+	// rejects them before building the memory system.
+	c := DefaultConfig()
+	c.BusCycles = -1
+	if err, want := c.Validate(), c.memoryConfig().Validate(); err == nil || err.Error() != want.Error() {
+		t.Errorf("Validate = %v, want dram's %v", err, want)
 	}
 }
 
@@ -198,6 +217,50 @@ func TestBranchStreamEmergentRate(t *testing.T) {
 		if rate < prof.MispredictRate*0.3 || rate > prof.MispredictRate*3+0.01 {
 			t.Errorf("%s: emergent mispredict rate %.4f vs configured %.4f",
 				name, rate, prof.MispredictRate)
+		}
+	}
+}
+
+// BenchmarkBranchStream drives gcc's synthetic branch stream through the
+// hybrid predictor and reports the host time per simulated branch.
+func BenchmarkBranchStream(b *testing.B) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs := newBranchStream(prof)
+	for b.Loop() {
+		bs.run(1000)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(bs.pred.Stats().Branches), "ns/branch")
+}
+
+// TestRunAllocatesNothingPerAccess pins Model.Run's steady state: a run
+// allocates its branch stream and predictor once, and nothing per
+// access, so a run ten times as long allocates exactly as much. The
+// warm-up run lets the distill cache's word-organized sets grow to
+// their full line count first; that growth is the L2's, not the
+// timing model's.
+func TestRunAllocatesNothingPerAccess(t *testing.T) {
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg := distill.DefaultConfig()
+	dcfg.Seed = prof.Seed
+	sysBase, _ := hierarchy.Baseline("base", 1<<20, 8)
+	sysDist, _ := hierarchy.Distill(dcfg)
+	for _, c := range []struct {
+		name string
+		sys  *hierarchy.System
+		cfg  Config
+	}{{"base", sysBase, DefaultConfig()}, {"distill", sysDist, DistillConfig()}} {
+		m, st := New(c.cfg), prof.Stream()
+		m.Run(c.sys, prof, st, 400_000) // fill every L2 set and the MSHR
+		short := testing.AllocsPerRun(10, func() { m.Run(c.sys, prof, st, 2_000) })
+		long := testing.AllocsPerRun(10, func() { m.Run(c.sys, prof, st, 20_000) })
+		if long != short {
+			t.Errorf("%s: %v allocations for 20k accesses, %v for 2k", c.name, long, short)
 		}
 	}
 }

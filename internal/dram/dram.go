@@ -83,7 +83,16 @@ type Memory struct {
 	bankFree []float64
 	openRow  []uint64 // per bank; ^0 = closed
 	busFree  float64
-	inflight []float64 // completion times occupying MSHR slots
+
+	// inflight is a ring of the completion times occupying MSHR slots,
+	// oldest at head. Every completion is max(start+latency, busFree) +
+	// BusCycles, and busFree then becomes it; BusCycles >= 0, so
+	// completion times never decrease in issue order. The request at
+	// head is therefore always the earliest to complete, and freeing
+	// the slot that completes first is an O(1) pop, not a scan. This
+	// holds for any non-NaN issue times, in order or not.
+	inflight []float64
+	head, n  int
 	st       Stats
 }
 
@@ -96,7 +105,7 @@ func New(cfg Config) *Memory {
 		cfg:      cfg,
 		bankFree: make([]float64, cfg.Banks),
 		openRow:  make([]uint64, cfg.Banks),
-		inflight: make([]float64, 0, cfg.MaxOutstanding),
+		inflight: make([]float64, cfg.MaxOutstanding),
 	}
 	for i := range m.openRow {
 		m.openRow[i] = ^uint64(0)
@@ -118,24 +127,24 @@ func (m *Memory) rowOf(la mem.LineAddr) uint64 {
 
 // Access issues a line fetch at CPU cycle `now` and returns the cycle
 // at which the line has fully arrived over the bus.
+//
+//ldis:noalloc
 func (m *Memory) Access(now float64, la mem.LineAddr) (completion float64) {
 	m.st.Requests++
 	start := now
 
-	// MSHR back-pressure: wait for a free outstanding slot.
-	if len(m.inflight) >= m.cfg.MaxOutstanding {
-		oldestIdx, oldest := 0, m.inflight[0]
-		for i, c := range m.inflight {
-			if c < oldest {
-				oldestIdx, oldest = i, c
-			}
-		}
-		if oldest > start {
+	// MSHR back-pressure: when every slot is taken, wait for the oldest
+	// request, which completes first, and take its slot.
+	if m.n == len(m.inflight) {
+		if oldest := m.inflight[m.head]; oldest > start {
 			m.st.MSHRStalls++
 			start = oldest
 		}
-		m.inflight[oldestIdx] = m.inflight[len(m.inflight)-1]
-		m.inflight = m.inflight[:len(m.inflight)-1]
+		m.head++
+		if m.head == len(m.inflight) {
+			m.head = 0
+		}
+		m.n--
 	}
 
 	bank := m.bankOf(la)
@@ -163,6 +172,11 @@ func (m *Memory) Access(now float64, la mem.LineAddr) (completion float64) {
 	ready += float64(m.cfg.BusCycles)
 	m.busFree = ready
 
-	m.inflight = append(m.inflight, ready)
+	tail := m.head + m.n
+	if tail >= len(m.inflight) {
+		tail -= len(m.inflight)
+	}
+	m.inflight[tail] = ready
+	m.n++
 	return ready
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ldis/internal/mem"
@@ -70,8 +71,19 @@ func (p *Profile) Validate() error {
 	if p.StoreFrac < 0 || p.StoreFrac > 1 {
 		return fmt.Errorf("workload: profile %s has StoreFrac %v", p.Name, p.StoreFrac)
 	}
-	if p.MLP < 1 && p.MLP != 0 {
-		return fmt.Errorf("workload: profile %s has MLP %v < 1", p.Name, p.MLP)
+	if math.IsNaN(p.MLP) || p.MLP < 1 && p.MLP != 0 {
+		return fmt.Errorf("workload: profile %s has MLP %v, want 0 (unset) or >= 1", p.Name, p.MLP)
+	}
+	if !(p.BaseCPI >= 0) || math.IsInf(p.BaseCPI, 1) {
+		return fmt.Errorf("workload: profile %s has BaseCPI %v, want finite and >= 0", p.Name, p.BaseCPI)
+	}
+	// At most one conditional branch per instruction: the timing
+	// model synthesizes every branch one by one.
+	if !(p.BranchPerKInst >= 0 && p.BranchPerKInst <= 1000) {
+		return fmt.Errorf("workload: profile %s has BranchPerKInst %v out of [0, 1000]", p.Name, p.BranchPerKInst)
+	}
+	if !(p.MispredictRate >= 0 && p.MispredictRate <= 1) {
+		return fmt.Errorf("workload: profile %s has MispredictRate %v out of [0, 1]", p.Name, p.MispredictRate)
 	}
 	if p.L1IMPKI < 0 {
 		return fmt.Errorf("workload: profile %s has negative L1IMPKI", p.Name)

@@ -393,6 +393,48 @@ func TestValidateSpecErrors(t *testing.T) {
 	}
 }
 
+// TestProfileValidateCPURates covers the fields only the CPU timing
+// model reads: each bad value must be rejected, and every bundled
+// profile must stay valid under any seed.
+func TestProfileValidateCPURates(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Profile)
+	}{
+		{"NaN MLP", func(p *Profile) { p.MLP = math.NaN() }},
+		{"negative BaseCPI", func(p *Profile) { p.BaseCPI = -0.1 }},
+		{"NaN BaseCPI", func(p *Profile) { p.BaseCPI = math.NaN() }},
+		{"infinite BaseCPI", func(p *Profile) { p.BaseCPI = math.Inf(1) }},
+		{"negative BranchPerKInst", func(p *Profile) { p.BranchPerKInst = -1 }},
+		{"BranchPerKInst above 1k", func(p *Profile) { p.BranchPerKInst = 1e12 }},
+		{"NaN BranchPerKInst", func(p *Profile) { p.BranchPerKInst = math.NaN() }},
+		{"negative MispredictRate", func(p *Profile) { p.MispredictRate = -0.01 }},
+		{"MispredictRate above one", func(p *Profile) { p.MispredictRate = 1.5 }},
+		{"NaN MispredictRate", func(p *Profile) { p.MispredictRate = math.NaN() }},
+	}
+	base, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		p := *base
+		c.mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", c.name)
+		}
+	}
+	for _, name := range Names() {
+		p, _ := ByName(name)
+		for _, seed := range []uint64{0, 1, 5, 0x9e3779b97f4a7c15, ^uint64(0)} {
+			cp := *p
+			cp.Seed ^= seed
+			if err := cp.Validate(); err != nil {
+				t.Errorf("%s seed %#x: %v", name, cp.Seed, err)
+			}
+		}
+	}
+}
+
 func TestProfileValuesDeterministic(t *testing.T) {
 	p, _ := ByName("mcf")
 	a, b := p.Values(), p.Values()
