@@ -1,8 +1,16 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"testing"
+	"testing/iotest"
+
+	"ldis/internal/mem"
 )
 
 // TestBatchReaderMatchesRead: streaming block decode must reproduce
@@ -132,6 +140,225 @@ func TestBatchReaderHeaderErrors(t *testing.T) {
 	} {
 		if _, err := NewBatchReader(bytes.NewReader(tc.data)); err == nil {
 			t.Errorf("%s: no error", tc.name)
+		}
+	}
+}
+
+// refBatchReader is the record-at-a-time decoder BatchReader.NextBatch
+// replaced: one io.ReadFull per record. It stays here as the oracle
+// for the run decoder; every record, count and error must match it.
+type refBatchReader struct {
+	br    *bufio.Reader
+	count uint64
+	read  uint64
+	err   *CorruptError
+}
+
+// newRefBatchReader validates the header through NewBatchReader, whose
+// header code the run decoder did not change, and takes over its reader.
+func newRefBatchReader(r io.Reader) (*refBatchReader, error) {
+	b, err := NewBatchReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return &refBatchReader{br: b.br, count: b.count}, nil
+}
+
+func (r *refBatchReader) NextBatch(dst []Record) int {
+	var rec [recordSize]byte
+	for i := range dst {
+		if r.err != nil || r.read >= r.count {
+			return i
+		}
+		if _, err := io.ReadFull(r.br, rec[:]); err != nil {
+			r.err = corruptRecord(r.read, "truncated (%d of %d records present): %v", r.read, r.count, err)
+			return i
+		}
+		kind := rec[16]
+		if kind > kindMaxValid {
+			r.err = corruptRecord(r.read, "invalid kind %d", kind)
+			return i
+		}
+		dst[i] = mem.Access{
+			Addr:    mem.Addr(binary.LittleEndian.Uint64(rec[0:8])),
+			PC:      mem.Addr(binary.LittleEndian.Uint64(rec[8:16])),
+			Kind:    mem.AccessKind(kind),
+			Instret: binary.LittleEndian.Uint32(rec[20:24]),
+		}
+		r.read++
+	}
+	return len(dst)
+}
+
+// errBoom is the custom reader error of the equivalence tests.
+var errBoom = errors.New("boom")
+
+// checkMatchesRef decodes two fresh readers over data, one with the
+// run decoder and one with refBatchReader, in blocks of size records,
+// and reports the first call whose count, records or error differ. It
+// keeps calling until both have returned 0 twice, so the post-error
+// and post-exhaustion behaviour is compared too.
+func checkMatchesRef(t *testing.T, name string, data []byte, wrap func(io.Reader) io.Reader, size int) {
+	t.Helper()
+	got, gerr := NewBatchReader(wrap(bytes.NewReader(data)))
+	want, werr := newRefBatchReader(wrap(bytes.NewReader(data)))
+	if !sameError(gerr, werr) {
+		t.Fatalf("%s: header error %v, want %v", name, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	gbuf, wbuf := make([]Record, size), make([]Record, size)
+	for call, zeros := 0, 0; zeros < 2; call++ {
+		gn, wn := got.NextBatch(gbuf), want.NextBatch(wbuf)
+		if gn != wn {
+			t.Fatalf("%s: call %d decoded %d records, want %d", name, call, gn, wn)
+		}
+		for i := range wn {
+			if gbuf[i] != wbuf[i] {
+				t.Fatalf("%s: call %d record %d = %+v, want %+v", name, call, i, gbuf[i], wbuf[i])
+			}
+		}
+		if ge, we := got.Err(), want.err; !sameCorruption(ge, we) {
+			t.Fatalf("%s: call %d Err() = %v, want %v", name, call, ge, we)
+		}
+		if wn == 0 {
+			zeros++
+		}
+	}
+}
+
+// sameError compares header errors by value.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+// sameCorruption compares two record errors field by field.
+func sameCorruption(a, b *CorruptError) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// TestBatchReaderMatchesReference is the exact-equivalence table: the
+// run decoder against refBatchReader over clean, truncated and corrupt
+// traces, short-reading and failing readers, and block sizes on both
+// sides of the 170-record run a 4 KiB bufio buffer holds.
+func TestBatchReaderMatchesReference(t *testing.T) {
+	long := encodeTrace(t, 1000) // runs straddle several bufio refills
+	short := encodeTrace(t, 5)
+
+	type input struct {
+		name string
+		data []byte
+	}
+	inputs := []input{{"clean-1000", long}, {"clean-5", short}, {"empty", encodeTrace(t, 0)}}
+	for cut := 0; cut < len(short); cut++ {
+		inputs = append(inputs, input{fmt.Sprintf("cut-%d", cut), short[:cut]})
+	}
+	// With the 16-byte header, runs are records [0,170), [170,340), ...
+	for _, rec := range []int{0, 85, 169, 170, 339, 340, 999} {
+		bad := append([]byte(nil), long...)
+		bad[headerSize+rec*recordSize+16] = 9
+		inputs = append(inputs, input{fmt.Sprintf("bad-kind-%d", rec), bad})
+	}
+	over := append([]byte(nil), long...)
+	binary.LittleEndian.PutUint64(over[8:16], 1200) // announce 1200, ship 1000
+	inputs = append(inputs, input{"count-exceeds-records", over})
+	under := append([]byte(nil), long...)
+	binary.LittleEndian.PutUint64(under[8:16], 400) // trailing records are ignored
+	inputs = append(inputs, input{"count-below-records", under})
+
+	type reader struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}
+	failAfter := func(n int64) reader {
+		return reader{fmt.Sprintf("fail-after-%d", n), func(r io.Reader) io.Reader {
+			return io.MultiReader(io.LimitReader(r, n), iotest.ErrReader(errBoom))
+		}}
+	}
+	readers := []reader{
+		{"plain", func(r io.Reader) io.Reader { return r }},
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"data-err", iotest.DataErrReader},
+		{"timeout", iotest.TimeoutReader},
+		failAfter(0), failAfter(10), failAfter(headerSize),
+		failAfter(headerSize + 2*recordSize), failAfter(headerSize + 2*recordSize + 5),
+		failAfter(4096), failAfter(4096 + 7), failAfter(headerSize + 300*recordSize),
+	}
+	for _, size := range []int{1, 3, 7, 170, 171, 4096} {
+		for _, rd := range readers {
+			for _, in := range inputs {
+				checkMatchesRef(t, fmt.Sprintf("%s/%s/dst-%d", in.name, rd.name, size), in.data, rd.wrap, size)
+			}
+		}
+	}
+}
+
+// recordLoop is an endless reader of one record's bytes repeated.
+type recordLoop struct {
+	rec [recordSize]byte
+	off int
+}
+
+func (l *recordLoop) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = l.rec[l.off]
+		l.off = (l.off + 1) % recordSize
+	}
+	return len(p), nil
+}
+
+// TestNextBatchAllocatesNothing pins the steady-state decode path as
+// allocation-free: a NextBatch call that refills the buffer and decodes
+// a full block must not allocate.
+func TestNextBatchAllocatesNothing(t *testing.T) {
+	hdr := make([]byte, headerSize)
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint16(hdr[4:6], formatVer)
+	binary.LittleEndian.PutUint64(hdr[8:16], maxTraceLen)
+	loop := &recordLoop{}
+	binary.LittleEndian.PutUint64(loop.rec[0:8], 0x1000)
+	loop.rec[16] = uint8(mem.Store)
+	br, err := NewBatchReader(io.MultiReader(bytes.NewReader(hdr), loop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Record, DefaultBatchSize)
+	allocs := testing.AllocsPerRun(20, func() {
+		if n := br.NextBatch(buf); n != len(buf) {
+			t.Fatalf("NextBatch = %d, err %v", n, br.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("NextBatch allocated %.1f times per call", allocs)
+	}
+}
+
+// BenchmarkNextBatch decodes a 1M-record trace in DefaultBatchSize
+// blocks; ns/op divided by 1<<20 is the decode cost per record.
+func BenchmarkNextBatch(b *testing.B) {
+	var enc bytes.Buffer
+	if err := Write(&enc, sampleTrace(1<<20)); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]Record, DefaultBatchSize)
+	b.ReportAllocs()
+	for b.Loop() {
+		br, err := NewBatchReader(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for br.NextBatch(buf) == len(buf) {
+		}
+		if br.Err() != nil {
+			b.Fatal(br.Err())
 		}
 	}
 }

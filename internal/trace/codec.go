@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"ldis/internal/mem"
 )
@@ -76,8 +77,18 @@ func corruptRecord(i uint64, format string, args ...any) *CorruptError {
 	}
 }
 
-// Write encodes accs to w in the binary trace format.
+// Write encodes accs to w in the binary trace format. It refuses,
+// before writing a byte, any trace Read would reject: more than
+// maxTraceLen records, or a kind above mem.IFetch.
 func Write(w io.Writer, accs []mem.Access) error {
+	if err := checkCount(uint64(len(accs))); err != nil {
+		return err
+	}
+	for i, a := range accs {
+		if uint8(a.Kind) > kindMaxValid {
+			return fmt.Errorf("trace: access %d has invalid kind %d", i, a.Kind)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	var hdr [headerSize]byte
 	copy(hdr[:4], magic)
@@ -86,18 +97,36 @@ func Write(w io.Writer, accs []mem.Access) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var rec [recordSize]byte
-	for _, a := range accs {
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(a.Addr))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(a.PC))
-		rec[16] = uint8(a.Kind)
-		rec[17], rec[18], rec[19] = 0, 0, 0
-		binary.LittleEndian.PutUint32(rec[20:24], a.Instret)
-		if _, err := bw.Write(rec[:]); err != nil {
+	// Encode whole records straight into the writer's free buffer.
+	for len(accs) > 0 {
+		if bw.Available() < recordSize {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		k := min(len(accs), bw.Available()/recordSize)
+		buf := bw.AvailableBuffer()[:k*recordSize]
+		for i, a := range accs[:k] {
+			rec := (*[recordSize]byte)(buf[i*recordSize:])
+			binary.LittleEndian.PutUint64(rec[0:8], uint64(a.Addr))
+			binary.LittleEndian.PutUint64(rec[8:16], uint64(a.PC))
+			rec[16], rec[17], rec[18], rec[19] = uint8(a.Kind), 0, 0, 0
+			binary.LittleEndian.PutUint32(rec[20:24], a.Instret)
+		}
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
+		accs = accs[k:]
 	}
 	return bw.Flush()
+}
+
+// checkCount refuses a record count beyond what Read accepts.
+func checkCount(n uint64) error {
+	if n > maxTraceLen {
+		return fmt.Errorf("trace: %d accesses exceed the format's limit of %d", n, uint64(maxTraceLen))
+	}
+	return nil
 }
 
 // Read decodes a full trace from r in strict mode: the first corrupt
@@ -177,71 +206,65 @@ func (r *BatchReader) Next() (Record, bool) {
 
 // NextBatch implements BatchStream: it decodes up to len(dst) records.
 // A short count means exhaustion or corruption; Err distinguishes.
+//
+// Records are decoded in runs of as many whole records as the reader's
+// buffer holds: peeked, decoded in place, then discarded. Records and
+// errors match one io.ReadFull per record for any reader whose bytes
+// and errors depend only on stream position; a reader returning 100
+// empty reads in a row fails with io.ErrNoProgress.
 func (r *BatchReader) NextBatch(dst []Record) int {
-	var rec [recordSize]byte
-	for i := range dst {
-		if r.err != nil || r.read >= r.count {
-			return i
+	n := 0
+	for n < len(dst) && r.err == nil && r.read < r.count {
+		k := min(uint64(len(dst)-n), r.count-r.read, uint64(r.br.Size()/recordSize))
+		buf, err := r.br.Peek(int(k) * recordSize)
+		run := dst[n : n+len(buf)/recordSize]
+		for i := range run {
+			rec := (*[recordSize]byte)(buf[i*recordSize:])
+			if kind := rec[16]; kind > kindMaxValid {
+				r.read += uint64(i)
+				r.err = corruptRecord(r.read, "invalid kind %d", kind)
+				return n + i
+			}
+			run[i] = mem.Access{
+				Addr:    mem.Addr(binary.LittleEndian.Uint64(rec[0:8])),
+				PC:      mem.Addr(binary.LittleEndian.Uint64(rec[8:16])),
+				Kind:    mem.AccessKind(rec[16]),
+				Instret: binary.LittleEndian.Uint32(rec[20:24]),
+			}
 		}
-		if _, err := io.ReadFull(r.br, rec[:]); err != nil {
+		// The run is buffered, so Discard cannot fail.
+		_, _ = r.br.Discard(len(run) * recordSize)
+		n += len(run)
+		r.read += uint64(len(run))
+		if err != nil {
+			// A short peek: io.ReadFull fails on the record the stream
+			// ends in, with io.ErrUnexpectedEOF if any of it arrived.
+			if err == io.EOF && len(buf)%recordSize != 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			r.err = corruptRecord(r.read, "truncated (%d of %d records present): %v", r.read, r.count, err)
-			return i
 		}
-		kind := rec[16]
-		if kind > kindMaxValid {
-			r.err = corruptRecord(r.read, "invalid kind %d", kind)
-			return i
-		}
-		dst[i] = mem.Access{
-			Addr:    mem.Addr(binary.LittleEndian.Uint64(rec[0:8])),
-			PC:      mem.Addr(binary.LittleEndian.Uint64(rec[8:16])),
-			Kind:    mem.AccessKind(kind),
-			Instret: binary.LittleEndian.Uint32(rec[20:24]),
-		}
-		r.read++
 	}
-	return len(dst)
+	return n
 }
 
 // decode reads the header and as many valid records as it can. On
 // corruption it returns the valid prefix plus a *CorruptError; strict
 // and lenient callers differ only in whether they keep the prefix.
 func decode(r io.Reader) ([]mem.Access, error) {
-	br := bufio.NewReader(r)
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, corruptHeader(0, "reading header: %v", err)
+	br, err := NewBatchReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(hdr[:4]) != magic {
-		return nil, corruptHeader(0, "bad magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != formatVer {
-		return nil, corruptHeader(4, "unsupported version %d", v)
-	}
-	count := binary.LittleEndian.Uint64(hdr[8:16])
-	if count > maxTraceLen {
-		return nil, corruptHeader(8, "implausible record count %d", count)
-	}
-	prealloc := count
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	accs := make([]mem.Access, 0, prealloc)
-	var rec [recordSize]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return accs, corruptRecord(i, "truncated (%d of %d records present): %v", i, count, err)
+	accs := make([]mem.Access, 0, min(br.count, maxPrealloc))
+	for br.err == nil && br.read < br.count {
+		if len(accs) == cap(accs) {
+			accs = slices.Grow(accs, 1)
 		}
-		kind := rec[16]
-		if kind > kindMaxValid {
-			return accs, corruptRecord(i, "invalid kind %d", kind)
-		}
-		accs = append(accs, mem.Access{
-			Addr:    mem.Addr(binary.LittleEndian.Uint64(rec[0:8])),
-			PC:      mem.Addr(binary.LittleEndian.Uint64(rec[8:16])),
-			Kind:    mem.AccessKind(kind),
-			Instret: binary.LittleEndian.Uint32(rec[20:24]),
-		})
+		accs = accs[:len(accs)+br.NextBatch(accs[len(accs):cap(accs)])]
+	}
+	if br.err != nil {
+		return accs, br.err
 	}
 	return accs, nil
 }

@@ -298,3 +298,71 @@ func TestInterleaveDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteRejectsUnreadableTraces: Write must refuse, before writing
+// anything, a trace Read would reject, rather than emit it.
+func TestWriteRejectsUnreadableTraces(t *testing.T) {
+	for _, accs := range [][]mem.Access{
+		{{Addr: 64, Kind: 9}},
+		{{Addr: 64, Kind: mem.Load}, {Addr: 128, Kind: mem.IFetch + 1}},
+		append(sampleTrace(500), mem.Access{Kind: 255}),
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, accs); err == nil {
+			t.Errorf("Write accepted a trace with kind %d", accs[len(accs)-1].Kind)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("Write emitted %d bytes before failing", buf.Len())
+		}
+	}
+	// Traces that long cannot be built in a test; the count check
+	// Write runs first is tested directly.
+	if err := checkCount(maxTraceLen + 1); err == nil {
+		t.Error("a count above maxTraceLen was accepted")
+	}
+	if err := checkCount(maxTraceLen); err != nil {
+		t.Errorf("the largest readable count was refused: %v", err)
+	}
+}
+
+// TestWriteEncodingUnchanged pins the encoded bytes of a trace long
+// enough to span several writer buffers against a record-at-a-time
+// encoding of the documented format.
+func TestWriteEncodingUnchanged(t *testing.T) {
+	accs := sampleTrace(1000)
+	accs[7] = mem.Access{Addr: ^mem.Addr(0), PC: 1 << 63, Kind: mem.IFetch, Instret: ^uint32(0)}
+	want := make([]byte, headerSize, headerSize+len(accs)*recordSize)
+	copy(want, magic)
+	binary.LittleEndian.PutUint16(want[4:6], formatVer)
+	binary.LittleEndian.PutUint64(want[8:16], uint64(len(accs)))
+	for _, a := range accs {
+		want = binary.LittleEndian.AppendUint64(want, uint64(a.Addr))
+		want = binary.LittleEndian.AppendUint64(want, uint64(a.PC))
+		want = append(want, uint8(a.Kind), 0, 0, 0)
+		want = binary.LittleEndian.AppendUint32(want, a.Instret)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, accs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("encoded bytes differ from the documented format")
+	}
+	// A writer that fails mid-stream has its error returned.
+	if err := Write(&failWriter{left: 5000}, accs); !errors.Is(err, errBoom) {
+		t.Fatalf("Write to a failing writer = %v, want %v", err, errBoom)
+	}
+}
+
+// failWriter accepts left bytes, then fails with errBoom.
+type failWriter struct{ left int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		n := w.left
+		w.left = 0
+		return n, errBoom
+	}
+	w.left -= len(p)
+	return len(p), nil
+}

@@ -122,9 +122,15 @@ func (p *Profile) Stream() trace.Stream {
 	}
 }
 
-// Trace materializes n accesses of the profile's stream.
+// Trace materializes n accesses of the profile's stream. For n > 0 it
+// allocates the trace once and fills it through the stream's native
+// NextBatch; n <= 0 drains the stream through trace.Collect.
 func (p *Profile) Trace(n int) []mem.Access {
-	return trace.Collect(p.Stream(), n)
+	if n <= 0 {
+		return trace.Collect(p.Stream(), n)
+	}
+	accs := make([]mem.Access, n)
+	return accs[:trace.Batched(p.Stream()).NextBatch(accs)]
 }
 
 // Values returns the deterministic memory-content model for the profile.

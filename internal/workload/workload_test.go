@@ -132,6 +132,24 @@ func TestProfileStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesStream: Trace's one-allocation batch fill yields
+// exactly the accesses the scalar stream does, and exactly n of them.
+func TestTraceMatchesStream(t *testing.T) {
+	for _, name := range Names() {
+		p, _ := ByName(name)
+		got := p.Trace(3000)
+		want := trace.Collect(p.Stream(), 3000)
+		if len(got) != 3000 || len(want) != 3000 {
+			t.Fatalf("%s: trace lengths %d/%d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: access %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestProfileInstretRate(t *testing.T) {
 	p, err := ByName("twolf")
 	if err != nil {
