@@ -165,14 +165,16 @@ chaos:
 # LRU stack (internal/mrc/testdata/fuzz), the branch predictor against
 # its branchy reference (internal/branch/testdata/fuzz), and the DRAM
 # model's FIFO MSHR against a linear-scan one
-# (internal/dram/testdata/fuzz). Sized for CI.
+# (internal/dram/testdata/fuzz). Sized for CI. Each new-coverage input is
+# minimized for at most 100 runs: the default 60 s an input would spend
+# most of a 10 s run minimizing one find.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointScan -fuzztime 10s ./internal/exp
-	$(GO) test -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesStack -fuzztime 10s ./internal/mrc
-	$(GO) test -run '^$$' -fuzz FuzzPredictorMatchesReference -fuzztime 10s ./internal/branch
-	$(GO) test -run '^$$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s ./internal/dram
+	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointScan -fuzztime 10s -fuzzminimizetime 100x ./internal/exp
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 10s -fuzzminimizetime 100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesStack -fuzztime 10s -fuzzminimizetime 100x ./internal/mrc
+	$(GO) test -run '^$$' -fuzz FuzzPredictorMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/branch
+	$(GO) test -run '^$$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/dram
 
 # Miss-ratio-curve validation: the acceptance gate for internal/mrc.
 # The tests assert the SHARDS curve within 0.02 absolute error of the

@@ -65,11 +65,12 @@ const MaxPartitionTenants = 8
 // Line is one tag entry. MaxFPPos tracks the maximum recency position
 // the line occupied at any access that changed its footprint — the
 // statistic behind the paper's Figure 2. Tenant records which sharer
-// installed the line (always 0 outside partitioned mode).
+// installed the line (always 0 outside partitioned mode). The tag
+// comes first so the byte-sized fields pack after it: 16 bytes a line.
 type Line struct {
+	Tag       uint64
 	Valid     bool
 	Dirty     bool
-	Tag       uint64
 	Footprint mem.Footprint
 	MaxFPPos  uint8
 	Tenant    uint8

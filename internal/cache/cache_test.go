@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ldis/internal/mem"
 )
@@ -314,5 +315,13 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLineRecordSize pins the tag record at 16 bytes, so a field that
+// re-pads it fails here.
+func TestLineRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 16 {
+		t.Errorf("Line is %d bytes, want 16", got)
 	}
 }

@@ -102,11 +102,13 @@ const maxTenants = 8
 // locEntry is a LOC tag entry: tag, per-word footprint and dirty mask,
 // and the Figure-2 recency instrumentation. tenant records which
 // sharer installed the line (always 0 outside partitioned mode) and
-// follows the line into the WOC to pick its install-way mask.
+// follows the line into the WOC to pick its install-way mask. The tag
+// comes first so the byte-sized fields pack after it: 16 bytes an
+// entry.
 type locEntry struct {
+	tag      uint64
 	valid    bool
 	instr    bool // instruction lines are never distilled (Section 4)
-	tag      uint64
 	fp       mem.Footprint
 	dirty    mem.Footprint
 	maxFPPos uint8
@@ -465,7 +467,7 @@ func (c *Cache) evictLOC(s *set, si int, v locEntry) {
 		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
 		slots = c.cfg.Slots(c.lineFromTag(v.tag, si), v.fp)
 	}
-	c.installWOC(s, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: slots}, v.tenant)
+	c.installWOC(s, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: uint8(slots)}, v.tenant)
 }
 
 // installWOC places a distilled line and accounts for displaced lines.
@@ -705,7 +707,7 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 			c.wocInsert(s, wordstore.Line{
 				Tag:   tag,
 				Words: footprint,
-				Slots: mem.Pow2WordsFor(footprint.Count()),
+				Slots: uint8(mem.Pow2WordsFor(footprint.Count())),
 			}, 0)
 		}
 	}

@@ -2,6 +2,7 @@ package distill
 
 import (
 	"testing"
+	"unsafe"
 
 	"ldis/internal/mem"
 	"ldis/internal/sampler"
@@ -47,6 +48,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{Name: "c", SizeBytes: 1 << 20, Ways: 8, WOCWays: 8},
 		{Name: "d", SizeBytes: 1<<20 + 64, Ways: 8, WOCWays: 2},
 		{Name: "e", SizeBytes: 3 * 8 * 64, Ways: 8, WOCWays: 2},
+		{Name: "f", SizeBytes: 256 * 64, Ways: 256, WOCWays: 65},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -531,5 +533,13 @@ func TestStressInvariants(t *testing.T) {
 	}
 	if st.Hits()+st.Misses() != st.Accesses {
 		t.Errorf("hits %d + misses %d != accesses %d", st.Hits(), st.Misses(), st.Accesses)
+	}
+}
+
+// TestLocEntrySize pins the LOC tag record at 16 bytes, so a field
+// that re-pads it fails here.
+func TestLocEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(locEntry{}); got != 16 {
+		t.Errorf("locEntry is %d bytes, want 16", got)
 	}
 }

@@ -18,10 +18,11 @@ import (
 	"ldis/internal/wordstore"
 )
 
-// SlotsFunc computes how many 8B WOC entries a distilled line occupies.
-// The default is the smallest power of two covering the used-word count;
-// footprint-aware compression (Section 8.2) plugs in a function that
-// compresses the used words first.
+// SlotsFunc computes how many 8B WOC entries a distilled line occupies:
+// a power of two up to mem.WordsPerLine. The default is the smallest
+// power of two covering the used-word count; footprint-aware
+// compression (Section 8.2) plugs in a function that compresses the
+// used words first.
 type SlotsFunc func(line mem.LineAddr, used mem.Footprint) int
 
 // Config describes a distill cache. The paper's default (Section 6.1):
@@ -123,6 +124,9 @@ func (c Config) Validate() error {
 	}
 	if c.WOCWays < 1 || c.WOCWays >= c.Ways {
 		return fmt.Errorf("distill %q: WOCWays %d must be in [1, %d]", c.Name, c.WOCWays, c.Ways-1)
+	}
+	if c.WOCWays > wordstore.MaxWays {
+		return fmt.Errorf("distill %q: WOCWays %d above %d", c.Name, c.WOCWays, wordstore.MaxWays)
 	}
 	sets := c.Sets()
 	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {

@@ -140,11 +140,9 @@ func (s *System) Do(a mem.Access) Class {
 	}
 	if out == l1.LineMiss {
 		// The line is absent (AccessEvict just said so, and freed a way if
-		// the set was full), so the fill can skip the presence scan.
-		if fev, fhad := s.L1D.FillNew(la, valid, word, write); fhad {
-			//ldis:alloc-ok interface dispatch into the L2 organization; every implementation is annotated noalloc
-			s.L2.WritebackFromL1(fev.Line, fev.Footprint, fev.Dirty)
-		}
+		// the set was full), so the fill skips the presence scan and
+		// never evicts (TestFillNewAfterLineMissNeverEvicts).
+		s.L1D.FillNew(la, valid, word, write)
 	} else {
 		// Sector fill: the line is present, so Fill merges valid bits and
 		// never evicts.

@@ -5,25 +5,37 @@ import "ldis/internal/mem"
 // lineSet is an open-addressed hash set of line addresses backing the
 // compulsory-miss bookkeeping. It replaces a map[mem.LineAddr]struct{}
 // on the hot path: one mix + linear probe instead of a runtime map
-// lookup, and zero allocation in steady state (the table doubles only
+// lookup, and zero allocation in steady state (the table grows only
 // when it passes ~70% load).
 //
-// Slots store la+1 so the zero word can mean "empty"; line addresses
-// near the top of the 64-bit space cannot occur (they would overflow
-// the byte address space), so the +1 bias is safe.
+// Lines are grouped into 64-line chunks: a slot holds one chunk's key,
+// la>>6, and a presence mask with bit la&63 per line. Slot keys are
+// biased by +1 so the zero key can mean "empty"; la>>6 is at most
+// 2^58-1, so the bias cannot overflow. A program touches neighbouring
+// lines, so a dense working set needs about one 16-byte slot per 64
+// lines. In the worst case, where no two lines share a chunk (sparse
+// keys, or a 128-shard run whose shard owns one line in 128), each
+// line takes a slot of its own: 16 bytes at the same load, twice what
+// a table of bare 8-byte line keys would spend.
 type lineSet struct {
-	slots []uint64
+	slots []lineChunk
 	used  int
 }
 
-const lineSetInitial = 1 << 10
+// lineChunk is one slot: the biased chunk key and its presence mask.
+type lineChunk struct {
+	key  uint64
+	mask uint64
+}
+
+const lineSetInitial = 1 << 8
 
 func newLineSet() lineSet {
-	return lineSet{slots: make([]uint64, lineSetInitial)}
+	return lineSet{slots: make([]lineChunk, lineSetInitial)}
 }
 
 // lineSetMix is splitmix64's finalizer: it spreads the low-entropy
-// line-address bits across the table.
+// chunk-key bits across the table.
 func lineSetMix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -36,15 +48,19 @@ func lineSetMix(x uint64) uint64 {
 //
 //ldis:noalloc
 func (s *lineSet) testAndSet(la mem.LineAddr) bool {
-	key := uint64(la) + 1
+	chunk := uint64(la) >> 6
+	bit := uint64(1) << (uint64(la) & 63)
 	mask := uint64(len(s.slots) - 1)
-	i := lineSetMix(uint64(la)) & mask
+	i := lineSetMix(chunk) & mask
 	for {
-		switch v := s.slots[i]; v {
-		case key:
-			return true
+		c := &s.slots[i]
+		switch c.key {
+		case chunk + 1:
+			had := c.mask&bit != 0
+			c.mask |= bit
+			return had
 		case 0:
-			s.slots[i] = key
+			c.key, c.mask = chunk+1, bit
 			s.used++
 			if uint64(s.used)*10 > uint64(len(s.slots))*7 {
 				s.grow()
@@ -55,24 +71,24 @@ func (s *lineSet) testAndSet(la mem.LineAddr) bool {
 	}
 }
 
-// grow quadruples the table and rehashes every resident key. The ×4
-// factor keeps the total rehash work under 1.4 moves per resident key
-// (a geometric series), versus 2 for doubling — measurable on the
-// simulation hot path, where the compulsory set grows with the trace's
-// working set.
+// grow quadruples the table and rehashes every resident chunk. The ×4
+// factor keeps the total rehash work under 1.4 moves per resident
+// chunk (a geometric series), versus 2 for doubling — measurable on
+// the simulation hot path, where the compulsory set grows with the
+// trace's working set.
 func (s *lineSet) grow() {
 	old := s.slots
 	//ldis:alloc-ok amortized growth: geometric growth keeps steady-state inserts allocation-free
-	s.slots = make([]uint64, len(old)*4)
+	s.slots = make([]lineChunk, len(old)*4)
 	mask := uint64(len(s.slots) - 1)
-	for _, v := range old {
-		if v == 0 {
+	for _, c := range old {
+		if c.key == 0 {
 			continue
 		}
-		i := lineSetMix(v-1) & mask
-		for s.slots[i] != 0 {
+		i := lineSetMix(c.key-1) & mask
+		for s.slots[i].key != 0 {
 			i = (i + 1) & mask
 		}
-		s.slots[i] = v
+		s.slots[i] = c
 	}
 }

@@ -39,9 +39,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// line is one L1D tag entry. The tag comes first so the byte-sized
+// fields pack after it: 16 bytes a line.
 type line struct {
-	valid     bool
 	tag       uint64
+	valid     bool
 	validBits mem.Footprint // which words hold data (sectored fill)
 	dirty     mem.Footprint // which words have been written
 	footprint mem.Footprint // which words the processor accessed

@@ -2,6 +2,7 @@ package l1
 
 import (
 	"testing"
+	"unsafe"
 
 	"ldis/internal/mem"
 )
@@ -235,5 +236,57 @@ func TestAccessEvict(t *testing.T) {
 	}
 	if !c.Present(b) || !c.Present(d) {
 		t.Error("contents wrong after fill")
+	}
+}
+
+// TestLineRecordSize pins the tag record at 16 bytes, so a field that
+// re-pads it fails here.
+func TestLineRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("line is %d bytes, want 16", got)
+	}
+}
+
+// TestFillNewAfterLineMissNeverEvicts drives random streams through
+// the AccessEvict-then-fill protocol the hierarchy uses and checks that
+// neither the FillNew after a LineMiss nor the Fill after a SectorMiss
+// ever reports an eviction: AccessEvict has already freed a way.
+func TestFillNewAfterLineMissNeverEvicts(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 1 * 1 * mem.LineSize, Ways: 1},
+		{SizeBytes: 2 * 2 * mem.LineSize, Ways: 2},
+		{SizeBytes: 4 * 4 * mem.LineSize, Ways: 4},
+		DefaultConfig(),
+	} {
+		c := New(cfg)
+		pool := uint64(cfg.Sets() * cfg.Ways * 3)
+		rng := uint64(cfg.SizeBytes)
+		next := func(n uint64) uint64 {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return (rng >> 33) % n
+		}
+		early := 0
+		for i := 0; i < 200000; i++ {
+			la, word, write := mem.LineAddr(next(pool)), int(next(mem.WordsPerLine)), next(4) == 0
+			out, _, had := c.AccessEvict(la, word, write)
+			if had {
+				early++
+			}
+			// A partial fill, as from the WOC, leaves sectors to miss on.
+			valid := mem.Footprint(next(256)).Set(word)
+			switch out {
+			case LineMiss:
+				if ev, had := c.FillNew(la, valid, word, write); had {
+					t.Fatalf("%+v access %d: FillNew after LineMiss evicted %+v", cfg, i, ev)
+				}
+			case SectorMiss:
+				if ev, had := c.Fill(la, valid, word, write); had {
+					t.Fatalf("%+v access %d: Fill after SectorMiss evicted %+v", cfg, i, ev)
+				}
+			}
+		}
+		if st := c.Stats(); early == 0 || st.SectorMisses == 0 || st.Hits == 0 || uint64(early) != st.Evictions {
+			t.Errorf("%+v: %d early evictions, stats %+v: the stream missed a case", cfg, early, st)
+		}
 	}
 }

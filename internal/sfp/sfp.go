@@ -60,8 +60,8 @@ func (c Config) Sets() int { return c.SizeBytes / (mem.LineSize * c.Ways) }
 
 // Validate checks structural invariants.
 func (c Config) Validate() error {
-	if c.Ways <= 0 {
-		return fmt.Errorf("sfp %q: ways must be positive", c.Name)
+	if c.Ways <= 0 || c.Ways > wordstore.MaxWays {
+		return fmt.Errorf("sfp %q: ways %d not in [1, %d]", c.Name, c.Ways, wordstore.MaxWays)
 	}
 	sets := c.Sets()
 	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {
@@ -357,7 +357,7 @@ func (c *Cache) install(s *sfpSet, si int, la mem.LineAddr, word int, pc mem.Add
 	nl := wordstore.Line{
 		Tag:   c.tagOf(la),
 		Words: fp,
-		Slots: mem.Pow2WordsFor(fp.Count()),
+		Slots: uint8(mem.Pow2WordsFor(fp.Count())),
 	}
 	if write {
 		nl.Dirty = mem.FootprintOfWord(word)
@@ -368,7 +368,7 @@ func (c *Cache) install(s *sfpSet, si int, la mem.LineAddr, word int, pc mem.Add
 	// holds. This also makes the reverter's full-install fallback
 	// behave like the traditional LRU baseline.
 	for len(s.store.Lines) > 0 &&
-		(!s.store.HasFreeRegion(nl.Slots) || len(s.store.Lines)+1 > c.cfg.TagsPerSet) {
+		(!s.store.HasFreeRegion(int(nl.Slots)) || len(s.store.Lines)+1 > c.cfg.TagsPerSet) {
 		c.evicted(s, si, s.store.RemoveAt(c.lruIndex(s)))
 	}
 	for _, ev := range s.store.Install(nl, c.nextRand(), 0) {

@@ -34,6 +34,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{Name: "d", SizeBytes: 4 * 2 * 64, Ways: 2, PredictorEntries: 0, TagsPerSet: 1},
 		{Name: "e", SizeBytes: 4 * 2 * 64, Ways: 2, PredictorEntries: 3, TagsPerSet: 1},
 		{Name: "f", SizeBytes: 4 * 2 * 64, Ways: 2, PredictorEntries: 4, TagsPerSet: 0},
+		{Name: "g", SizeBytes: 65 * 64, Ways: 65, PredictorEntries: 4, TagsPerSet: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

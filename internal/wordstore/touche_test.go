@@ -132,7 +132,7 @@ func TestToucheStressNeverFalseHit(t *testing.T) {
 		if s.Find(tag) < 0 {
 			tt.PrepareInstall(&s, tag)
 			words := mem.Footprint(1<<next(8)) | 1
-			slots := mem.Pow2WordsFor(words.Count())
+			slots := uint8(mem.Pow2WordsFor(words.Count()))
 			s.Install(Line{Tag: tag, Words: words, Slots: slots}, next(1<<32), 0)
 			if err := tt.CheckInvariants(&s); err != nil {
 				t.Fatalf("after installing %x: %v", tag, err)

@@ -15,20 +15,25 @@ import (
 
 // Line is one resident line: its stored words are packed into Slots
 // consecutive word entries of way Way, starting at the aligned offset
-// Start. The paper's head-bit corresponds to the Start slot.
+// Start. The paper's head-bit corresponds to the Start slot. The
+// 8-byte fields come first so the byte-sized ones pack into one word:
+// 24 bytes a line.
 type Line struct {
-	Tag   uint64
-	Words mem.Footprint // which words of the line are stored
-	Dirty mem.Footprint // which stored words are dirty
-	Way   int
-	Start int
-	Slots int // power-of-two entry count (>= stored payload)
-
+	Tag uint64
 	// LastUse is an optional recency stamp maintained by callers that
 	// use InstallLRU (the paper's footnote 4 compares the WOC's random
 	// replacement against such an LRU variant).
 	LastUse uint64
+	Words   mem.Footprint // which words of the line are stored
+	Dirty   mem.Footprint // which stored words are dirty
+	Way     uint8
+	Start   uint8
+	Slots   uint8 // power-of-two entry count (>= stored payload)
 }
+
+// MaxWays bounds a set's data ways: a way mask is one uint64 and
+// Line.Way one byte.
+const MaxWays = 64
 
 // Set is the word-organized portion of one cache set.
 type Set struct {
@@ -102,8 +107,8 @@ func (s *Set) Find(tag uint64) int {
 // RemoveAt deletes the line at index i and frees its slots.
 func (s *Set) RemoveAt(i int) Line {
 	l := s.Lines[i]
-	s.occ[l.Way] &^= RegionMask(l.Start, l.Slots)
-	s.heads[l.Way] &^= RegionMask(l.Start, 1)
+	s.occ[l.Way] &^= RegionMask(int(l.Start), int(l.Slots))
+	s.heads[l.Way] &^= RegionMask(int(l.Start), 1)
 	s.Lines[i] = s.Lines[len(s.Lines)-1]
 	s.Lines = s.Lines[:len(s.Lines)-1]
 	return l
@@ -210,9 +215,10 @@ func (s *Set) Install(nl Line, rnd, wayMask uint64) []Line {
 	if wayMask == 0 {
 		wayMask = full
 	}
-	nfree, nocc := s.countCandidates(nl.Slots, wayMask)
+	slots := int(nl.Slots)
+	nfree, nocc := s.countCandidates(slots, wayMask)
 	if nfree > 0 {
-		return s.place(nl, s.nthCandidate(nl.Slots, wayMask, true, int(rnd%uint64(nfree))))
+		return s.place(nl, s.nthCandidate(slots, wayMask, true, int(rnd%uint64(nfree))))
 	}
 	if nocc == 0 {
 		// Cannot happen: region (way, 0) of any selected way is always
@@ -220,7 +226,7 @@ func (s *Set) Install(nl Line, rnd, wayMask uint64) []Line {
 		// covering it; defend anyway.
 		panic("wordstore: no replacement candidate")
 	}
-	return s.place(nl, s.nthCandidate(nl.Slots, wayMask, false, int(rnd%uint64(nocc))))
+	return s.place(nl, s.nthCandidate(slots, wayMask, false, int(rnd%uint64(nocc))))
 }
 
 // InstallLRU places nl like Install but, when no region is free, evicts
@@ -231,12 +237,13 @@ func (s *Set) Install(nl Line, rnd, wayMask uint64) []Line {
 //ldis:noalloc
 func (s *Set) InstallLRU(nl Line) []Line {
 	s.checkInstall(nl)
+	slots := int(nl.Slots)
 	var best candidate
 	haveBest := false
 	bestAge := ^uint64(0)
 	for way := range s.occ {
-		for start := 0; start+nl.Slots <= mem.WordsPerLine; start += nl.Slots {
-			free, eligible := s.regionState(way, start, nl.Slots)
+		for start := 0; start+slots <= mem.WordsPerLine; start += slots {
+			free, eligible := s.regionState(way, start, slots)
 			if free {
 				// First free region in enumeration order, as before.
 				return s.place(nl, candidate{way, start})
@@ -248,7 +255,7 @@ func (s *Set) InstallLRU(nl Line) []Line {
 			var youngest uint64
 			for i := range s.Lines {
 				l := &s.Lines[i]
-				if l.Way == way && l.Start >= start && l.Start < start+nl.Slots {
+				if int(l.Way) == way && int(l.Start) >= start && int(l.Start) < start+slots {
 					if l.LastUse > youngest {
 						youngest = l.LastUse
 					}
@@ -265,8 +272,12 @@ func (s *Set) InstallLRU(nl Line) []Line {
 	return s.place(nl, best)
 }
 
+// validSlots reports whether n is a legal slot count: a power of two
+// up to mem.WordsPerLine.
+func validSlots(n uint8) bool { return n != 0 && n <= mem.WordsPerLine && n&(n-1) == 0 }
+
 func (s *Set) checkInstall(nl Line) {
-	if nl.Slots <= 0 || nl.Slots > mem.WordsPerLine || nl.Slots&(nl.Slots-1) != 0 {
+	if !validSlots(nl.Slots) {
 		panic(fmt.Sprintf("wordstore: installing line with %d slots", nl.Slots))
 	}
 	if s.Find(nl.Tag) >= 0 {
@@ -284,10 +295,11 @@ func (s *Set) place(nl Line, c candidate) []Line {
 	// The head bitmap counts the lines starting inside the region, so a
 	// free-region placement skips the eviction walk entirely and an
 	// occupied one stops as soon as every victim is found.
-	if want := (s.heads[c.way] & RegionMask(c.start, nl.Slots)).Count(); want > 0 {
+	slots := int(nl.Slots)
+	if want := (s.heads[c.way] & RegionMask(c.start, slots)).Count(); want > 0 {
 		for i := 0; i < len(s.Lines) && want > 0; {
 			l := s.Lines[i]
-			if l.Way == c.way && l.Start >= c.start && l.Start < c.start+nl.Slots {
+			if int(l.Way) == c.way && int(l.Start) >= c.start && int(l.Start) < c.start+slots {
 				evicted = append(evicted, s.RemoveAt(i))
 				want--
 				continue
@@ -296,11 +308,11 @@ func (s *Set) place(nl Line, c candidate) []Line {
 		}
 	}
 	s.evictBuf = evicted
-	if s.occ[c.way]&RegionMask(c.start, nl.Slots) != 0 {
+	if s.occ[c.way]&RegionMask(c.start, slots) != 0 {
 		panic("wordstore: region still occupied after eviction")
 	}
-	nl.Way, nl.Start = c.way, c.start
-	s.occ[c.way] |= RegionMask(c.start, nl.Slots)
+	nl.Way, nl.Start = uint8(c.way), uint8(c.start)
+	s.occ[c.way] |= RegionMask(c.start, slots)
 	s.heads[c.way] |= RegionMask(c.start, 1)
 	s.Lines = append(s.Lines, nl)
 	return evicted
@@ -329,7 +341,7 @@ func (s *Set) HasFreeRegion(slots int) bool {
 func (s *Set) OccupiedSlots() int {
 	n := 0
 	for _, l := range s.Lines {
-		n += l.Slots
+		n += int(l.Slots)
 	}
 	return n
 }
@@ -340,7 +352,13 @@ func (s *Set) CheckInvariants() error {
 	occ := make([]mem.Footprint, len(s.occ))
 	heads := make([]mem.Footprint, len(s.occ))
 	for _, l := range s.Lines {
-		if l.Slots&(l.Slots-1) != 0 || l.Start%l.Slots != 0 {
+		if int(l.Way) >= len(occ) {
+			return fmt.Errorf("line %x in way %d of %d", l.Tag, l.Way, len(occ))
+		}
+		if !validSlots(l.Slots) {
+			return fmt.Errorf("line %x has %d slots, want a power of two up to %d", l.Tag, l.Slots, mem.WordsPerLine)
+		}
+		if int(l.Start)+int(l.Slots) > mem.WordsPerLine || l.Start%l.Slots != 0 {
 			return fmt.Errorf("line %x misaligned: start %d slots %d", l.Tag, l.Start, l.Slots)
 		}
 		if l.Words == 0 {
@@ -349,12 +367,12 @@ func (s *Set) CheckInvariants() error {
 		if l.Dirty&^l.Words != 0 {
 			return fmt.Errorf("line %x has dirty bits outside stored words", l.Tag)
 		}
-		mask := RegionMask(l.Start, l.Slots)
+		mask := RegionMask(int(l.Start), int(l.Slots))
 		if occ[l.Way]&mask != 0 {
 			return fmt.Errorf("line %x overlaps another line", l.Tag)
 		}
 		occ[l.Way] |= mask
-		heads[l.Way] |= RegionMask(l.Start, 1)
+		heads[l.Way] |= RegionMask(int(l.Start), 1)
 	}
 	for w := range occ {
 		if occ[w] != s.occ[w] {

@@ -1,8 +1,10 @@
 package wordstore
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ldis/internal/mem"
 )
@@ -37,10 +39,10 @@ func TestWOCAlignment(t *testing.T) {
 	s := NewSet(1)
 	// Install descending sizes 4,2,1,1: the random pick always prefers
 	// fully free regions, so nothing is evicted and the way packs full.
-	sizes := []int{4, 2, 1, 1}
+	sizes := []uint8{4, 2, 1, 1}
 	for i, sz := range sizes {
 		words := mem.Footprint(0)
-		for w := 0; w < sz; w++ {
+		for w := 0; w < int(sz); w++ {
 			words = words.Set(w)
 		}
 		ev := s.Install(Line{Tag: uint64(i + 1), Words: words, Slots: sz}, uint64(i*3+1), 0)
@@ -102,7 +104,7 @@ func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 
 func TestWOCInstallPanicsOnBadSlots(t *testing.T) {
 	s := NewSet(1)
-	for _, bad := range []int{0, 3, 5, 9} {
+	for _, bad := range []uint8{0, 3, 5, 9} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -157,7 +159,7 @@ func TestWOCStressInvariants(t *testing.T) {
 			if s.Find(tag) >= 0 {
 				continue
 			}
-			wl := Line{Tag: tag, Words: words, Slots: mem.Pow2WordsFor(words.Count())}
+			wl := Line{Tag: tag, Words: words, Slots: uint8(mem.Pow2WordsFor(words.Count()))}
 			if op.Dirty {
 				wl.Dirty = words
 			}
@@ -168,7 +170,7 @@ func TestWOCStressInvariants(t *testing.T) {
 			}
 			total := 0
 			for _, l := range s.Lines {
-				total += l.Slots
+				total += int(l.Slots)
 			}
 			if total > 16 {
 				t.Logf("capacity exceeded: %d slots", total)
@@ -281,6 +283,38 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsRejectsBadPlacement covers placements the
+// bookkeeping masks cannot show: each row's occupancy and head bitmaps
+// are the ones its line truncates to, so only the slot-count, bounds
+// and way checks can reject it, and none may panic.
+func TestCheckInvariantsRejectsBadPlacement(t *testing.T) {
+	cases := []struct {
+		name        string
+		line        Line
+		occ, heads  mem.Footprint
+		wantInError string
+	}{
+		{"zero slots", Line{Tag: 1, Words: 1, Slots: 0}, 0, 0, "0 slots"},
+		{"16 slots", Line{Tag: 2, Words: 1, Slots: 16}, 0xff, 0x01, "16 slots"},
+		{"32 slots", Line{Tag: 3, Words: 1, Slots: 32}, 0xff, 0x01, "32 slots"},
+		{"start past the way", Line{Tag: 4, Words: 1, Start: 8, Slots: 1}, 0, 0, "misaligned"},
+		{"region past the way", Line{Tag: 5, Words: 1, Start: 8, Slots: 8}, 0, 0, "misaligned"},
+		{"way out of range", Line{Tag: 6, Words: 1, Way: 1, Slots: 1}, 0, 0, "way 1 of 1"},
+		{"way 255", Line{Tag: 7, Words: 1, Way: 255, Slots: 1}, 0, 0, "way 255 of 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSet(1)
+			s.Lines = append(s.Lines, tc.line)
+			s.occ[0], s.heads[0] = tc.occ, tc.heads
+			err := s.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.wantInError) {
+				t.Fatalf("CheckInvariants() = %v, want an error containing %q", err, tc.wantInError)
+			}
+		})
+	}
+}
+
 // installSeq drives the same pseudo-random install sequence into a
 // fresh 4-way set under wayMask and returns the set.
 func installSeq(t *testing.T, wayMask uint64) *Set {
@@ -294,7 +328,7 @@ func installSeq(t *testing.T, wayMask uint64) *Set {
 			continue
 		}
 		words := mem.Footprint(x>>8) | 1
-		s.Install(Line{Tag: tag, Words: words, Slots: mem.Pow2WordsFor(words.Count())}, x>>17, wayMask)
+		s.Install(Line{Tag: tag, Words: words, Slots: uint8(mem.Pow2WordsFor(words.Count()))}, x>>17, wayMask)
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -340,5 +374,13 @@ func TestWOCInstallWayMask(t *testing.T) {
 		if !sameLines(all, installSeq(t, m)) {
 			t.Errorf("mask %#x placed lines differently from the zero mask", m)
 		}
+	}
+}
+
+// TestLineRecordSize pins the resident-line record at 24 bytes, so a
+// field that re-pads it fails here.
+func TestLineRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Errorf("Line is %d bytes, want 24", got)
 	}
 }
