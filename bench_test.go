@@ -9,14 +9,12 @@ import (
 	"fmt"
 	"testing"
 
-	"ldis/internal/cache"
 	"ldis/internal/distill"
 	"ldis/internal/dram"
 	"ldis/internal/exp"
 	"ldis/internal/hierarchy"
 	"ldis/internal/mem"
-	"ldis/internal/prefetch"
-	"ldis/internal/sampler"
+	"ldis/internal/stats"
 	"ldis/internal/trace"
 	"ldis/internal/workload"
 )
@@ -253,24 +251,48 @@ func benchmarkSimThroughput(b *testing.B, mk func() *Sim, benchmark string) {
 	b.ReportMetric(float64(len(accs)*b.N)/b.Elapsed().Seconds(), "accesses/s")
 }
 
-func mustNewSim(opts ...Option) *Sim {
-	s, err := New(opts...)
+func mustNewSim(key, benchmark string) *Sim {
+	s, err := New(key, benchmark, nil)
 	if err != nil {
 		panic(err)
 	}
 	return s
 }
 
+// keyDistillConfig returns the distill configuration of a key's
+// machine for the benchmark, for the ablations of knobs no key names.
+func keyDistillConfig(key, benchmark string) distill.Config {
+	return mustNewSim(key, benchmark).System().L2.(*hierarchy.DistillL2).C.Config()
+}
+
+// benchmarkKeys runs each key's machine over 250k accesses of the
+// benchmark as a sub-benchmark named by its label, reporting MPKI.
+func benchmarkKeys(b *testing.B, benchmark string, labels, keys []string) {
+	prof, err := workload.ByName(benchmark)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, key := range keys {
+		b.Run(labels[i], func(b *testing.B) {
+			var mpki float64
+			for j := 0; j < b.N; j++ {
+				mpki = mustNewSim(key, benchmark).RunStream(benchmark, prof.Stream(), 250_000).MPKI
+			}
+			b.ReportMetric(mpki, "MPKI")
+		})
+	}
+}
+
 func BenchmarkBaselineCache(b *testing.B) {
-	benchmarkSimThroughput(b, func() *Sim { return mustNewSim(WithTraditional(1<<20, 8)) }, "mcf")
+	benchmarkSimThroughput(b, func() *Sim { return mustNewSim("base-1MB", "mcf") }, "mcf")
 }
 
 func BenchmarkDistillCache(b *testing.B) {
-	benchmarkSimThroughput(b, func() *Sim { return mustNewSim(WithDistill(DefaultDistillConfig())) }, "mcf")
+	benchmarkSimThroughput(b, func() *Sim { return mustNewSim("ldis-mt-rc-2", "mcf") }, "mcf")
 }
 
 func BenchmarkSFPCache(b *testing.B) {
-	benchmarkSimThroughput(b, func() *Sim { return mustNewSim(WithSFP(0)) }, "mcf")
+	benchmarkSimThroughput(b, func() *Sim { return mustNewSim("sfp-16k", "mcf") }, "mcf")
 }
 
 // BenchmarkWorkloadGeneration measures the generator alone: the 16
@@ -300,71 +322,19 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 // BenchmarkAblationWOCWays sweeps the LOC/WOC split (the paper fixes 2
 // of 8 ways; Figure 11 also uses 3).
 func BenchmarkAblationWOCWays(b *testing.B) {
-	prof, err := workload.ByName("health")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, woc := range []int{1, 2, 3, 4} {
-		b.Run(map[int]string{1: "woc1", 2: "woc2", 3: "woc3", 4: "woc4"}[woc], func(b *testing.B) {
-			var mpki float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				cfg.WOCWays = woc
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("health", prof.Stream(), 250_000)
-				mpki = res.MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
+	benchmarkKeys(b, "health", []string{"woc1", "woc2", "woc3", "woc4"},
+		[]string{"ldis-mt-rc-1", "ldis-mt-rc-2", "ldis-mt-rc-3", "ldis-mt-rc-4"})
 }
 
 // BenchmarkAblationMedianThreshold compares MT filtering on/off.
 func BenchmarkAblationMedianThreshold(b *testing.B) {
-	prof, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mt := range []bool{false, true} {
-		name := "mt-off"
-		if mt {
-			name = "mt-on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var mpki float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				cfg.MedianThreshold = mt
-				cfg.Reverter = false
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("mcf", prof.Stream(), 250_000)
-				mpki = res.MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
+	benchmarkKeys(b, "mcf", []string{"mt-off", "mt-on"}, []string{"ldis-base-2", "ldis-mt-2"})
 }
 
 // BenchmarkAblationLeaderSets sweeps the reverter's sampling density.
 func BenchmarkAblationLeaderSets(b *testing.B) {
-	prof, err := workload.ByName("swim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, leaders := range []int{8, 32, 128} {
-		b.Run(map[int]string{8: "leaders8", 32: "leaders32", 128: "leaders128"}[leaders], func(b *testing.B) {
-			var mpki float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				sc := samplerConfigFor(cfg, leaders)
-				cfg.SamplerConfig = &sc
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("swim", prof.Stream(), 250_000)
-				mpki = res.MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
+	benchmarkKeys(b, "swim", []string{"leaders8", "leaders32", "leaders128"},
+		[]string{"ldis-mt-rc-2-l8", "ldis-mt-rc-2", "ldis-mt-rc-2-l128"})
 }
 
 // BenchmarkAblationTraceCodec measures trace serialization speed.
@@ -384,16 +354,6 @@ func BenchmarkAblationTraceCodec(b *testing.B) {
 	}
 }
 
-// samplerConfigFor builds a reverter sampler config with the given
-// leader-set count for the default distill geometry.
-func samplerConfigFor(cfg DistillConfig, leaders int) sampler.Config {
-	sc := sampler.DefaultConfig(cfg.Sets())
-	sc.LeaderSets = leaders
-	sc.LowWatermark = 112
-	sc.HighWatermark = 144
-	return sc
-}
-
 // discardCounter is an io.Writer that counts bytes.
 type discardCounter int64
 
@@ -405,79 +365,52 @@ func (d *discardCounter) Write(p []byte) (int, error) {
 // BenchmarkAblationWOCReplacement checks the paper's footnote 4: random
 // WOC replacement performs similarly to a variable-size LRU.
 func BenchmarkAblationWOCReplacement(b *testing.B) {
-	prof, err := workload.ByName("health")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lru := range []bool{false, true} {
-		name := "random"
-		if lru {
-			name = "lru"
-		}
-		b.Run(name, func(b *testing.B) {
-			var mpki float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				cfg.WOCLRU = lru
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("health", prof.Stream(), 250_000)
-				mpki = res.MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
+	benchmarkDistillKnob(b, "health", []distillKnob{
+		{"random", func(*distill.Config) {}},
+		{"lru", func(c *distill.Config) { c.WOCLRU = true }},
+	})
 }
 
 // BenchmarkAblationStaticThreshold sweeps the fixed distillation
 // threshold K against the adaptive median (Section 5.4's discussion of
 // low vs high K).
 func BenchmarkAblationStaticThreshold(b *testing.B) {
-	prof, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := map[string]func(*DistillConfig){
-		"k1":     func(c *DistillConfig) { c.MedianThreshold = false; c.StaticThreshold = 1 },
-		"k2":     func(c *DistillConfig) { c.MedianThreshold = false; c.StaticThreshold = 2 },
-		"k4":     func(c *DistillConfig) { c.MedianThreshold = false; c.StaticThreshold = 4 },
-		"k8":     func(c *DistillConfig) { c.MedianThreshold = false; c.StaticThreshold = 8 },
-		"median": func(c *DistillConfig) { c.MedianThreshold = true },
-	}
-	for _, name := range []string{"k1", "k2", "k4", "k8", "median"} {
-		b.Run(name, func(b *testing.B) {
-			var mpki float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				cfg.Reverter = false
-				cases[name](&cfg)
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("mcf", prof.Stream(), 250_000)
-				mpki = res.MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
+	benchmarkKeys(b, "mcf", []string{"k1", "k2", "k4", "k8", "median"},
+		[]string{"ldis-k1", "ldis-k2", "ldis-k4", "ldis-k8", "ldis-mt-2"})
 }
 
 // BenchmarkAblationFootprintNoise models wrong-path pollution (paper
 // footnote 8): noisy footprints dilute distillation.
 func BenchmarkAblationFootprintNoise(b *testing.B) {
-	prof, err := workload.ByName("health")
+	benchmarkDistillKnob(b, "health", []distillKnob{
+		{"clean", func(*distill.Config) {}},
+		{"noise10", func(c *distill.Config) { c.FootprintNoise = 0.1 }},
+		{"noise50", func(c *distill.Config) { c.FootprintNoise = 0.5 }},
+	})
+}
+
+// distillKnob is one named setting of a distill knob no key names.
+type distillKnob struct {
+	name string
+	set  func(*distill.Config)
+}
+
+// benchmarkDistillKnob runs ldis-mt-rc-2's machine for the benchmark
+// with each knob setting applied, over 250k accesses, reporting MPKI.
+func benchmarkDistillKnob(b *testing.B, benchmark string, knobs []distillKnob) {
+	prof, err := workload.ByName(benchmark)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tt := range []struct {
-		name  string
-		noise float64
-	}{{"clean", 0}, {"noise10", 0.1}, {"noise50", 0.5}} {
-		b.Run(tt.name, func(b *testing.B) {
+	for _, k := range knobs {
+		b.Run(k.name, func(b *testing.B) {
 			var mpki float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				cfg.FootprintNoise = tt.noise
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("health", prof.Stream(), 250_000)
-				mpki = res.MPKI
+				cfg := keyDistillConfig("ldis-mt-rc-2", benchmark)
+				k.set(&cfg)
+				sys, _ := hierarchy.Distill(cfg)
+				sys.Run(prof.Stream(), 250_000)
+				mpki = stats.MPKI(sys.L2.Misses(), sys.Instructions)
 			}
 			b.ReportMetric(mpki, "MPKI")
 		})
@@ -490,67 +423,15 @@ func BenchmarkAblationFootprintNoise(b *testing.B) {
 // full-line victim buffer, isolating how much of LDIS's win comes from
 // *filtering* rather than from the extra associativity.
 func BenchmarkAblationVictimCache(b *testing.B) {
-	prof, err := workload.ByName("health")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, victim := range []bool{false, true} {
-		name := "distill"
-		if victim {
-			name = "victim"
-		}
-		b.Run(name, func(b *testing.B) {
-			var mpki float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultDistillConfig()
-				cfg.MedianThreshold = !victim
-				if victim {
-					cfg.Slots = func(_ mem.LineAddr, _ mem.Footprint) int { return 8 }
-				}
-				sim := mustNewSim(WithDistill(cfg))
-				res := sim.RunStream("health", prof.Stream(), 250_000)
-				mpki = res.MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
+	benchmarkKeys(b, "health", []string{"distill", "victim"}, []string{"ldis-base-2", "victim-2"})
 }
 
 // BenchmarkAblationPrefetchCompose measures next-line prefetching over
 // the baseline and the distill cache (the paper's Section 9 notes the
 // techniques are orthogonal).
 func BenchmarkAblationPrefetchCompose(b *testing.B) {
-	prof, err := workload.ByName("wupwise")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, mk func() hierarchy.L2) {
-		var mpki float64
-		for i := 0; i < b.N; i++ {
-			sys := hierarchy.NewSystem(mk())
-			st := prof.Stream()
-			sys.Run(st, 200_000)
-			mpki = float64(sys.L2.Misses()) / float64(sys.Instructions) * 1000
-		}
-		b.ReportMetric(mpki, "MPKI")
-	}
-	b.Run("baseline", func(b *testing.B) {
-		run(b, func() hierarchy.L2 {
-			return hierarchy.NewTradL2(cache.New(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8}))
-		})
-	})
-	b.Run("baseline-pf2", func(b *testing.B) {
-		run(b, func() hierarchy.L2 {
-			inner := hierarchy.NewTradL2(cache.New(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8}))
-			return prefetch.Wrap(inner, prefetch.Config{Degree: 2})
-		})
-	})
-	b.Run("distill-pf2", func(b *testing.B) {
-		run(b, func() hierarchy.L2 {
-			inner := hierarchy.NewDistillL2(distill.New(DefaultDistillConfig()))
-			return prefetch.Wrap(inner, prefetch.Config{Degree: 2})
-		})
-	})
+	benchmarkKeys(b, "wupwise", []string{"baseline", "baseline-pf2", "distill-pf2"},
+		[]string{"base-1MB", "base-1MB+pf2", "ldis-mt-rc-2+pf2"})
 }
 
 // BenchmarkAblationDRAMRowBuffer contrasts the paper's closed-page

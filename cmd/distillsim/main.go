@@ -1,15 +1,18 @@
 // Command distillsim runs one synthetic benchmark through one cache
-// organization and prints the resulting statistics.
+// organization, named by its configuration key, and prints the
+// resulting statistics.
 //
-//	distillsim -benchmark mcf -cache distill -accesses 2000000
-//	distillsim -benchmark swim -cache baseline
-//	distillsim -benchmark health -cache distill -woc-ways 3 -no-reverter
+//	distillsim -benchmark mcf -cache ldis-mt-rc-2 -accesses 2000000
+//	distillsim -benchmark swim -cache base-1MB
+//	distillsim -benchmark health -cache ldis-mt-2
 //	distillsim -list
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -17,43 +20,44 @@ import (
 	"ldis/internal/mem"
 	"ldis/internal/obs"
 	"ldis/internal/trace"
-	"ldis/internal/workload"
 )
 
-func main() {
-	benchmark := flag.String("benchmark", "mcf", "synthetic benchmark name")
-	traceFile := flag.String("trace", "", "replay a binary trace file (from tracegen) instead of a synthetic benchmark")
-	lenient := flag.Bool("lenient", false, "with -trace: replay the valid prefix of a corrupt trace instead of refusing it")
-	cacheKind := flag.String("cache", "distill", "cache organization: baseline | distill | cmpr | fac | sfp | trad")
-	accesses := flag.Int("accesses", 1_000_000, "number of memory accesses to simulate")
-	sizeMB := flag.Int("size-mb", 1, "cache size in MB (trad only)")
-	ways := flag.Int("ways", 8, "associativity (trad only)")
-	wocWays := flag.Int("woc-ways", 2, "WOC ways (distill/fac)")
-	noMT := flag.Bool("no-mt", false, "disable median-threshold filtering")
-	noReverter := flag.Bool("no-reverter", false, "disable the reverter circuit")
-	ipc := flag.Bool("ipc", false, "also run the execution-driven timing model")
-	metrics := flag.Bool("metrics", false, "attach an observer and print the metric snapshot and span timings after the run")
-	list := flag.Bool("list", false, "list benchmarks and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on its arguments and output streams; it returns
+// the exit status: 2 for bad flags, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("distillsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchmark := fs.String("benchmark", ldis.DefaultBenchmark, "synthetic benchmark name; with -trace, the benchmark the machine is built for")
+	traceFile := fs.String("trace", "", "replay a binary trace file (from tracegen) instead of a synthetic benchmark")
+	lenient := fs.Bool("lenient", false, "with -trace: replay the valid prefix of a corrupt trace instead of refusing it")
+	cacheKey := fs.String("cache", "ldis-mt-rc-2", "cache organization key (see -list)")
+	accesses := fs.Int("accesses", 1_000_000, "number of memory accesses to simulate")
+	ipc := fs.Bool("ipc", false, "also run the execution-driven timing model")
+	metrics := fs.Bool("metrics", false, "attach an observer and print the metric snapshot and span timings after the run")
+	list := fs.Bool("list", false, "list cache organization keys and benchmarks and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "distillsim:", err)
+		return 1
+	}
 
 	if *list {
-		fmt.Println(strings.Join(workload.Names(), "\n"))
-		return
+		fmt.Fprintf(stdout, "caches:\n  %s\nbenchmarks:\n  %s\n",
+			strings.Join(ldis.Keys(), "\n  "), strings.Join(ldis.Benchmarks(), "\n  "))
+		return 0
 	}
 
 	// Collect every configuration problem and report them all at once.
 	var problems []string
 	if *accesses <= 0 {
 		problems = append(problems, fmt.Sprintf("-accesses must be positive, got %d", *accesses))
-	}
-	if *sizeMB <= 0 {
-		problems = append(problems, fmt.Sprintf("-size-mb must be positive, got %d", *sizeMB))
-	}
-	if *ways <= 0 {
-		problems = append(problems, fmt.Sprintf("-ways must be positive, got %d", *ways))
-	}
-	if *wocWays < 0 {
-		problems = append(problems, fmt.Sprintf("-woc-ways must be non-negative, got %d", *wocWays))
 	}
 
 	var reg *ldis.Observer
@@ -62,15 +66,15 @@ func main() {
 		reg = ldis.NewObserver()
 		decodeSpans = obs.NewSpans(nil)
 	}
-	sim, err := buildSim(*cacheKind, *benchmark, *sizeMB, *ways, *wocWays, !*noMT, !*noReverter, reg)
+	sim, err := ldis.New(*cacheKey, *benchmark, reg)
 	if err != nil {
-		problems = append(problems, strings.Split(err.Error(), "\n")...)
+		problems = append(problems, err.Error())
 	}
 	if len(problems) > 0 {
 		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "distillsim:", p)
+			fmt.Fprintln(stderr, "distillsim:", p)
 		}
-		os.Exit(2)
+		return 2
 	}
 
 	var res ldis.Result
@@ -80,49 +84,45 @@ func main() {
 		// replay memory stays flat in the trace length.
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "distillsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
+		defer f.Close()
 		br, err := trace.NewBatchReader(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "distillsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		res = sim.RunStream(*traceFile, &timedStream{br: br, sp: decodeSpans}, *accesses)
-		f.Close()
 		if cerr := br.Err(); cerr != nil {
 			if !*lenient {
-				fmt.Fprintln(os.Stderr, "distillsim:", cerr)
-				os.Exit(1)
+				return fail(cerr)
 			}
-			fmt.Fprintf(os.Stderr, "distillsim: warning: %v; replayed the valid prefix\n", cerr)
+			fmt.Fprintf(stderr, "distillsim: warning: %v; replayed the valid prefix\n", cerr)
 		}
 	} else {
 		res, err = sim.RunWorkload(*benchmark, *accesses)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "distillsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	if ds := sim.DistillStats(); ds != nil {
-		fmt.Printf("distilled=%d threshold-skips=%d woc-evictions=%d mode-switches=%d writebacks=%d\n",
+		fmt.Fprintf(stdout, "distilled=%d threshold-skips=%d woc-evictions=%d mode-switches=%d writebacks=%d\n",
 			ds.Distilled, ds.ThresholdSkips, ds.WOCEvictions, ds.ModeSwitches, ds.Writebacks)
-		fmt.Printf("words used at LOC eviction: %v\n", ds.WordsUsedAtEvict)
+		fmt.Fprintf(stdout, "words used at LOC eviction: %v\n", ds.WordsUsedAtEvict)
 	}
 	if *metrics {
-		printMetrics(reg, decodeSpans)
+		printMetrics(stdout, reg, decodeSpans)
 	}
 
 	if *ipc {
 		base, dist, err := ldis.MeasureIPC(*benchmark, *accesses)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "distillsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("IPC: baseline %.3f (MPKI %.2f)  distill %.3f (MPKI %.2f)  improvement %.1f%%\n",
+		fmt.Fprintf(stdout, "IPC: baseline %.3f (MPKI %.2f)  distill %.3f (MPKI %.2f)  improvement %.1f%%\n",
 			base.IPC, base.MPKI, dist.IPC, dist.MPKI, 100*(dist.IPC-base.IPC)/base.IPC)
 	}
+	return 0
 }
 
 // timedStream adapts the streaming trace decoder to the simulator,
@@ -150,50 +150,19 @@ func (t *timedStream) NextBatch(dst []trace.Record) int {
 
 // printMetrics dumps the observer's registry snapshot and the trace
 // decode span aggregate in a stable, grep-friendly form.
-func printMetrics(reg *ldis.Observer, decode *obs.Spans) {
-	fmt.Println("metrics:")
+func printMetrics(w io.Writer, reg *ldis.Observer, decode *obs.Spans) {
+	fmt.Fprintln(w, "metrics:")
 	for _, m := range reg.Snapshot() {
 		switch m.Kind {
 		case "histogram":
-			fmt.Printf("  %-9s %-28s bounds=%v buckets=%v\n", m.Kind, m.Name, m.Bounds, m.Buckets)
+			fmt.Fprintf(w, "  %-9s %-28s bounds=%v buckets=%v\n", m.Kind, m.Name, m.Bounds, m.Buckets)
 		case "gauge":
-			fmt.Printf("  %-9s %-28s %g\n", m.Kind, m.Name, m.Value)
+			fmt.Fprintf(w, "  %-9s %-28s %g\n", m.Kind, m.Name, m.Value)
 		default:
-			fmt.Printf("  %-9s %-28s %d\n", m.Kind, m.Name, m.Count)
+			fmt.Fprintf(w, "  %-9s %-28s %d\n", m.Kind, m.Name, m.Count)
 		}
 	}
 	for _, s := range decode.Report() {
-		fmt.Printf("  span      %-28s calls=%d timed=%d nanos=%d\n", s.Stage, s.Calls, s.Timed, s.Nanos)
+		fmt.Fprintf(w, "  span      %-28s calls=%d timed=%d nanos=%d\n", s.Stage, s.Calls, s.Timed, s.Nanos)
 	}
-}
-
-func buildSim(kind, benchmark string, sizeMB, ways, wocWays int, mt, reverter bool, reg *ldis.Observer) (*ldis.Sim, error) {
-	var org ldis.Option
-	switch kind {
-	case "baseline":
-		org = ldis.WithTraditional(1<<20, 8)
-	case "trad":
-		org = ldis.WithTraditional(sizeMB<<20, ways)
-	case "distill", "fac":
-		cfg := ldis.DefaultDistillConfig()
-		cfg.WOCWays = wocWays
-		cfg.MedianThreshold = mt
-		cfg.Reverter = reverter
-		if kind == "fac" {
-			org = ldis.WithFAC(cfg, benchmark)
-		} else {
-			org = ldis.WithDistill(cfg)
-		}
-	case "cmpr":
-		org = ldis.WithCompression(benchmark)
-	case "sfp":
-		org = ldis.WithSFP(0)
-	default:
-		return nil, fmt.Errorf("unknown cache kind %q", kind)
-	}
-	opts := []ldis.Option{org}
-	if reg != nil {
-		opts = append(opts, ldis.WithObserver(reg))
-	}
-	return ldis.New(opts...)
 }

@@ -7,10 +7,10 @@ import (
 	"ldis/internal/costmodel"
 )
 
-// ExampleNew shows the one-call path from a named benchmark to a
-// distill-cache result.
+// ExampleNew shows the one-call path from a configuration key and a
+// named benchmark to a distill-cache result.
 func ExampleNew() {
-	sim, err := ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()))
+	sim, err := ldis.New("ldis-mt-rc-2", "health", nil)
 	if err != nil {
 		panic(err)
 	}
@@ -23,13 +23,11 @@ func ExampleNew() {
 	// WOC hits observed: true
 }
 
-// ExampleWithObserver attaches a metrics registry to a simulator and
+// ExampleNew_observer attaches a metrics registry to a simulator and
 // reads the recorded distill counters after the run.
-func ExampleWithObserver() {
+func ExampleNew_observer() {
 	reg := ldis.NewObserver()
-	sim, err := ldis.New(
-		ldis.WithDistill(ldis.DefaultDistillConfig()),
-		ldis.WithObserver(reg))
+	sim, err := ldis.New("ldis-mt-rc-2", "health", reg)
 	if err != nil {
 		panic(err)
 	}

@@ -15,7 +15,7 @@ func main() {
 	const benchmark = "mcf" // pointer data: low word usage AND compressible values
 	const accesses = 1_000_000
 
-	base, err := mustNew(ldis.WithTraditional(1<<20, 8)).RunWorkload(benchmark, accesses)
+	base, err := mustNew("base-1MB", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
@@ -26,11 +26,10 @@ func main() {
 			label, res.MPKI, 100*(base.MPKI-res.MPKI)/base.MPKI)
 	}
 
-	// LDIS alone (2 and 3 WOC ways: the paper's 3x and 4x tag budgets).
-	for _, woc := range []int{2, 3} {
-		cfg := ldis.DefaultDistillConfig()
-		cfg.WOCWays = woc
-		res, err := mustNew(ldis.WithDistill(cfg)).RunWorkload(benchmark, accesses)
+	// LDIS alone, 1 to 4 WOC ways (2 and 3 are the paper's 3x and 4x
+	// tag budgets).
+	for woc := 1; woc <= 4; woc++ {
+		res, err := mustNew(fmt.Sprintf("ldis-mt-rc-%d", woc), benchmark).RunWorkload(benchmark, accesses)
 		if err != nil {
 			panic(err)
 		}
@@ -38,16 +37,14 @@ func main() {
 	}
 
 	// Compression alone (CMPR-4xTags, whole-line compression).
-	res, err := mustNew(ldis.WithCompression(benchmark)).RunWorkload(benchmark, accesses)
+	res, err := mustNew("cmpr-4x", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
 	report("CMPR (compressed traditional, 4x tags)", res)
 
 	// Footprint-aware compression: distill + compress the used words.
-	cfg := ldis.DefaultDistillConfig()
-	cfg.WOCWays = 3
-	res, err = mustNew(ldis.WithFAC(cfg, benchmark)).RunWorkload(benchmark, accesses)
+	res, err = mustNew("fac-3", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
@@ -57,9 +54,9 @@ func main() {
 	fmt.Println("so each WOC way holds several compressed distilled lines.")
 }
 
-// mustNew builds a simulator from a known-good option set.
-func mustNew(opts ...ldis.Option) *ldis.Sim {
-	sim, err := ldis.New(opts...)
+// mustNew builds the keyed organization for the benchmark.
+func mustNew(key, benchmark string) *ldis.Sim {
+	sim, err := ldis.New(key, benchmark, nil)
 	if err != nil {
 		panic(err)
 	}

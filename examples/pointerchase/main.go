@@ -18,16 +18,14 @@ func main() {
 
 	fmt.Printf("benchmark %s: pointer chasing, ~2 of 8 words used per line\n\n", benchmark)
 
-	base, err := mustNew(ldis.WithTraditional(1<<20, 8)).RunWorkload(benchmark, accesses)
+	base, err := mustNew("base-1MB", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("%-28s MPKI %6.2f\n", "traditional 1MB 8-way", base.MPKI)
 
 	for _, woc := range []int{1, 2, 3} {
-		cfg := ldis.DefaultDistillConfig()
-		cfg.WOCWays = woc
-		res, err := mustNew(ldis.WithDistill(cfg)).RunWorkload(benchmark, accesses)
+		res, err := mustNew(fmt.Sprintf("ldis-mt-rc-%d", woc), benchmark).RunWorkload(benchmark, accesses)
 		if err != nil {
 			panic(err)
 		}
@@ -37,20 +35,21 @@ func main() {
 
 	// Against bigger traditional caches (paper Figure 8: for health the
 	// distill cache beats even doubling the capacity).
+	// The paper grows capacity by adding ways at a fixed 2048 sets.
 	for _, mb := range []int{2, 4} {
-		res, err := mustNew(ldis.WithTraditional(mb<<20, 8)).RunWorkload(benchmark, accesses)
+		res, err := mustNew(fmt.Sprintf("trad-%dMB", mb), benchmark).RunWorkload(benchmark, accesses)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-28s MPKI %6.2f  (%.1f%% fewer misses)\n",
-			fmt.Sprintf("traditional %dMB 8-way", mb), res.MPKI,
+			fmt.Sprintf("traditional %dMB %d-way", mb, 8*mb), res.MPKI,
 			100*(base.MPKI-res.MPKI)/base.MPKI)
 	}
 }
 
-// mustNew builds a simulator from a known-good option set.
-func mustNew(opts ...ldis.Option) *ldis.Sim {
-	sim, err := ldis.New(opts...)
+// mustNew builds the keyed organization for the benchmark.
+func mustNew(key, benchmark string) *ldis.Sim {
+	sim, err := ldis.New(key, benchmark, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
-// Quickstart: build the paper's default distill cache (LDIS-MT-RC),
-// run a pointer-chasing benchmark against it and against the 1MB 8-way
-// baseline, and print the four-outcome breakdown of Section 5.2.
+// Quickstart: build the paper's distill cache (LDIS-MT-RC, key
+// ldis-mt-rc-2), run a pointer-chasing benchmark against it and against
+// the 1MB 8-way baseline (base-1MB), and print the four-outcome
+// breakdown of Section 5.2.
 package main
 
 import (
@@ -13,11 +14,11 @@ func main() {
 	const benchmark = "mcf"
 	const accesses = 500_000
 
-	base, err := mustNew(ldis.WithTraditional(1<<20, 8)).RunWorkload(benchmark, accesses)
+	base, err := mustNew("base-1MB", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
-	dist, err := mustNew(ldis.WithDistill(ldis.DefaultDistillConfig())).RunWorkload(benchmark, accesses)
+	dist, err := mustNew("ldis-mt-rc-2", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
@@ -35,9 +36,9 @@ func main() {
 	fmt.Printf("  line-miss %5.1f%%\n", 100*float64(dist.LineMisses)/total)
 }
 
-// mustNew builds a simulator from a known-good option set.
-func mustNew(opts ...ldis.Option) *ldis.Sim {
-	sim, err := ldis.New(opts...)
+// mustNew builds the keyed organization for the benchmark.
+func mustNew(key, benchmark string) *ldis.Sim {
+	sim, err := ldis.New(key, benchmark, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -16,17 +16,14 @@ func main() {
 	const benchmark = "swim"
 	const accesses = 2_000_000
 
-	base, err := mustNew(ldis.WithTraditional(1<<20, 8)).RunWorkload(benchmark, accesses)
+	base, err := mustNew("base-1MB", benchmark).RunWorkload(benchmark, accesses)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("%-34s MPKI %6.2f\n", "traditional 1MB 8-way", base.MPKI)
 
-	run := func(label string, mt, reverter bool) {
-		cfg := ldis.DefaultDistillConfig()
-		cfg.MedianThreshold = mt
-		cfg.Reverter = reverter
-		sim := mustNew(ldis.WithDistill(cfg))
+	run := func(label, key string) {
+		sim := mustNew(key, benchmark)
 		res, err := sim.RunWorkload(benchmark, accesses)
 		if err != nil {
 			panic(err)
@@ -34,23 +31,23 @@ func main() {
 		delta := 100 * (base.MPKI - res.MPKI) / base.MPKI
 		fmt.Printf("%-34s MPKI %6.2f  (%+.1f%%), hole-misses %d\n",
 			label, res.MPKI, delta, res.HoleMisses)
-		if ds := sim.DistillStats(); reverter && ds != nil {
+		if ds := sim.DistillStats(); key == "ldis-mt-rc-2" && ds != nil {
 			fmt.Printf("%-34s mode switches: %d (followers fell back to the traditional organization)\n",
 				"", ds.ModeSwitches)
 		}
 	}
 
-	run("LDIS-Base (eager distillation)", false, false)
-	run("LDIS-MT (median threshold)", true, false)
-	run("LDIS-MT-RC (with reverter)", true, true)
+	run("LDIS-Base (eager distillation)", "ldis-base-2")
+	run("LDIS-MT (median threshold)", "ldis-mt-2")
+	run("LDIS-MT-RC (with reverter)", "ldis-mt-rc-2")
 
 	fmt.Println("\nThe reverter bounds the damage: the paper reports LDIS-MT-RC")
 	fmt.Println("never increases misses by more than 2% on any benchmark.")
 }
 
-// mustNew builds a simulator from a known-good option set.
-func mustNew(opts ...ldis.Option) *ldis.Sim {
-	sim, err := ldis.New(opts...)
+// mustNew builds the keyed organization for the benchmark.
+func mustNew(key, benchmark string) *ldis.Sim {
+	sim, err := ldis.New(key, benchmark, nil)
 	if err != nil {
 		panic(err)
 	}

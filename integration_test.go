@@ -60,7 +60,7 @@ func TestHeadlineWinners(t *testing.T) {
 // TestDeterminism: identical runs produce identical counters.
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
-		res, err := mustNewSim(WithDistill(DefaultDistillConfig())).RunWorkload("twolf", 120_000)
+		res, err := mustNewSim("ldis-mt-rc-2", "twolf").RunWorkload("twolf", 120_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestMPKIOrderingMatchesPaper(t *testing.T) {
 	const n = 500_000
 	mpki := map[string]float64{}
 	for _, name := range []string{"mcf", "health", "art", "twolf", "sixtrack"} {
-		res, err := mustNewSim(WithTraditional(1<<20, 8)).RunWorkload(name, n)
+		res, err := mustNewSim("base-1MB", name).RunWorkload(name, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,17 +131,11 @@ func TestFACComposesWithLDIS(t *testing.T) {
 		t.Skip("long integration test")
 	}
 	const n = 500_000
-	cfg := DefaultDistillConfig()
-	cfg.WOCWays = 3
-	ld, err := mustNewSim(WithDistill(cfg)).RunWorkload("health", n)
+	ld, err := mustNewSim("ldis-mt-rc-3", "health").RunWorkload("health", n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fac, err := New(WithFAC(cfg, "health"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := fac.RunWorkload("health", n)
+	fr, err := mustNewSim("fac-3", "health").RunWorkload("health", n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,19 +151,15 @@ func TestSFPBelowLDIS(t *testing.T) {
 		t.Skip("long integration test")
 	}
 	const n = 500_000
-	base, err := mustNewSim(WithTraditional(1<<20, 8)).RunWorkload("mcf", n)
+	base, err := mustNewSim("base-1MB", "mcf").RunWorkload("mcf", n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sfpSim, err := New(WithSFP(16 << 10))
+	sp, err := mustNewSim("sfp-16k", "mcf").RunWorkload("mcf", n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sfpSim.RunWorkload("mcf", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := mustNewSim(WithDistill(DefaultDistillConfig())).RunWorkload("mcf", n)
+	ld, err := mustNewSim("ldis-mt-rc-2", "mcf").RunWorkload("mcf", n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ldis/internal/cache"
 	"ldis/internal/distill"
 	"ldis/internal/hierarchy"
 	"ldis/internal/mem"
@@ -61,7 +62,7 @@ func run(t *testing.T, sys *hierarchy.System, profName string, n int, cfg Config
 }
 
 func TestIPCBoundedByIssueWidth(t *testing.T) {
-	sys, _ := hierarchy.Baseline("b", 1<<20, 8)
+	sys, _ := hierarchy.Traditional(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8})
 	r := run(t, sys, "twolf", 20000, DefaultConfig())
 	if r.Instructions == 0 || r.Cycles <= 0 {
 		t.Fatalf("degenerate result: %+v", r)
@@ -73,8 +74,8 @@ func TestIPCBoundedByIssueWidth(t *testing.T) {
 
 func TestFewerMissesMeansHigherIPC(t *testing.T) {
 	// The same workload on a 4x cache must not be slower.
-	sysSmall, _ := hierarchy.Baseline("small", 1<<20, 8)
-	sysBig, _ := hierarchy.Baseline("big", 4<<20, 8)
+	sysSmall, _ := hierarchy.Traditional(cache.Config{Name: "small", SizeBytes: 1 << 20, Ways: 8})
+	sysBig, _ := hierarchy.Traditional(cache.Config{Name: "big", SizeBytes: 4 << 20, Ways: 8})
 	rSmall := run(t, sysSmall, "health", 150000, DefaultConfig())
 	rBig := run(t, sysBig, "health", 150000, DefaultConfig())
 	if rBig.IPC() < rSmall.IPC() {
@@ -97,8 +98,8 @@ func TestLowMLPStallsMore(t *testing.T) {
 	parallel := *base
 	parallel.MLP = 8
 
-	sysA, _ := hierarchy.Baseline("a", 1<<20, 8)
-	sysB, _ := hierarchy.Baseline("b", 1<<20, 8)
+	sysA, _ := hierarchy.Traditional(cache.Config{Name: "a", SizeBytes: 1 << 20, Ways: 8})
+	sysB, _ := hierarchy.Traditional(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8})
 	rA := New(DefaultConfig()).Run(sysA, &serial, serial.Stream(), 50000)
 	rB := New(DefaultConfig()).Run(sysB, &parallel, parallel.Stream(), 50000)
 	if rA.MissStall <= rB.MissStall {
@@ -109,8 +110,8 @@ func TestLowMLPStallsMore(t *testing.T) {
 func TestExtraTagCycleCostsIFetchHeavyWorkloads(t *testing.T) {
 	// With identical cache behaviour, the distill timing (extra tag
 	// cycle) must not increase IPC for an icache-intensive profile.
-	sysA, _ := hierarchy.Baseline("a", 1<<20, 8)
-	sysB, _ := hierarchy.Baseline("b", 1<<20, 8)
+	sysA, _ := hierarchy.Traditional(cache.Config{Name: "a", SizeBytes: 1 << 20, Ways: 8})
+	sysB, _ := hierarchy.Traditional(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8})
 	rBase := run(t, sysA, "gcc", 50000, DefaultConfig())
 	rDist := run(t, sysB, "gcc", 50000, DistillConfig())
 	if rDist.IPC() > rBase.IPC() {
@@ -159,7 +160,7 @@ func TestDistillSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysBase, _ := hierarchy.Baseline("base", 1<<20, 8)
+	sysBase, _ := hierarchy.Traditional(cache.Config{Name: "base", SizeBytes: 1 << 20, Ways: 8})
 	dcfg := distill.DefaultConfig()
 	dcfg.Seed = 42
 	sysDist, _ := hierarchy.Distill(dcfg)
@@ -178,7 +179,7 @@ func TestDistillSystemEndToEnd(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	sys, _ := hierarchy.Baseline("b", 1<<20, 8)
+	sys, _ := hierarchy.Traditional(cache.Config{Name: "b", SizeBytes: 1 << 20, Ways: 8})
 	prof, _ := workload.ByName("twolf")
 	r := New(DefaultConfig()).Run(sys, prof, emptyStream{}, 100)
 	if r.Accesses != 0 || r.Cycles != 0 {
@@ -248,7 +249,7 @@ func TestRunAllocatesNothingPerAccess(t *testing.T) {
 	}
 	dcfg := distill.DefaultConfig()
 	dcfg.Seed = prof.Seed
-	sysBase, _ := hierarchy.Baseline("base", 1<<20, 8)
+	sysBase, _ := hierarchy.Traditional(cache.Config{Name: "base", SizeBytes: 1 << 20, Ways: 8})
 	sysDist, _ := hierarchy.Distill(dcfg)
 	for _, c := range []struct {
 		name string

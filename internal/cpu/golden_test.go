@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"ldis/internal/cache"
 	"ldis/internal/distill"
 	"ldis/internal/hierarchy"
 	"ldis/internal/mem"
@@ -71,7 +72,7 @@ func timingDigest(t *testing.T, name string, distillOrg bool, n int) uint64 {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	sys, _ := hierarchy.Baseline("base-1MB", 1<<20, 8)
+	sys, _ := hierarchy.Traditional(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8})
 	if distillOrg {
 		cfg = DistillConfig()
 		dc := distill.Config{

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"ldis/internal/cache"
 	"ldis/internal/compress"
@@ -18,15 +21,17 @@ import (
 )
 
 // Every system configuration the experiments compare is named once, in
-// the configs table below. A cell is (benchmark, config key): the
-// windowed drive of that configuration over the benchmark, yielding one
-// cellRecord. The run's cell store (Options.Checkpoint) simulates each
-// cell at most once, so the baseline, LDIS-MT-RC and the bigger
-// traditional caches that most figures share are simulated once per
-// benchmark and every figure is a key list plus a projection of the
-// records. Drivers other than the windowed one get their own keys: a
-// "@cpu" suffix for the IPC model (fig9), "@snap" for periodic content
-// snapshots (fig10).
+// the configs table below, and the keys are the only names a cache
+// organization has: Build serves the ldis facade, and through it
+// distillsim and ldisd, with the same machines the figures show. A cell
+// is (benchmark, config key): the windowed drive of that configuration
+// over the benchmark, yielding one cellRecord. The run's cell store
+// (Options.Checkpoint) simulates each cell at most once, so the
+// baseline, LDIS-MT-RC and the bigger traditional caches that most
+// figures share are simulated once per benchmark and every figure is a
+// key list plus a projection of the records. Drives other than the
+// windowed one get their own keys: a "@cpu" suffix for the IPC model
+// (fig9), "@snap" for periodic content snapshots (fig10).
 
 // l2Config is one named system configuration: how to build its system
 // for a benchmark, and whether the organization is shard-exact.
@@ -86,8 +91,7 @@ var configs = map[string]l2Config{
 
 	// CMPR-4xTags: compressed traditional cache, perfect LRU.
 	"cmpr-4x": {build: func(prof *workload.Profile, _ Options, _ *obs.Cell) *hierarchy.System {
-		sys, _ := hierarchy.Compressed(compress.DefaultCMPRConfig(), prof.Values())
-		return sys
+		return hierarchy.NewSystem(hierarchy.NewCMPRL2(compress.NewCMPR(compress.DefaultCMPRConfig(), prof.Values())))
 	}},
 	// FAC-4xTags: distill cache with 3 WOC ways + compression.
 	"fac-3": {build: func(prof *workload.Profile, _ Options, co *obs.Cell) *hierarchy.System {
@@ -104,13 +108,42 @@ var configs = map[string]l2Config{
 	"ldis-mt-rc-2+pf2": prefetched(ldis(func(seed uint64) distill.Config { return ldisMTRC(2, seed) })),
 }
 
-// config looks a configuration up by key.
+// Keys lists every configuration key in sorted order: the one
+// vocabulary that names a cache organization, on every entry point.
+func Keys() []string { return slices.Sorted(maps.Keys(configs)) }
+
+// config looks a configuration up by key. An unknown key's error lists
+// the keys.
 func config(key string) (l2Config, error) {
 	c, ok := configs[key]
 	if !ok {
-		return l2Config{}, fmt.Errorf("exp: unknown config key %q", key)
+		return l2Config{}, fmt.Errorf("unknown cache configuration %q (want one of %s)", key, strings.Join(Keys(), ", "))
 	}
 	return c, nil
+}
+
+// CheckKey reports whether key names a configuration: nil, or the
+// error that lists the keys.
+func CheckKey(key string) error {
+	_, err := config(key)
+	return err
+}
+
+// Build builds the named configuration for a benchmark as an ldisexp
+// cell builds it under DefaultOptions: seeded organizations take the
+// benchmark's seed, CMPR and FAC its value model, and the orgs
+// variants the default Options.Orgs knobs. co receives the system's
+// metrics; nil disables them.
+func Build(key, benchmark string, co *obs.Cell) (*hierarchy.System, error) {
+	cfg, err := config(key)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := workload.ByName(benchmark)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.build(prof, DefaultOptions().withKnobDefaults(), co), nil
 }
 
 // tradKey names the traditional cache of the given size in megabytes.
@@ -210,8 +243,7 @@ func sfpConfig(entries int) l2Config {
 		c.PredictorEntries = entries
 		c.Seed = prof.Seed
 		c.SamplerConfig = shortTraceSampler(c.Sets(), 0)
-		sys, _ := hierarchy.SFP(c)
-		return sys
+		return hierarchy.NewSystem(hierarchy.NewSFPL2(sfp.New(c)))
 	}}
 }
 

@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"strings"
+
 	"ldis/internal/cpu"
+	"ldis/internal/hierarchy"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
 	"ldis/internal/workload"
@@ -24,13 +27,10 @@ func Fig9(o Options) ([]Fig9Row, error) {
 		return nil, err
 	}
 	// The IPC model paces accesses itself, so these cells have their
-	// own "@cpu" keys; the distill machine pays the extra tag cycles.
+	// own "@cpu" keys.
 	names, grid, err := runGrid(o, []string{"base-1MB@cpu", "ldis-mt-rc-2@cpu"}, func(prof *workload.Profile, key string, co *obs.Cell) (float64, error) {
-		cfg, model := configs["base-1MB"], cpu.DefaultConfig()
-		if key == "ldis-mt-rc-2@cpu" {
-			cfg, model = configs["ldis-mt-rc-2"], cpu.DistillConfig()
-		}
-		return cpu.New(model).Run(cfg.build(prof, o, co), prof, prof.Stream(), o.Accesses).IPC(), nil
+		r, _ := ipcCell(configs[strings.TrimSuffix(key, "@cpu")], prof, o, co)
+		return r.IPC(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -46,6 +46,37 @@ func Fig9(o Options) ([]Fig9Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// ipcCell runs one Figure 9 cell: the configuration's system for the
+// benchmark under the execution-driven timing model, for o.Accesses
+// accesses. A distill L2 (not wrapped in a prefetcher) pays one extra
+// tag cycle on every L2 access and two extra cycles on WOC hits.
+func ipcCell(cfg l2Config, prof *workload.Profile, o Options, co *obs.Cell) (cpu.Result, *hierarchy.System) {
+	sys := cfg.build(prof, o, co)
+	model := cpu.DefaultConfig()
+	if _, ok := sys.L2.(*hierarchy.DistillL2); ok {
+		model = cpu.DistillConfig()
+	}
+	return cpu.New(model).Run(sys, prof, prof.Stream(), o.Accesses), sys
+}
+
+// IPC runs the named configuration's Figure 9 cell for the benchmark
+// over the given number of accesses, built as Build builds it, and
+// returns the timing result and the system it ran.
+func IPC(key, benchmark string, accesses int) (cpu.Result, *hierarchy.System, error) {
+	cfg, err := config(key)
+	if err != nil {
+		return cpu.Result{}, nil, err
+	}
+	prof, err := workload.ByName(benchmark)
+	if err != nil {
+		return cpu.Result{}, nil, err
+	}
+	o := DefaultOptions().withKnobDefaults()
+	o.Accesses = accesses
+	r, sys := ipcCell(cfg, prof, o, nil)
+	return r, sys, nil
 }
 
 // Fig9GMean returns the geometric mean of the per-benchmark IPC

@@ -4,41 +4,19 @@ import (
 	"ldis/internal/cache"
 	"ldis/internal/compress"
 	"ldis/internal/distill"
-	"ldis/internal/sfp"
 	"ldis/internal/values"
 )
 
-// Traditional builds an L1D + traditional L2 system from a full cache
-// config (the general form of Baseline, used when the caller needs to
-// set more than geometry — e.g. an observability cell).
+// Traditional builds an L1D + traditional L2 system.
 func Traditional(cfg cache.Config) (*System, *cache.Cache) {
 	c := cache.New(cfg)
 	return NewSystem(NewTradL2(c)), c
-}
-
-// Baseline builds an L1D + traditional L2 system of the given data
-// capacity and associativity.
-func Baseline(name string, sizeBytes, ways int) (*System, *cache.Cache) {
-	return Traditional(cache.Config{Name: name, SizeBytes: sizeBytes, Ways: ways})
 }
 
 // Distill builds an L1D + distill-cache system.
 func Distill(cfg distill.Config) (*System, *distill.Cache) {
 	c := distill.New(cfg)
 	return NewSystem(NewDistillL2(c)), c
-}
-
-// Compressed builds an L1D + compressed-traditional-cache system over
-// the given value model.
-func Compressed(cfg compress.CMPRConfig, vals *values.Model) (*System, *compress.CMPR) {
-	c := compress.NewCMPR(cfg, vals)
-	return NewSystem(NewCMPRL2(c)), c
-}
-
-// SFP builds an L1D + spatial-footprint-predictor system.
-func SFP(cfg sfp.Config) (*System, *sfp.Cache) {
-	c := sfp.New(cfg)
-	return NewSystem(NewSFPL2(c)), c
 }
 
 // FAC builds a distill-cache system whose WOC installs use

@@ -5,8 +5,6 @@
 package hierarchy
 
 import (
-	"fmt"
-
 	"ldis/internal/cache"
 	"ldis/internal/compress"
 	"ldis/internal/distill"
@@ -458,11 +456,3 @@ var (
 	_ L2 = (*CMPRL2)(nil)
 	_ L2 = (*SFPL2)(nil)
 )
-
-// Describe returns a one-line summary of a system's state, useful in
-// examples and CLI output.
-func (s *System) Describe() string {
-	return fmt.Sprintf("%d accesses, %d instructions, L2 misses %d (MPKI %.2f)",
-		s.DemandAccesses, s.Instructions, s.L2.Misses(),
-		stats.MPKI(s.L2.Misses(), s.Instructions))
-}

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"testing"
 
+	"ldis/internal/cache"
 	"ldis/internal/distill"
 	"ldis/internal/mem"
 	"ldis/internal/sfp"
@@ -22,7 +23,7 @@ func access(line int, word int, write bool, instret uint32) mem.Access {
 }
 
 func TestL1FiltersRepeatAccesses(t *testing.T) {
-	sys, l2 := Baseline("b", 64*8*mem.LineSize, 8)
+	sys, l2 := Traditional(cache.Config{Name: "b", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
 	// Two accesses to the same line: second is an L1 hit, L2 sees one.
 	if got := sys.Do(access(5, 0, false, 3)); got != L2Miss {
 		t.Fatalf("first access class %v", got)
@@ -39,7 +40,7 @@ func TestL1FiltersRepeatAccesses(t *testing.T) {
 }
 
 func TestFootprintFlowsToL2OnL1Eviction(t *testing.T) {
-	sys, l2 := Baseline("b", 64*8*mem.LineSize, 8)
+	sys, l2 := Traditional(cache.Config{Name: "b", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
 	// Touch two words of line 0 (one L2 access + one L1 hit), then evict
 	// it from the tiny L1D by filling its set (L1D: 128 sets, 2 ways —
 	// lines 0, 128, 256 share L1 set 0).
@@ -102,7 +103,7 @@ func TestSectorMissGoesBackToL2(t *testing.T) {
 }
 
 func TestWindowMeasuresDeltas(t *testing.T) {
-	sys, _ := Baseline("b", 64*8*mem.LineSize, 8)
+	sys, _ := Traditional(cache.Config{Name: "b", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
 	prof, err := workload.ByName("twolf")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestWindowMeasuresDeltas(t *testing.T) {
 }
 
 func TestRunStopsAtStreamEnd(t *testing.T) {
-	sys, _ := Baseline("b", 64*8*mem.LineSize, 8)
+	sys, _ := Traditional(cache.Config{Name: "b", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
 	accs := []mem.Access{access(0, 0, false, 1), access(1, 0, false, 1)}
 	if n := sys.Run(trace.NewSliceStream(accs), 100); n != 2 {
 		t.Errorf("Run did %d accesses, want 2", n)
@@ -142,7 +143,8 @@ func TestClassStrings(t *testing.T) {
 
 func TestCMPRSystem(t *testing.T) {
 	cfg := ccompress.CMPRConfig{Name: "c", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8, TagFactor: 4}
-	sys, cc := Compressed(cfg, values.NewModel(1, values.Mix{Zero: 1}))
+	cc := ccompress.NewCMPR(cfg, values.NewModel(1, values.Mix{Zero: 1}))
+	sys := NewSystem(NewCMPRL2(cc))
 	sys.Do(access(0, 0, false, 1))
 	if got := sys.Do(access(0, 7, false, 1)); got != L1Hit {
 		t.Fatalf("second word class %v (full line in L1)", got)
@@ -190,7 +192,8 @@ func TestSFPSystem(t *testing.T) {
 		Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
 		PredictorEntries: 256, TagsPerSet: 22, Seed: 3,
 	}
-	sys, sc := SFP(cfg)
+	sc := sfp.New(cfg)
+	sys := NewSystem(NewSFPL2(sc))
 	sys.Do(access(0, 0, false, 1))
 	if sc.Stats().LineMisses != 1 {
 		t.Errorf("SFP line misses = %d", sc.Stats().LineMisses)
@@ -220,14 +223,6 @@ func TestFACSystem(t *testing.T) {
 	}
 	if vb := dc.WOCValidBits(0); vb.Count() != 4 {
 		t.Errorf("FAC WOC words = %v", vb)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	sys, _ := Baseline("b", 64*8*mem.LineSize, 8)
-	sys.Do(access(0, 0, false, 5))
-	if s := sys.Describe(); s == "" {
-		t.Error("empty description")
 	}
 }
 
@@ -266,7 +261,7 @@ func TestInstructionFetchPath(t *testing.T) {
 func TestInstructionFetchOtherL2s(t *testing.T) {
 	ia := mem.Access{Addr: mem.LineAddr(7).WordAddr(0), Kind: mem.IFetch, Instret: 1}
 	// Traditional.
-	sysT, _ := Baseline("t", 64*8*mem.LineSize, 8)
+	sysT, _ := Traditional(cache.Config{Name: "t", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
 	if got := sysT.Do(ia); got != L2Miss {
 		t.Errorf("trad cold ifetch = %v", got)
 	}
@@ -274,8 +269,8 @@ func TestInstructionFetchOtherL2s(t *testing.T) {
 		t.Errorf("trad warm ifetch = %v", got)
 	}
 	// CMPR.
-	sysC, _ := Compressed(ccompress.CMPRConfig{Name: "c", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8, TagFactor: 4},
-		values.NewModel(1, values.Mix{Zero: 1}))
+	sysC := NewSystem(NewCMPRL2(ccompress.NewCMPR(ccompress.CMPRConfig{Name: "c", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8, TagFactor: 4},
+		values.NewModel(1, values.Mix{Zero: 1}))))
 	if got := sysC.Do(ia); got != L2Miss {
 		t.Errorf("cmpr cold ifetch = %v", got)
 	}
@@ -283,8 +278,8 @@ func TestInstructionFetchOtherL2s(t *testing.T) {
 		t.Errorf("cmpr warm ifetch = %v", got)
 	}
 	// SFP.
-	sysS, _ := SFP(sfp.Config{Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
-		PredictorEntries: 256, TagsPerSet: 22, Seed: 3})
+	sysS := NewSystem(NewSFPL2(sfp.New(sfp.Config{Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
+		PredictorEntries: 256, TagsPerSet: 22, Seed: 3})))
 	if got := sysS.Do(ia); got != L2Miss {
 		t.Errorf("sfp cold ifetch = %v", got)
 	}
@@ -294,7 +289,7 @@ func TestInstructionFetchOtherL2s(t *testing.T) {
 }
 
 func TestCompulsoryTracking(t *testing.T) {
-	sys, _ := Baseline("b", 64*8*mem.LineSize, 8)
+	sys, _ := Traditional(cache.Config{Name: "b", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
 	sys.Do(access(0, 0, false, 1))   // compulsory
 	sys.Do(access(0, 1, false, 1))   // L1 hit
 	sys.Do(access(128, 0, false, 1)) // compulsory

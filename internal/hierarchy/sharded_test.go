@@ -171,10 +171,9 @@ func TestRunShardedMatchesSequentialCMPR(t *testing.T) {
 	cfg := ccompress.CMPRConfig{Name: "c", SizeBytes: 128 * 1024, Ways: 8, TagFactor: 2}
 	model := func() *values.Model { return values.NewModel(7, values.Mix{Zero: 0.4, Half: 0.3, Full: 0.3}) }
 	build := func(shard int) *System {
-		sys, _ := Compressed(cfg, model())
-		return sys
+		return NewSystem(NewCMPRL2(ccompress.NewCMPR(cfg, model())))
 	}
-	refSys, _ := Compressed(cfg, model())
+	refSys := NewSystem(NewCMPRL2(ccompress.NewCMPR(cfg, model())))
 	refWin, refDone := seqWindowed(refSys, streamFor(t, "art"), 256, warmup, measure)
 
 	run, err := RunSharded(2, 256, warmup, measure, streamFor(t, "art"), build)
@@ -213,9 +212,8 @@ func TestRunShardedRejectsBadParameters(t *testing.T) {
 
 func TestRunShardedRejectsNonShardable(t *testing.T) {
 	build := func(shard int) *System {
-		sys, _ := SFP(sfp.Config{Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
-			PredictorEntries: 256, TagsPerSet: 22, Seed: 3})
-		return sys
+		return NewSystem(NewSFPL2(sfp.New(sfp.Config{Name: "s", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8,
+			PredictorEntries: 256, TagsPerSet: 22, Seed: 3})))
 	}
 	_, err := RunSharded(2, 64, 10, 10, trace.NewSliceStream(nil), build)
 	if err == nil {

@@ -153,7 +153,7 @@ type Cell struct {
 
 // NewCell returns a stand-alone cell recording into reg, for
 // simulators built outside an experiment run (the public ldis facade's
-// WithObserver). A nil reg yields a nil cell, i.e. observability off.
+// New). A nil reg yields a nil cell, i.e. observability off.
 func NewCell(reg *Registry) *Cell {
 	if reg == nil {
 		return nil

@@ -74,7 +74,7 @@ func TestTraceUploadAndReplay(t *testing.T) {
 		t.Fatalf("trace info: status %d, want 200", info.StatusCode)
 	}
 
-	spec := fmt.Sprintf(`{"kind":"tracesim","trace":%q,"cache":"distill","accesses":256}`, up.ID)
+	spec := fmt.Sprintf(`{"kind":"tracesim","trace":%q,"cache":"ldis-mt-rc-2","accesses":256}`, up.ID)
 	jr, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestTraceUploadAndReplay(t *testing.T) {
 		t.Fatalf("tracesim trailer %q (error %q), want done; body:\n%s",
 			got, rr.Trailer.Get("X-Ldisd-Error"), body)
 	}
-	if !bytes.Contains(body, []byte("trace "+up.ID+" via distill")) {
+	if !bytes.Contains(body, []byte("trace "+up.ID+" via ldis-mt-rc-2")) {
 		t.Errorf("result missing replay summary; body:\n%s", body)
 	}
 
@@ -108,7 +108,8 @@ func TestTraceUploadAndReplay(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if mr.StatusCode != http.StatusOK || !bytes.Contains(mbody, []byte(`"tool": "ldisd"`)) {
+	if mr.StatusCode != http.StatusOK || !bytes.Contains(mbody, []byte(`"tool": "ldisd"`)) ||
+		!bytes.Contains(mbody, []byte(`"benchmark": "mcf"`)) {
 		t.Errorf("tracesim manifest: status %d body %s", mr.StatusCode, mbody)
 	}
 }

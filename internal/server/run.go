@@ -132,7 +132,7 @@ func (s *Server) runTraceSim(j *Job) error {
 		return fmt.Errorf("trace %s: %w", j.Spec.Trace, err)
 	}
 	reg := ldis.NewObserver()
-	sim, err := buildTraceSim(j.Spec.Cache, reg)
+	sim, err := ldis.New(j.Spec.Cache, ldis.DefaultBenchmark, reg)
 	if err != nil {
 		return err
 	}
@@ -162,26 +162,12 @@ func (s *Server) runTraceSim(j *Job) error {
 		Experiments: []string{"tracesim"},
 		Params: map[string]string{
 			"job_id": j.ID, "request_id": j.RequestID,
-			"trace": j.Spec.Trace, "cache": j.Spec.Cache,
+			"trace": j.Spec.Trace, "cache": j.Spec.Cache, "benchmark": ldis.DefaultBenchmark,
 			"accesses": fmt.Sprint(n),
 		},
 		Metrics: reg.Snapshot(),
 	}
 	return obs.WriteManifest(filepath.Join(j.dir, obs.ManifestFile), m)
-}
-
-// buildTraceSim maps the spec's cache name onto the public facade.
-func buildTraceSim(kind string, reg *ldis.Observer) (*ldis.Sim, error) {
-	var org ldis.Option
-	switch kind {
-	case "baseline", "trad":
-		org = ldis.WithTraditional(1<<20, 8)
-	case "distill":
-		org = ldis.WithDistill(ldis.DefaultDistillConfig())
-	default:
-		return nil, fmt.Errorf("unknown cache organization %q", kind)
-	}
-	return ldis.New(org, ldis.WithObserver(reg))
 }
 
 // tracePath maps a validated trace id onto its storage path.

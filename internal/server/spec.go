@@ -57,8 +57,10 @@ type Spec struct {
 
 	// Trace is the id of an uploaded trace (kind tracesim).
 	Trace string `json:"trace,omitempty"`
-	// Cache is the organization a tracesim replays through: "baseline",
-	// "trad", or "distill" (default).
+	// Cache is the configuration key of the organization a tracesim
+	// replays through, one of exp.Keys (default "ldis-mt-rc-2"). A
+	// trace has no profile, so the machine is built for
+	// ldis.DefaultBenchmark.
 	Cache string `json:"cache,omitempty"`
 }
 
@@ -176,12 +178,10 @@ func (s *Spec) Validate(cfg *Config) error {
 		} else if !traceIDPattern.MatchString(s.Trace) {
 			bad("trace", "malformed trace id %q", s.Trace)
 		}
-		switch s.Cache {
-		case "":
-			s.Cache = "distill"
-		case "baseline", "trad", "distill":
-		default:
-			bad("cache", "unknown cache organization %q (want baseline, trad, or distill)", s.Cache)
+		if s.Cache == "" {
+			s.Cache = "ldis-mt-rc-2"
+		} else if err := exp.CheckKey(s.Cache); err != nil {
+			bad("cache", "%v", err)
 		}
 		if len(s.Experiments) > 0 {
 			bad("experiments", "only valid with kind exp")

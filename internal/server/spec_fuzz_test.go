@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ldis/internal/exp"
 )
 
 // FuzzDecodeSpec hammers the job-spec decoder — the first thing ldisd
@@ -12,6 +14,8 @@ import (
 //   - DecodeSpec never panics and never returns (nil, nil);
 //   - whatever decodes also survives Validate (the semantic pass must
 //     tolerate any syntactically valid spec);
+//   - a tracesim spec whose cache names no configuration key is
+//     refused on the cache field;
 //   - accepted specs have stable identities: canonical(), ID(), and
 //     workKey() are pure, and a decode → canonical round trip is
 //     deterministic.
@@ -20,7 +24,7 @@ import (
 // testdata/fuzz/FuzzDecodeSpec is committed.
 func FuzzDecodeSpec(f *testing.F) {
 	f.Add(`{"kind":"exp","experiments":["fig6"]}`)
-	f.Add(`{"kind":"tracesim","trace":"t0123456789abcdef","cache":"distill"}`)
+	f.Add(`{"kind":"tracesim","trace":"t0123456789abcdef","cache":"ldis-mt-rc-2"}`)
 	f.Add(`{"kind":"exp","experiments":["fig6","table5"],"accesses":60000,"warmup_frac":0.25,` +
 		`"benchmarks":["mcf"],"keep_going":true,"retries":2,"format":"csv","fault_seed":7}`)
 	f.Add(``)
@@ -47,6 +51,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		// Validate must diagnose, never panic, on any decoded spec; it
 		// normalizes in place, so identity is taken afterwards.
 		vErr := spec.Validate(&cfg)
+		if spec.Kind == "tracesim" && exp.CheckKey(spec.Cache) != nil && !hasFieldError(vErr, "cache") {
+			t.Fatalf("unknown cache %q not refused on the cache field: %v", spec.Cache, vErr)
+		}
 		c1, c2 := spec.canonical(), spec.canonical()
 		if c1 != c2 {
 			t.Fatalf("canonical not deterministic: %q vs %q", c1, c2)
@@ -61,4 +68,19 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("malformed work key %q from valid spec", wk)
 		}
 	})
+}
+
+// hasFieldError reports whether a Validate error lists a problem on the
+// named field.
+func hasFieldError(err error, field string) bool {
+	errs, _ := err.(interface{ Unwrap() []error })
+	if errs == nil {
+		return false
+	}
+	for _, e := range errs.Unwrap() {
+		if se, ok := e.(*SpecError); ok && se.Field == field {
+			return true
+		}
+	}
+	return false
 }

@@ -4,17 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"ldis/internal/hierarchy"
 	"ldis/internal/mem"
 	"ldis/internal/trace"
 )
 
-func TestDefaultDistillConfig(t *testing.T) {
-	cfg := DefaultDistillConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.SizeBytes != 1<<20 || cfg.Ways != 8 || cfg.WOCWays != 2 {
-		t.Errorf("default config geometry: %+v", cfg)
+func TestDefaultKeyIsLDISMTRC(t *testing.T) {
+	sim := mustSim(t, "ldis-mt-rc-2", "mcf")
+	cfg := sim.System().L2.(*hierarchy.DistillL2).C.Config()
+	if cfg.SizeBytes != 1<<20 || cfg.Ways != 8 || cfg.WOCWays != 2 || !cfg.MedianThreshold || !cfg.Reverter {
+		t.Errorf("ldis-mt-rc-2 is not LDIS-MT-RC at 1MB with 6+2 ways: %+v", cfg)
 	}
 }
 
@@ -33,9 +32,9 @@ func TestBenchmarksLists(t *testing.T) {
 	}
 }
 
-func mustSim(t *testing.T, opts ...Option) *Sim {
+func mustSim(t *testing.T, key, benchmark string) *Sim {
 	t.Helper()
-	s, err := New(opts...)
+	s, err := New(key, benchmark, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func mustSim(t *testing.T, opts ...Option) *Sim {
 }
 
 func TestBaselineSimRunWorkload(t *testing.T) {
-	sim := mustSim(t, WithTraditional(1<<20, 8))
+	sim := mustSim(t, "base-1MB", "twolf")
 	res, err := sim.RunWorkload("twolf", 50000)
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +59,16 @@ func TestBaselineSimRunWorkload(t *testing.T) {
 }
 
 func TestRunWorkloadUnknownBenchmark(t *testing.T) {
-	if _, err := mustSim(t, WithTraditional(1<<20, 8)).RunWorkload("nope", 10); err == nil {
+	if _, err := mustSim(t, "base-1MB", "mcf").RunWorkload("nope", 10); err == nil {
 		t.Error("expected error for unknown benchmark")
+	}
+	if _, err := New("base-1MB", "nope", nil); err == nil {
+		t.Error("New: expected error for unknown benchmark")
 	}
 }
 
 func TestDistillSimOutcomes(t *testing.T) {
-	sim := mustSim(t, WithDistill(DefaultDistillConfig()))
+	sim := mustSim(t, "ldis-mt-rc-2", "mcf")
 	res, err := sim.RunWorkload("mcf", 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +86,11 @@ func TestDistillSimOutcomes(t *testing.T) {
 
 func TestDistillBeatsBaselineOnLowSpatialWorkload(t *testing.T) {
 	const n = 400000
-	base, err := mustSim(t, WithTraditional(1<<20, 8)).RunWorkload("health", n)
+	base, err := mustSim(t, "base-1MB", "health").RunWorkload("health", n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := mustSim(t, WithDistill(DefaultDistillConfig())).RunWorkload("health", n)
+	dist, err := mustSim(t, "ldis-mt-rc-2", "health").RunWorkload("health", n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,51 +100,36 @@ func TestDistillBeatsBaselineOnLowSpatialWorkload(t *testing.T) {
 }
 
 func TestTraditionalSimValidation(t *testing.T) {
-	if _, err := New(WithTraditional(100, 3)); err == nil {
-		t.Error("invalid geometry should error")
+	_, err := New("trad", "mcf", nil)
+	if err == nil {
+		t.Fatal("retired name \"trad\" accepted")
 	}
-	sim, err := New(WithTraditional(2<<20, 8))
-	if err != nil {
-		t.Fatal(err)
+	for _, key := range Keys() {
+		if !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown-key error %q does not list %s", err, key)
+		}
 	}
-	if _, err := sim.RunWorkload("art", 10000); err != nil {
+	if _, err := mustSim(t, "trad-2MB", "art").RunWorkload("art", 10000); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCompressedAndFACSims(t *testing.T) {
-	if _, err := New(WithCompression("nope")); err == nil {
-		t.Error("unknown benchmark should error")
-	}
-	cs, err := New(WithCompression("mcf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.RunWorkload("mcf", 20000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(WithFAC(DefaultDistillConfig(), "nope")); err == nil {
-		t.Error("unknown benchmark should error")
-	}
-	fs, err := New(WithFAC(DefaultDistillConfig(), "mcf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.RunWorkload("mcf", 20000); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"cmpr-4x", "fac-3"} {
+		if _, err := New(key, "nope", nil); err == nil {
+			t.Errorf("%s: unknown benchmark should error", key)
+		}
+		if _, err := mustSim(t, key, "mcf").RunWorkload("mcf", 20000); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestSFPSim(t *testing.T) {
-	if _, err := New(WithSFP(3)); err == nil {
-		t.Error("non-power-of-two predictor should error")
-	}
-	sim, err := New(WithSFP(1 << 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.RunWorkload("mcf", 20000); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"sfp-16k", "sfp-64k"} {
+		if _, err := mustSim(t, key, "mcf").RunWorkload("mcf", 20000); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -152,7 +139,7 @@ func TestRunStreamCustomTrace(t *testing.T) {
 		{Addr: 64, Kind: mem.Store, Instret: 10},
 		{Addr: 0, Kind: mem.Load, Instret: 10},
 	}
-	sim := mustSim(t, WithTraditional(1<<20, 8))
+	sim := mustSim(t, "base-1MB", DefaultBenchmark)
 	res := sim.RunStream("custom", trace.NewSliceStream(accs), 0)
 	if res.Accesses != 3 || res.Instructions != 30 {
 		t.Errorf("custom stream result: %+v", res)

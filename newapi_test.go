@@ -4,40 +4,12 @@ import (
 	"testing"
 
 	"ldis"
+	"ldis/internal/hierarchy"
 )
 
-// newBuilders is the full organization matrix expressed through the
-// v1 functional-options API — the five base organizations plus the
-// three related-work modifiers on their host organizations.
-func newBuilders() map[string]func(bench string) (*ldis.Sim, error) {
-	return map[string]func(bench string) (*ldis.Sim, error){
-		"baseline": func(string) (*ldis.Sim, error) { return ldis.New(ldis.WithTraditional(1<<20, 8)) },
-		"distill": func(string) (*ldis.Sim, error) {
-			return ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()))
-		},
-		"cmpr": func(b string) (*ldis.Sim, error) { return ldis.New(ldis.WithCompression(b)) },
-		"fac": func(b string) (*ldis.Sim, error) {
-			return ldis.New(ldis.WithFAC(ldis.DefaultDistillConfig(), b))
-		},
-		"sfp": func(string) (*ldis.Sim, error) { return ldis.New(ldis.WithSFP(0)) },
-		"distill+touche": func(string) (*ldis.Sim, error) {
-			return ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()),
-				ldis.WithToucheTags(ldis.ToucheTagsConfig{}))
-		},
-		"distill+copyback": func(string) (*ldis.Sim, error) {
-			return ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()),
-				ldis.WithCleanCopyBack(ldis.CopyBackConfig{}))
-		},
-		"trad+waymemo": func(string) (*ldis.Sim, error) {
-			return ldis.New(ldis.WithTraditional(1<<20, 8),
-				ldis.WithWayMemo(ldis.WayMemoConfig{}))
-		},
-	}
-}
-
 // TestMatrixAllBenchmarksAllOrganizations is the breadth smoke test:
-// every registered benchmark runs on every cache organization the v1
-// API can build, without panicking, with sane accounting (hits+misses
+// every registered benchmark runs on every cache organization key,
+// without panicking, with sane accounting (hits+misses
 // == L2 accesses, MPKI finite) and, for distill caches, intact
 // structural invariants.
 func TestMatrixAllBenchmarksAllOrganizations(t *testing.T) {
@@ -46,8 +18,8 @@ func TestMatrixAllBenchmarksAllOrganizations(t *testing.T) {
 	}
 	const n = 25_000
 	for _, bench := range ldis.Benchmarks() {
-		for kind, build := range newBuilders() {
-			sim, err := build(bench)
+		for _, kind := range ldis.Keys() {
+			sim, err := ldis.New(kind, bench, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bench, kind, err)
 			}
@@ -71,105 +43,24 @@ func TestMatrixAllBenchmarksAllOrganizations(t *testing.T) {
 				if ds.Hits()+ds.Misses() != ds.Accesses {
 					t.Errorf("%s/%s: distill accounting broken: %+v", bench, kind, ds)
 				}
+				if err := sim.System().L2.(*hierarchy.DistillL2).C.CheckInvariants(); err != nil {
+					t.Errorf("%s/%s: %v", bench, kind, err)
+				}
 			}
 		}
 	}
 }
 
-// TestNewRejectsBadOptionSets pins the misuse diagnostics: no
-// organization, more than one, and modifiers on the wrong host.
-func TestNewRejectsBadOptionSets(t *testing.T) {
-	if _, err := ldis.New(); err == nil {
-		t.Error("New() without an organization option succeeded")
-	}
-	if _, err := ldis.New(ldis.WithObserver(ldis.NewObserver())); err == nil {
-		t.Error("New(WithObserver) alone succeeded")
-	}
-	_, err := ldis.New(ldis.WithTraditional(1<<20, 8), ldis.WithSFP(0))
-	if err == nil {
-		t.Fatal("conflicting organization options accepted")
-	}
-	for _, want := range []string{"WithTraditional", "WithSFP"} {
-		if !containsStr(err.Error(), want) {
-			t.Errorf("conflict error %q does not name %s", err, want)
-		}
-	}
-}
-
-// TestNewRejectsIncompatibleModifiers pins the modifier/host matrix:
-// Touché and copy-back require a distill-family organization, the way
-// memo a traditional one, and the valid pairings build.
-func TestNewRejectsIncompatibleModifiers(t *testing.T) {
-	bad := []struct {
-		name string
-		opts []ldis.Option
-		want string
-	}{
-		{"touche-on-traditional",
-			[]ldis.Option{ldis.WithTraditional(1<<20, 8), ldis.WithToucheTags(ldis.ToucheTagsConfig{})},
-			"WithToucheTags"},
-		{"copyback-on-sfp",
-			[]ldis.Option{ldis.WithSFP(0), ldis.WithCleanCopyBack(ldis.CopyBackConfig{})},
-			"WithCleanCopyBack"},
-		{"waymemo-on-distill",
-			[]ldis.Option{ldis.WithDistill(ldis.DefaultDistillConfig()), ldis.WithWayMemo(ldis.WayMemoConfig{})},
-			"WithWayMemo"},
-		{"waymemo-on-compression",
-			[]ldis.Option{ldis.WithCompression("mcf"), ldis.WithWayMemo(ldis.WayMemoConfig{})},
-			"WithWayMemo"},
-	}
-	for _, tc := range bad {
-		_, err := ldis.New(tc.opts...)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !containsStr(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
-		}
-	}
-	good := [][]ldis.Option{
-		{ldis.WithDistill(ldis.DefaultDistillConfig()),
-			ldis.WithToucheTags(ldis.ToucheTagsConfig{}),
-			ldis.WithCleanCopyBack(ldis.CopyBackConfig{})},
-		{ldis.WithFAC(ldis.DefaultDistillConfig(), "mcf"),
-			ldis.WithToucheTags(ldis.ToucheTagsConfig{})},
-		{ldis.WithTraditional(1<<20, 8), ldis.WithWayMemo(ldis.WayMemoConfig{EntriesPerSet: 8})},
-		{ldis.WithTraditional(1<<20, 8), ldis.WithTouchéTags(ldis.ToucheTagsConfig{})},
-	}
-	// The last combination is invalid by host; it documents that the
-	// accented alias routes through the same check.
-	for i, opts := range good[:3] {
-		if _, err := ldis.New(opts...); err != nil {
-			t.Errorf("valid combination %d rejected: %v", i, err)
-		}
-	}
-	if _, err := ldis.New(good[3]...); err == nil {
-		t.Error("accented alias bypassed the host check")
-	}
-	// Invalid modifier configs surface through Validate.
-	_, err := ldis.New(ldis.WithTraditional(1<<20, 8),
-		ldis.WithWayMemo(ldis.WayMemoConfig{EntriesPerSet: 3}))
-	if err == nil {
-		t.Error("non-power-of-two memo geometry accepted")
-	}
-	_, err = ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()),
-		ldis.WithToucheTags(ldis.ToucheTagsConfig{SuperblockLines: 3}))
-	if err == nil {
-		t.Error("non-power-of-two superblock accepted")
-	}
-}
-
-// TestWithObserverRecordsMetrics: a distill run with an observer must
+// TestObserverRecordsMetrics: a distill run with an observer must
 // populate the instrumented counters, and the same run without one
 // must behave identically (the zero-overhead contract, result half).
-func TestWithObserverRecordsMetrics(t *testing.T) {
+func TestObserverRecordsMetrics(t *testing.T) {
 	reg := ldis.NewObserver()
-	obsSim, err := ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()), ldis.WithObserver(reg))
+	obsSim, err := ldis.New("ldis-mt-rc-2", "mcf", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainSim, err := ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()))
+	plainSim, err := ldis.New("ldis-mt-rc-2", "mcf", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,66 +88,47 @@ func TestWithObserverRecordsMetrics(t *testing.T) {
 	}
 }
 
-// TestModifierSimsRunAndCount: each modifier must leave its
+// TestModifierSimsRunAndCount: each related-work variant must leave its
 // fingerprints in the counters an Observer collects — Touché lookups
 // happen, copy-backs occur on a reuse-heavy benchmark, the way memo
-// skips probes — while keeping results well-formed.
+// hits — while keeping results well-formed.
 func TestModifierSimsRunAndCount(t *testing.T) {
-	reg := ldis.NewObserver()
-	sim, err := ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()),
-		ldis.WithCleanCopyBack(ldis.CopyBackConfig{}),
-		ldis.WithObserver(reg))
-	if err != nil {
-		t.Fatal(err)
+	run := func(key string) (*ldis.Sim, map[string]uint64) {
+		t.Helper()
+		reg := ldis.NewObserver()
+		sim, err := ldis.New(key, "mcf", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.RunWorkload("mcf", 200_000); err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]uint64{}
+		for _, m := range reg.Snapshot() {
+			counts[m.Name] = m.Count
+		}
+		return sim, counts
 	}
-	if _, err := sim.RunWorkload("mcf", 200_000); err != nil {
-		t.Fatal(err)
-	}
+
+	sim, _ := run("copyback")
 	ds := sim.DistillStats()
 	if ds == nil {
-		t.Fatal("no distill stats from a distill sim")
+		t.Fatal("no distill stats from the copyback sim")
 	}
 	if ds.CopyBacks+ds.CopyBackFar+ds.CopyBackCold == 0 {
 		t.Error("copy-back predictor never consulted on mcf")
 	}
 
-	sim, err = ldis.New(ldis.WithDistill(ldis.DefaultDistillConfig()),
-		ldis.WithToucheTags(ldis.ToucheTagsConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.RunWorkload("mcf", 200_000); err != nil {
-		t.Fatal(err)
-	}
-	if ds := sim.DistillStats(); ds.Touche.Lookups == 0 {
+	sim, _ = run("touche")
+	if ds := sim.DistillStats(); ds == nil || ds.Touche.Lookups == 0 {
 		t.Error("Touché tags never consulted on mcf")
 	}
 
-	memoReg := ldis.NewObserver()
-	sim, err = ldis.New(ldis.WithTraditional(1<<20, 8),
-		ldis.WithWayMemo(ldis.WayMemoConfig{}), ldis.WithObserver(memoReg))
-	if err != nil {
-		t.Fatal(err)
+	sim, counts := run("waymemo")
+	if sim.DistillStats() != nil {
+		t.Error("waymemo sim reports distill stats")
 	}
-	if _, err := sim.RunWorkload("mcf", 200_000); err != nil {
-		t.Fatal(err)
-	}
-	hits := uint64(0)
-	for _, m := range memoReg.Snapshot() {
-		if m.Name == "cache_waymemo_hits" {
-			hits = m.Count
-		}
-	}
-	if hits == 0 {
+	if counts["cache_waymemo_hits"] == 0 {
 		t.Error("way memo never hit on mcf")
 	}
-}
-
-func containsStr(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }
