@@ -58,8 +58,9 @@
 # UCP must not lose to the static equal split on any bundled scenario,
 # the online-SHARDS allocator must agree with exact Mattson within one
 # way on >=90% of epochs, the word-grain policy must change at least
-# one allocation, and a short ldisexp partition run must succeed (see
-# DESIGN.md §13).
+# one allocation, the way-quota rule's unit tests (cache.Quotas and
+# both caches that enforce it) must pass, and a short ldisexp
+# partition run must succeed (see DESIGN.md §13).
 
 GO ?= go
 
@@ -212,6 +213,8 @@ partition-smoke:
 	$(GO) test -run 'TestPartitionUCPBeatsStatic|TestPartitionShardsAgreesWithExact|TestPartitionLDISAwareDiffers' \
 		-count=1 ./internal/exp
 	$(GO) test -count=1 ./internal/partition
+	$(GO) test -run 'TestQuotas|TestPartitionQuotaVictim|TestSetPartitionRefusals' \
+		-count=1 ./internal/cache ./internal/distill
 	$(GO) run ./cmd/ldisexp -accesses 60000 -partition tenants=twolf+mcf,epoch=6000 partition > /dev/null
 	@echo "partition-smoke: gates passed"
 

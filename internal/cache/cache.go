@@ -36,18 +36,11 @@ type Config struct {
 // Sets returns the number of sets implied by the config.
 func (c Config) Sets() int { return c.SizeBytes / (mem.LineSize * c.Ways) }
 
-// Validate checks structural invariants: power-of-two set count, at
-// least one way.
+// Validate checks structural invariants: the set geometry
+// (mem.NewGeometry) and the way-memo parameters.
 func (c Config) Validate() error {
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %q: ways must be positive, got %d", c.Name, c.Ways)
-	}
-	sets := c.Sets()
-	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {
-		return fmt.Errorf("cache %q: size %dB not divisible into %d ways of 64B lines", c.Name, c.SizeBytes, c.Ways)
-	}
-	if sets&(sets-1) != 0 {
-		return fmt.Errorf("cache %q: set count %d not a power of two", c.Name, sets)
+	if _, err := mem.NewGeometry(c.SizeBytes, c.Ways); err != nil {
+		return fmt.Errorf("cache %q: %w", c.Name, err)
 	}
 	if c.WayMemo != nil {
 		if err := c.WayMemo.Validate(); err != nil {
@@ -56,11 +49,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// MaxPartitionTenants bounds the tenants a partitioned cache can
-// distinguish; way-quota bookkeeping fits fixed stack arrays at this
-// size, keeping the enforcement path allocation-free.
-const MaxPartitionTenants = 8
 
 // Line is one tag entry. MaxFPPos tracks the maximum recency position
 // the line occupied at any access that changed its footprint — the
@@ -112,20 +100,13 @@ func (s *Stats) HitRate() float64 {
 // Cache is a set-associative LRU cache over 64B lines.
 type Cache struct {
 	cfg  Config
+	geom mem.Geometry
 	sets [][]Line // sets[i] ordered MRU-first
 	st   Stats
 
-	// Set-indexing geometry, precomputed at construction so the access
-	// path does not rederive it (Config.Sets divides; LineAddr.Tag
-	// shift-loops) on every access.
-	setMask  uint64
-	tagShift uint
-
-	// Per-tenant way quotas (nil when unpartitioned). Installed by
-	// SetPartition and consulted only on the AccessInstallTenant miss
-	// path: hits are never restricted, matching way-partitioned
-	// hardware, where partitioning constrains replacement, not lookup.
-	quota []int32
+	// Per-tenant way quotas, installed by SetPartition and consulted
+	// only on the AccessInstallTenant miss path.
+	quota Quotas
 
 	// Way-memoization state (Config.WayMemo; nil when disabled): one
 	// tag arena of EntriesPerSet slots per set, plus a per-set validity
@@ -149,15 +130,13 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.Sets()
+	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
+	numSets := geom.Sets()
 	sets := make([][]Line, numSets)
 	for i := range sets {
 		sets[i] = make([]Line, cfg.Ways)
 	}
-	c := &Cache{cfg: cfg, sets: sets, setMask: uint64(numSets - 1)}
-	for n := numSets; n > 1; n >>= 1 {
-		c.tagShift++
-	}
+	c := &Cache{cfg: cfg, geom: geom, sets: sets}
 	// Histograms are allocated eagerly so the access path never tests
 	// for them.
 	c.st.WordsUsedAtEvict = stats.NewHistogram(cfg.Name+" words used", mem.WordsPerLine+1)
@@ -179,11 +158,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// setIndexOf and tagOf are the precomputed equivalents of
-// mem.LineAddr.SetIndex/Tag for this cache's geometry.
-func (c *Cache) setIndexOf(line mem.LineAddr) int { return int(uint64(line) & c.setMask) }
-func (c *Cache) tagOf(line mem.LineAddr) uint64   { return uint64(line) >> c.tagShift }
-
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -193,8 +167,8 @@ func (c *Cache) Stats() *Stats { return &c.st }
 // Lookup reports whether the line is present without touching LRU state
 // or stats (used by auxiliary structures and tests).
 func (c *Cache) Lookup(line mem.LineAddr) bool {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
+	set := c.sets[c.geom.SetIndex(line)]
+	tag := c.geom.Tag(line)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
 			return true
@@ -210,36 +184,15 @@ func (c *Cache) promote(set []Line, pos int, l Line) {
 	set[0] = l
 }
 
-// SetPartition installs per-tenant way quotas for AccessInstallTenant.
-// quota[t] is the number of ways tenant t may occupy per set; the sum
-// must not exceed the associativity. A nil or empty quota disables
-// partitioning. Quotas may change at any time (the epoch re-balancer
-// does): lines installed under the old allocation drain out through
-// the over-quota victim rule rather than being flushed.
+// SetPartition installs per-tenant way quotas for AccessInstallTenant
+// (see Quotas.Set); it panics on quotas Set refuses. A nil or empty
+// quota disables partitioning. Quotas may change at any time (the
+// epoch re-balancer does): lines installed under the old allocation
+// drain out through the over-quota victim rule rather than being
+// flushed.
 func (c *Cache) SetPartition(quota []int) {
-	if len(quota) == 0 {
-		c.quota = nil
-		return
-	}
-	if len(quota) > MaxPartitionTenants {
-		panic(fmt.Sprintf("cache %q: %d tenants exceed MaxPartitionTenants", c.cfg.Name, len(quota)))
-	}
-	sum := 0
-	for t, q := range quota {
-		if q < 0 {
-			panic(fmt.Sprintf("cache %q: negative quota %d for tenant %d", c.cfg.Name, q, t))
-		}
-		sum += q
-	}
-	if sum > c.cfg.Ways {
-		panic(fmt.Sprintf("cache %q: quota sum %d exceeds %d ways", c.cfg.Name, sum, c.cfg.Ways))
-	}
-	if c.quota == nil {
-		c.quota = make([]int32, 0, MaxPartitionTenants)
-	}
-	c.quota = c.quota[:0]
-	for _, q := range quota {
-		c.quota = append(c.quota, int32(q))
+	if err := c.quota.Set(quota, c.cfg.Ways); err != nil {
+		panic(fmt.Sprintf("cache %q: %v", c.cfg.Name, err))
 	}
 }
 
@@ -247,20 +200,19 @@ func (c *Cache) SetPartition(quota []int) {
 // on behalf of tenant (0 when unpartitioned), filling the line on a
 // miss. A hit moves the line to MRU and updates its footprint; any
 // tenant hits any resident line. A miss installs the line as MRU with
-// the demand word's footprint bit set, in the way chosen by the LRU
-// rule — under the quotas installed by SetPartition, a tenant at or
-// over its quota evicts its own LRU-most line and a tenant under it
-// evicts the LRU-most line of an over-quota tenant. The victim's
-// eviction and writeback are counted here; one set scan serves both
-// the lookup and the install. Returns whether the access hit.
+// the demand word's footprint bit set, in the LRU way or, under the
+// quotas installed by SetPartition, the way Quotas.Victim picks. The
+// victim's eviction and writeback are counted here; one set scan
+// serves both the lookup and the install. Returns whether the access
+// hit.
 //
 //ldis:noalloc
 func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, tenant int) bool {
 	st := &c.st
 	st.Accesses++
-	si := c.setIndexOf(line)
+	si := c.geom.SetIndex(line)
 	set := c.sets[si]
-	tag := c.tagOf(line)
+	tag := c.geom.Tag(line)
 	c.memoLookup(si, tag)
 	// MRU fast path: a hit on way 0 needs no promotion (and cannot raise
 	// MaxFPPos), so it updates the line in place. Hits never transfer
@@ -295,8 +247,12 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 	}
 	st.Misses++
 	victimPos := len(set) - 1
-	if c.quota != nil {
-		victimPos = c.partitionVictim(set, tenant)
+	if c.quota.Active() {
+		var owners Owners
+		for pos := range set {
+			owners.Add(pos, set[pos].Valid, set[pos].Tenant)
+		}
+		victimPos = c.quota.Victim(&owners, tenant)
 	}
 	if v := set[victimPos]; v.Valid {
 		st.Evictions++
@@ -320,50 +276,6 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 	return false
 }
 
-// partitionVictim picks the way to replace for a missing tenant under
-// the installed quotas. Invalid ways fill first; then the quota rule
-// above. The global-LRU fallbacks are unreachable when quotas sum to
-// the associativity and every tenant's quota is at least one, but a
-// transient quota shrink can leave every other tenant exactly at its
-// new quota — falling back to global LRU keeps the install total even
-// then.
-//
-//ldis:noalloc
-func (c *Cache) partitionVictim(set []Line, tenant int) int {
-	var occ [MaxPartitionTenants]int32
-	invalid := -1
-	for pos := range set {
-		if !set[pos].Valid {
-			invalid = pos
-			continue
-		}
-		occ[set[pos].Tenant]++
-	}
-	if invalid >= 0 {
-		return invalid
-	}
-	if tenant < len(c.quota) && occ[tenant] >= c.quota[tenant] {
-		for pos := len(set) - 1; pos >= 0; pos-- {
-			if int(set[pos].Tenant) == tenant {
-				return pos
-			}
-		}
-		return len(set) - 1 // quota 0 and no resident line: take global LRU
-	}
-	for pos := len(set) - 1; pos >= 0; pos-- {
-		t := set[pos].Tenant
-		if int(t) >= len(c.quota) || occ[t] > c.quota[t] {
-			return pos
-		}
-	}
-	return len(set) - 1
-}
-
-// lineFromTag reconstructs a line address from a tag and set index.
-func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
-	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
-}
-
 // MergeWriteback applies an L1D eviction notice to the resident copy, if
 // any: fp is ORed into the line's footprint (so the baseline's Figure 1
 // and 2 statistics see the full word-usage information; if new bits
@@ -372,8 +284,8 @@ func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 //
 //ldis:noalloc
 func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
+	set := c.sets[c.geom.SetIndex(line)]
+	tag := c.geom.Tag(line)
 	for pos := range set {
 		if set[pos].Valid && set[pos].Tag == tag {
 			e := &set[pos]
@@ -398,7 +310,7 @@ func (c *Cache) VisitLines(fn func(line mem.LineAddr, fp mem.Footprint)) {
 	for si, set := range c.sets {
 		for _, l := range set {
 			if l.Valid {
-				fn(c.lineFromTag(l.Tag, si), l.Footprint)
+				fn(c.geom.Line(l.Tag, si), l.Footprint)
 			}
 		}
 	}
@@ -408,8 +320,8 @@ func (c *Cache) VisitLines(fn func(line mem.LineAddr, fp mem.Footprint)) {
 // or -1 if absent; exposed for tests and the distill cache's auxiliary
 // structures.
 func (c *Cache) RecencyPosition(line mem.LineAddr) int {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
+	set := c.sets[c.geom.SetIndex(line)]
+	tag := c.geom.Tag(line)
 	for pos := range set {
 		if set[pos].Valid && set[pos].Tag == tag {
 			return pos

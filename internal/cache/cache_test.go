@@ -277,11 +277,12 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 	f := func(seq []uint16) bool {
 		const sets, ways = 4, 2
 		c := New(Config{Name: "ref", SizeBytes: sets * ways * mem.LineSize, Ways: ways})
+		geom, _ := mem.NewGeometry(sets*ways*mem.LineSize, ways)
 		// Reference: per set, slice of lines MRU-first.
 		ref := make([][]mem.LineAddr, sets)
 		for _, raw := range seq {
 			line := mem.LineAddr(raw % 64)
-			si := line.SetIndex(sets)
+			si := geom.SetIndex(line)
 			// reference access
 			found := -1
 			for i, l := range ref[si] {

@@ -112,7 +112,7 @@ func (c *Cache) CheckMemoInvariants() error {
 			if c.memoSlot(tag) != slot {
 				return fmt.Errorf("cache %q: set %d memo slot %d holds tag %x hashing elsewhere", c.cfg.Name, si, slot, tag)
 			}
-			if !c.Lookup(c.lineFromTag(tag, si)) {
+			if !c.Lookup(c.geom.Line(tag, si)) {
 				return fmt.Errorf("cache %q: set %d memo slot %d names absent tag %x", c.cfg.Name, si, slot, tag)
 			}
 		}

@@ -40,12 +40,8 @@ func (c CMPRConfig) Validate() error {
 	if c.Ways <= 0 || c.TagFactor <= 0 {
 		return fmt.Errorf("cmpr %q: ways %d and tag factor %d must be positive", c.Name, c.Ways, c.TagFactor)
 	}
-	sets := c.Sets()
-	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {
-		return fmt.Errorf("cmpr %q: size %dB not divisible into %d ways of 64B lines", c.Name, c.SizeBytes, c.Ways)
-	}
-	if sets&(sets-1) != 0 {
-		return fmt.Errorf("cmpr %q: set count %d not a power of two", c.Name, sets)
+	if _, err := mem.NewGeometry(c.SizeBytes, c.Ways); err != nil {
+		return fmt.Errorf("cmpr %q: %w", c.Name, err)
 	}
 	return nil
 }
@@ -82,14 +78,10 @@ func (s *CMPRStats) HitRate() float64 {
 // SegmentsPerSet segments.
 type CMPR struct {
 	cfg  CMPRConfig
+	geom mem.Geometry
 	vals *values.Model
 	sets [][]cmprLine // MRU-first
 	st   CMPRStats
-
-	// Set-indexing geometry, precomputed at construction so the access
-	// path does not rederive it per access.
-	setMask  uint64
-	tagShift uint
 }
 
 // NewCMPR builds the compressed cache over the given value model;
@@ -98,26 +90,18 @@ func NewCMPR(cfg CMPRConfig, vals *values.Model) *CMPR {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.Sets()
-	sets := make([][]cmprLine, numSets)
+	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
+	sets := make([][]cmprLine, geom.Sets())
 	for i := range sets {
 		// Full tag-budget capacity up front: install's in-place prepend
 		// then never grows the slice, keeping the miss path
 		// allocation-free.
 		sets[i] = make([]cmprLine, 0, cfg.TagsPerSet())
 	}
-	c := &CMPR{cfg: cfg, vals: vals, sets: sets, setMask: uint64(numSets - 1)}
-	for n := numSets; n > 1; n >>= 1 {
-		c.tagShift++
-	}
+	c := &CMPR{cfg: cfg, geom: geom, vals: vals, sets: sets}
 	c.st.SegmentsHist = stats.NewHistogram(cfg.Name+" segments", mem.WordsPerLine+1)
 	return c
 }
-
-// setIndexOf and tagOf are the precomputed equivalents of
-// mem.LineAddr.SetIndex/Tag for this cache's geometry.
-func (c *CMPR) setIndexOf(la mem.LineAddr) int { return int(uint64(la) & c.setMask) }
-func (c *CMPR) tagOf(la mem.LineAddr) uint64   { return uint64(la) >> c.tagShift }
 
 // Stats returns the live counters.
 func (c *CMPR) Stats() *CMPRStats { return &c.st }
@@ -133,9 +117,9 @@ func (c *CMPR) Config() CMPRConfig { return c.cfg }
 //ldis:noalloc
 func (c *CMPR) Access(la mem.LineAddr, word int, write bool) bool {
 	c.st.Accesses++
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	set := c.sets[si]
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 	for pos := range set {
 		if set[pos].tag != tag {
 			continue
@@ -178,7 +162,7 @@ func (c *CMPR) install(si int, la mem.LineAddr, write bool) {
 	// so the append never grows the backing array.
 	set = append(set, cmprLine{})
 	copy(set[1:], set)
-	set[0] = cmprLine{tag: c.tagOf(la), segments: segs, dirty: write}
+	set[0] = cmprLine{tag: c.geom.Tag(la), segments: segs, dirty: write}
 	c.sets[si] = set
 }
 
@@ -188,8 +172,8 @@ func (c *CMPR) install(si int, la mem.LineAddr, write bool) {
 //
 //ldis:noalloc
 func (c *CMPR) MarkDirty(la mem.LineAddr) {
-	set := c.sets[c.setIndexOf(la)]
-	tag := c.tagOf(la)
+	set := c.sets[c.geom.SetIndex(la)]
+	tag := c.geom.Tag(la)
 	for pos := range set {
 		if set[pos].tag == tag {
 			set[pos].dirty = true
@@ -200,8 +184,8 @@ func (c *CMPR) MarkDirty(la mem.LineAddr) {
 
 // Present reports whether the line is resident (for tests).
 func (c *CMPR) Present(la mem.LineAddr) bool {
-	set := c.sets[c.setIndexOf(la)]
-	tag := c.tagOf(la)
+	set := c.sets[c.geom.SetIndex(la)]
+	tag := c.geom.Tag(la)
 	for _, l := range set {
 		if l.tag == tag {
 			return true
@@ -213,7 +197,7 @@ func (c *CMPR) Present(la mem.LineAddr) bool {
 // LinesResident returns the number of lines in the set holding la; used
 // to verify the compression capacity benefit in tests.
 func (c *CMPR) LinesResident(la mem.LineAddr) int {
-	return len(c.sets[c.setIndexOf(la)])
+	return len(c.sets[c.geom.SetIndex(la)])
 }
 
 // FACSlots returns a distill.SlotsFunc-compatible sizing function

@@ -254,10 +254,11 @@ func TestIncompressibleCMPREquivalentToLRU(t *testing.T) {
 	cfg := CMPRConfig{Name: "ref", SizeBytes: sets * ways * mem.LineSize, Ways: ways, TagFactor: 4}
 	c := NewCMPR(cfg, values.NewModel(3, values.Incompressible))
 
+	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways)
 	ref := make([][]mem.LineAddr, sets)
 	refMisses := 0
 	refAccess := func(la mem.LineAddr) {
-		si := la.SetIndex(sets)
+		si := geom.SetIndex(la)
 		for i, l := range ref[si] {
 			if l == la {
 				ref[si] = append([]mem.LineAddr{la}, append(ref[si][:i], ref[si][i+1:]...)...)

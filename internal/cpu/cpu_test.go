@@ -161,7 +161,7 @@ func TestDistillSystemEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sysBase, _ := hierarchy.Traditional(cache.Config{Name: "base", SizeBytes: 1 << 20, Ways: 8})
-	dcfg := distill.DefaultConfig()
+	dcfg := paperDistill()
 	dcfg.Seed = 42
 	sysDist, _ := hierarchy.Distill(dcfg)
 
@@ -176,6 +176,13 @@ func TestDistillSystemEndToEnd(t *testing.T) {
 		t.Errorf("misses dropped (%.1f -> %.1f MPKI) but IPC fell (%.3f -> %.3f)",
 			baseMPKI, distMPKI, rBase.IPC(), rDist.IPC())
 	}
+}
+
+// paperDistill is the paper's 1MB 8-way distill cache with 2 WOC ways,
+// median-threshold filtering and the reverter.
+func paperDistill() distill.Config {
+	return distill.Config{Name: "distill", SizeBytes: 1 << 20, Ways: 8, WOCWays: 2,
+		MedianThreshold: true, Reverter: true, Seed: 1}
 }
 
 func TestEmptyStream(t *testing.T) {
@@ -247,7 +254,7 @@ func TestRunAllocatesNothingPerAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := distill.DefaultConfig()
+	dcfg := paperDistill()
 	dcfg.Seed = prof.Seed
 	sysBase, _ := hierarchy.Traditional(cache.Config{Name: "base", SizeBytes: 1 << 20, Ways: 8})
 	sysDist, _ := hierarchy.Distill(dcfg)

@@ -3,6 +3,7 @@ package distill
 import (
 	"fmt"
 
+	"ldis/internal/cache"
 	"ldis/internal/mem"
 	"ldis/internal/obs"
 	"ldis/internal/sampler"
@@ -94,11 +95,6 @@ func (s *Stats) Misses() uint64 { return s.HoleMisses + s.LineMisses }
 // Hits returns the total hit count.
 func (s *Stats) Hits() uint64 { return s.LOCHits + s.WOCHits }
 
-// maxTenants bounds the tenants a partitioned distill cache can
-// distinguish; it matches cache.MaxPartitionTenants so the two
-// organizations accept the same controller allocations.
-const maxTenants = 8
-
 // locEntry is a LOC tag entry: tag, per-word footprint and dirty mask,
 // and the Figure-2 recency instrumentation. tenant records which
 // sharer installed the line (always 0 outside partitioned mode) and
@@ -127,6 +123,7 @@ type set struct {
 // Cache is the distill cache.
 type Cache struct {
 	cfg  Config
+	geom mem.Geometry
 	sets []set
 	smp  *sampler.Sampler
 	mt   *medianFilter
@@ -141,15 +138,11 @@ type Cache struct {
 	// (Config.CopyBack).
 	cb *copyBack
 
-	// Set-indexing geometry, precomputed at construction so the access
-	// path does not rederive it per access.
-	setMask  uint64
-	tagShift uint
-
-	// Way-partition state (nil when unpartitioned): per-tenant LOC way
-	// quotas enforced at victim selection, and per-tenant WOC way masks
-	// threaded into the distilled-line installs. See SetPartition.
-	locQuota []int32
+	// Way-partition state (zero when unpartitioned): per-tenant LOC way
+	// quotas, enforced at victim selection by the cache package's rule,
+	// and per-tenant WOC way masks threaded into the distilled-line
+	// installs. See SetPartition.
+	locQuota cache.Quotas
 	wocMask  []uint64
 
 	// Observability handles, registered once at construction; all nil
@@ -172,15 +165,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg, rng: cfg.Seed | 1}
-	c.setMask = uint64(cfg.Sets() - 1)
-	for n := cfg.Sets(); n > 1; n >>= 1 {
-		c.tagShift++
-	}
+	c.geom, _ = mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
 	// Per-set slices are carved from shared backing arrays: thousands of
 	// sets construct in a handful of allocations, and the full-slice
 	// expression caps each LOC at its own region so the traditional-mode
 	// regrow (switchMode extends loc to cfg.Ways) stays in place.
-	numSets := cfg.Sets()
+	numSets := c.geom.Sets()
 	c.sets = make([]set, numSets)
 	locArena := make([]locEntry, numSets*cfg.Ways)
 	wocSets := wordstore.NewSets(cfg.WOCWays, numSets)
@@ -286,17 +276,12 @@ func (c *Cache) AccessInstruction(la mem.LineAddr, word int, write bool) AccessR
 	return c.access(la, word, write, true, 0)
 }
 
-// setIndexOf and tagOf are the precomputed equivalents of
-// mem.LineAddr.SetIndex/Tag for this cache's geometry.
-func (c *Cache) setIndexOf(la mem.LineAddr) int { return int(uint64(la) & c.setMask) }
-func (c *Cache) tagOf(la mem.LineAddr) uint64   { return uint64(la) >> c.tagShift }
-
 func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int) AccessResult {
 	c.st.Accesses++
 	if c.cb != nil {
 		c.cb.eng.Access(la, word)
 	}
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	s := &c.sets[si]
 	leader := false
 	if c.smp != nil {
@@ -309,7 +294,7 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 			}
 		}
 	}
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 
 	// LOC lookup. MRU fast path first: a hit on way 0 needs no
 	// promotion (and cannot raise maxFPPos), so it updates in place.
@@ -388,19 +373,18 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 	return AccessResult{Outcome: LineMiss, ValidBits: mem.FullFootprint}
 }
 
-// lineFromTag reconstructs a line address from a tag and set index.
-func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
-	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
-}
-
 // installLOC fills the line as MRU in the LOC, distilling the LRU
 // victim if the set is full (under the tenant's way quota when a
 // partition is installed). mergedDirty carries dirty words recovered
 // from a hole-missed WOC copy.
 func (c *Cache) installLOC(s *set, si int, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
 	victimPos := len(s.loc) - 1
-	if c.locQuota != nil {
-		victimPos = c.locVictim(s.loc, tenant)
+	if c.locQuota.Active() {
+		var owners cache.Owners
+		for pos := range s.loc {
+			owners.Add(pos, s.loc[pos].valid, s.loc[pos].tenant)
+		}
+		victimPos = c.locQuota.Victim(&owners, tenant)
 	}
 	if v := s.loc[victimPos]; v.valid {
 		tok := c.obsSpans.Begin(obs.StageDistillEvict)
@@ -465,7 +449,7 @@ func (c *Cache) evictLOC(s *set, si int, v locEntry) {
 	slots := mem.Pow2WordsFor(used)
 	if c.cfg.Slots != nil {
 		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
-		slots = c.cfg.Slots(c.lineFromTag(v.tag, si), v.fp)
+		slots = c.cfg.Slots(c.geom.Line(v.tag, si), v.fp)
 	}
 	c.installWOC(s, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: uint8(slots)}, v.tenant)
 }
@@ -516,56 +500,19 @@ func (c *Cache) wocInsert(s *set, wl wordstore.Line, tenant uint8) {
 	}
 }
 
-// locVictim picks the LOC way to replace for a missing tenant under
-// the installed quotas: invalid ways fill first, a tenant at or over
-// its quota evicts its own LRU-most line, one under it evicts the
-// LRU-most line of an over-quota tenant. The global-LRU fallbacks
-// mirror cache.(*Cache).partitionVictim: unreachable when quotas sum
-// to the LOC associativity with every tenant granted at least one way,
-// but a transient quota shrink mid-drain lands there safely.
-//
-//ldis:noalloc
-func (c *Cache) locVictim(loc []locEntry, tenant int) int {
-	var occ [maxTenants]int32
-	invalid := -1
-	for pos := range loc {
-		if !loc[pos].valid {
-			invalid = pos
-			continue
-		}
-		occ[loc[pos].tenant]++
-	}
-	if invalid >= 0 {
-		return invalid
-	}
-	if tenant < len(c.locQuota) && occ[tenant] >= c.locQuota[tenant] {
-		for pos := len(loc) - 1; pos >= 0; pos-- {
-			if int(loc[pos].tenant) == tenant {
-				return pos
-			}
-		}
-		return len(loc) - 1
-	}
-	for pos := len(loc) - 1; pos >= 0; pos-- {
-		t := loc[pos].tenant
-		if int(t) >= len(c.locQuota) || occ[t] > c.locQuota[t] {
-			return pos
-		}
-	}
-	return len(loc) - 1
-}
-
 // SetPartition installs per-tenant LOC way quotas and WOC way masks
 // for the AccessTenant path. locQuota[t] is the number of LOC ways
-// tenant t may occupy per set (sum at most the LOC associativity);
-// wocMask[t] is the bitmask of WOC data ways its distilled lines may
-// occupy (zero means all ways). Empty slices disable partitioning.
-// Partitioning composes with neither the reverter (whose mode switches
-// resize the LOC under the quotas) nor WOCLRU (whose age scan ignores
-// masks); both combinations panic rather than silently mis-enforce.
+// tenant t may occupy per set, checked by cache.Quotas.Set against the
+// LOC associativity and enforced by its victim rule; wocMask[t] is the
+// bitmask of WOC data ways its distilled lines may occupy (zero means
+// all ways). Empty slices disable partitioning. Partitioning composes
+// with neither the reverter (whose mode switches resize the LOC under
+// the quotas) nor WOCLRU (whose age scan ignores masks); both
+// combinations panic rather than silently mis-enforce, as do quotas
+// Set refuses.
 func (c *Cache) SetPartition(locQuota []int, wocMask []uint64) {
 	if len(locQuota) == 0 {
-		c.locQuota, c.wocMask = nil, nil
+		c.locQuota, c.wocMask = cache.Quotas{}, nil
 		return
 	}
 	if c.cfg.Reverter {
@@ -574,32 +521,13 @@ func (c *Cache) SetPartition(locQuota []int, wocMask []uint64) {
 	if c.cfg.WOCLRU {
 		panic(fmt.Sprintf("distill %q: SetPartition with WOCLRU is unsupported", c.cfg.Name))
 	}
-	if len(locQuota) > maxTenants {
-		panic(fmt.Sprintf("distill %q: %d tenants exceed %d", c.cfg.Name, len(locQuota), maxTenants))
-	}
 	if len(wocMask) != len(locQuota) {
 		panic(fmt.Sprintf("distill %q: %d WOC masks for %d LOC quotas", c.cfg.Name, len(wocMask), len(locQuota)))
 	}
-	sum := 0
-	for t, q := range locQuota {
-		if q < 0 {
-			panic(fmt.Sprintf("distill %q: negative quota %d for tenant %d", c.cfg.Name, q, t))
-		}
-		sum += q
+	if err := c.locQuota.Set(locQuota, c.cfg.LOCWays()); err != nil {
+		panic(fmt.Sprintf("distill %q: LOC quotas: %v", c.cfg.Name, err))
 	}
-	if sum > c.cfg.LOCWays() {
-		panic(fmt.Sprintf("distill %q: quota sum %d exceeds %d LOC ways", c.cfg.Name, sum, c.cfg.LOCWays()))
-	}
-	if c.locQuota == nil {
-		c.locQuota = make([]int32, 0, maxTenants)
-		c.wocMask = make([]uint64, 0, maxTenants)
-	}
-	c.locQuota = c.locQuota[:0]
-	c.wocMask = c.wocMask[:0]
-	for i, q := range locQuota {
-		c.locQuota = append(c.locQuota, int32(q))
-		c.wocMask = append(c.wocMask, wocMask[i])
-	}
+	c.wocMask = append(c.wocMask[:0], wocMask...)
 }
 
 // switchMode toggles a follower set between distill and traditional
@@ -655,9 +583,9 @@ func (c *Cache) admit(used int) bool {
 // line goes to memory.
 func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint) {
 	footprint = footprint.Or(dirty) // written words are used words
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	s := &c.sets[si]
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 	for pos := range s.loc {
 		if s.loc[pos].valid && s.loc[pos].tag == tag {
 			e := &s.loc[pos]
@@ -716,9 +644,9 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 // Present reports where the line currently resides ("loc", "woc", or
 // ""); exposed for tests.
 func (c *Cache) Present(la mem.LineAddr) string {
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	s := &c.sets[si]
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 	for pos := range s.loc {
 		if s.loc[pos].valid && s.loc[pos].tag == tag {
 			return "loc"
@@ -733,12 +661,12 @@ func (c *Cache) Present(la mem.LineAddr) string {
 // WOCValidBits returns the stored-word mask of a WOC-resident line
 // (zero if not in the WOC).
 func (c *Cache) WOCValidBits(la mem.LineAddr) mem.Footprint {
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	s := &c.sets[si]
 	if s.trad {
 		return 0
 	}
-	if idx := s.woc.Find(c.tagOf(la)); idx >= 0 {
+	if idx := s.woc.Find(c.geom.Tag(la)); idx >= 0 {
 		return s.woc.Lines[idx].Words
 	}
 	return 0

@@ -28,19 +28,6 @@ func setLines(n int) []mem.LineAddr {
 	return out
 }
 
-func TestDefaultConfigIsPaperBaseline(t *testing.T) {
-	c := DefaultConfig()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Sets() != 2048 || c.LOCWays() != 6 || c.WOCWays != 2 || c.WOCEntries() != 16 {
-		t.Errorf("baseline geometry wrong: %+v", c)
-	}
-	if !c.MedianThreshold || !c.Reverter {
-		t.Error("default should be LDIS-MT-RC")
-	}
-}
-
 func TestConfigValidateErrors(t *testing.T) {
 	bad := []Config{
 		{Name: "a", SizeBytes: 1 << 20, Ways: 1, WOCWays: 0},

@@ -93,21 +93,6 @@ type Config struct {
 	Obs *obs.Cell
 }
 
-// DefaultConfig returns the paper's baseline distill cache: a 1MB 8-way
-// cache with 2 WOC ways, median-threshold filtering and the reverter
-// (the LDIS-MT-RC configuration used throughout Section 7).
-func DefaultConfig() Config {
-	return Config{
-		Name:            "distill",
-		SizeBytes:       1 << 20,
-		Ways:            8,
-		WOCWays:         2,
-		MedianThreshold: true,
-		Reverter:        true,
-		Seed:            1,
-	}
-}
-
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / (mem.LineSize * c.Ways) }
 
@@ -128,12 +113,8 @@ func (c Config) Validate() error {
 	if c.WOCWays > wordstore.MaxWays {
 		return fmt.Errorf("distill %q: WOCWays %d above %d", c.Name, c.WOCWays, wordstore.MaxWays)
 	}
-	sets := c.Sets()
-	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {
-		return fmt.Errorf("distill %q: size %dB not divisible into %d ways of 64B lines", c.Name, c.SizeBytes, c.Ways)
-	}
-	if sets&(sets-1) != 0 {
-		return fmt.Errorf("distill %q: set count %d not a power of two", c.Name, sets)
+	if _, err := mem.NewGeometry(c.SizeBytes, c.Ways); err != nil {
+		return fmt.Errorf("distill %q: %w", c.Name, err)
 	}
 	if c.StaticThreshold < 0 || c.StaticThreshold > mem.WordsPerLine {
 		return fmt.Errorf("distill %q: static threshold %d out of [0,%d]", c.Name, c.StaticThreshold, mem.WordsPerLine)

@@ -233,10 +233,11 @@ func TestInstructionOnlyEquivalentToLOCWayLRU(t *testing.T) {
 	d := New(Config{Name: "d", SizeBytes: sets * ways * mem.LineSize, Ways: ways, WOCWays: wocWays, Seed: 1})
 
 	// Reference: per-set LRU lists with LOCWays capacity.
+	geom, _ := mem.NewGeometry(sets*ways*mem.LineSize, ways)
 	ref := make([][]mem.LineAddr, sets)
 	refMisses := 0
 	refAccess := func(la mem.LineAddr) {
-		si := la.SetIndex(sets)
+		si := geom.SetIndex(la)
 		for i, l := range ref[si] {
 			if l == la {
 				ref[si] = append([]mem.LineAddr{la}, append(ref[si][:i], ref[si][i+1:]...)...)

@@ -26,15 +26,8 @@ func (c Config) Sets() int { return c.SizeBytes / (mem.LineSize * c.Ways) }
 
 // Validate checks structural invariants.
 func (c Config) Validate() error {
-	if c.Ways <= 0 {
-		return fmt.Errorf("l1: ways must be positive, got %d", c.Ways)
-	}
-	sets := c.Sets()
-	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {
-		return fmt.Errorf("l1: size %dB not divisible into %d ways of 64B lines", c.SizeBytes, c.Ways)
-	}
-	if sets&(sets-1) != 0 {
-		return fmt.Errorf("l1: set count %d not a power of two", sets)
+	if _, err := mem.NewGeometry(c.SizeBytes, c.Ways); err != nil {
+		return fmt.Errorf("l1: %w", err)
 	}
 	return nil
 }
@@ -99,14 +92,9 @@ type Stats struct {
 // Cache is the sectored, footprint-tracking L1D.
 type Cache struct {
 	cfg  Config
+	geom mem.Geometry
 	sets [][]line // MRU-first
 	st   Stats
-
-	// Set-indexing geometry, precomputed at construction so the access
-	// path does not rederive it (Config.Sets divides; LineAddr.Tag
-	// shift-loops) on every access.
-	setMask  uint64
-	tagShift uint
 }
 
 // New builds the L1D; panics on invalid config.
@@ -114,22 +102,13 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.Sets()
-	sets := make([][]line, numSets)
+	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
+	sets := make([][]line, geom.Sets())
 	for i := range sets {
 		sets[i] = make([]line, cfg.Ways)
 	}
-	c := &Cache{cfg: cfg, sets: sets, setMask: uint64(numSets - 1)}
-	for n := numSets; n > 1; n >>= 1 {
-		c.tagShift++
-	}
-	return c
+	return &Cache{cfg: cfg, geom: geom, sets: sets}
 }
-
-// setIndexOf and tagOf are the precomputed equivalents of
-// mem.LineAddr.SetIndex/Tag for this cache's geometry.
-func (c *Cache) setIndexOf(la mem.LineAddr) int { return int(uint64(la) & c.setMask) }
-func (c *Cache) tagOf(la mem.LineAddr) uint64   { return uint64(la) >> c.tagShift }
 
 // Stats returns the live counters.
 func (c *Cache) Stats() *Stats { return &c.st }
@@ -147,9 +126,9 @@ func (c *Cache) Stats() *Stats { return &c.st }
 //ldis:noalloc
 func (c *Cache) AccessEvict(la mem.LineAddr, word int, write bool) (Outcome, Eviction, bool) {
 	c.st.Accesses++
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	set := c.sets[si]
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 	// MRU fast path: a hit on way 0 needs no reordering, so it updates
 	// the line in place instead of copying it out and back.
 	free := false
@@ -199,7 +178,7 @@ func (c *Cache) AccessEvict(la mem.LineAddr, word int, write bool) (Outcome, Evi
 	if v.dirty != 0 {
 		c.st.Writebacks++
 	}
-	return LineMiss, Eviction{Line: c.lineFromTag(v.tag, si), Footprint: v.footprint, Dirty: v.dirty}, true
+	return LineMiss, Eviction{Line: c.geom.Line(v.tag, si), Footprint: v.footprint, Dirty: v.dirty}, true
 }
 
 // Fill installs the response to a miss: the line with validBits valid
@@ -214,8 +193,8 @@ func (c *Cache) Fill(la mem.LineAddr, validBits mem.Footprint, word int, write b
 	if !validBits.Has(word) {
 		panicLacksDemandWord(la, validBits, word)
 	}
-	set := c.sets[c.setIndexOf(la)]
-	tag := c.tagOf(la)
+	set := c.sets[c.geom.SetIndex(la)]
+	tag := c.geom.Tag(la)
 	for pos := range set {
 		if set[pos].valid && set[pos].tag == tag {
 			l := set[pos]
@@ -242,7 +221,7 @@ func (c *Cache) FillNew(la mem.LineAddr, validBits mem.Footprint, word int, writ
 	if !validBits.Has(word) {
 		panicLacksDemandWord(la, validBits, word)
 	}
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	set := c.sets[si]
 	var ev Eviction
 	had := false
@@ -251,10 +230,10 @@ func (c *Cache) FillNew(la mem.LineAddr, validBits mem.Footprint, word int, writ
 		if v.dirty != 0 {
 			c.st.Writebacks++
 		}
-		ev = Eviction{Line: c.lineFromTag(v.tag, si), Footprint: v.footprint, Dirty: v.dirty}
+		ev = Eviction{Line: c.geom.Line(v.tag, si), Footprint: v.footprint, Dirty: v.dirty}
 		had = true
 	}
-	nl := line{valid: true, tag: c.tagOf(la), validBits: validBits, footprint: mem.FootprintOfWord(word)}
+	nl := line{valid: true, tag: c.geom.Tag(la), validBits: validBits, footprint: mem.FootprintOfWord(word)}
 	if write {
 		nl.dirty = mem.FootprintOfWord(word)
 	}
@@ -271,8 +250,8 @@ func panicLacksDemandWord(la mem.LineAddr, validBits mem.Footprint, word int) {
 
 // Present reports whether the line (any sector) is cached.
 func (c *Cache) Present(la mem.LineAddr) bool {
-	set := c.sets[c.setIndexOf(la)]
-	tag := c.tagOf(la)
+	set := c.sets[c.geom.SetIndex(la)]
+	tag := c.geom.Tag(la)
 	for pos := range set {
 		if set[pos].valid && set[pos].tag == tag {
 			return true
@@ -283,18 +262,14 @@ func (c *Cache) Present(la mem.LineAddr) bool {
 
 // ValidBits returns the valid-word mask of the line (0 if absent).
 func (c *Cache) ValidBits(la mem.LineAddr) mem.Footprint {
-	set := c.sets[c.setIndexOf(la)]
-	tag := c.tagOf(la)
+	set := c.sets[c.geom.SetIndex(la)]
+	tag := c.geom.Tag(la)
 	for pos := range set {
 		if set[pos].valid && set[pos].tag == tag {
 			return set[pos].validBits
 		}
 	}
 	return 0
-}
-
-func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
-	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
 }
 
 // Merge folds a sibling shard's counters into s: shards partition the

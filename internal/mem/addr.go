@@ -57,16 +57,3 @@ func (l LineAddr) WordAddr(w int) Addr { return l.Base() + Addr(w)<<WordShift }
 
 // String renders the line address as its base byte address in hex.
 func (l LineAddr) String() string { return fmt.Sprintf("line:%#x", uint64(l.Base())) }
-
-// SetIndex computes the set index for a cache with numSets sets (a power
-// of two) indexed by low line-address bits, as in the baseline L2.
-func (l LineAddr) SetIndex(numSets int) int { return int(uint64(l) & uint64(numSets-1)) }
-
-// Tag returns the tag bits for a cache with numSets sets.
-func (l LineAddr) Tag(numSets int) uint64 {
-	shift := 0
-	for n := numSets; n > 1; n >>= 1 {
-		shift++
-	}
-	return uint64(l) >> shift
-}

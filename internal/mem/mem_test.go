@@ -49,35 +49,6 @@ func TestWordAddrRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetIndexAndTag(t *testing.T) {
-	const sets = 2048
-	l := LineAddr(0x12345)
-	idx := l.SetIndex(sets)
-	tag := l.Tag(sets)
-	if idx != 0x345 {
-		t.Errorf("SetIndex = %#x, want 0x345", idx)
-	}
-	if tag != 0x12345>>11 {
-		t.Errorf("Tag = %#x, want %#x", tag, 0x12345>>11)
-	}
-	// (tag, index) must reconstruct the line address.
-	if back := LineAddr(tag<<11 | uint64(idx)); back != l {
-		t.Errorf("reconstructed %v, want %v", back, l)
-	}
-}
-
-func TestSetIndexTagUniqueness(t *testing.T) {
-	// Two lines with the same index but different tags must differ in tag.
-	const sets = 64
-	a, b := LineAddr(5), LineAddr(5+sets)
-	if a.SetIndex(sets) != b.SetIndex(sets) {
-		t.Fatal("lines should map to the same set")
-	}
-	if a.Tag(sets) == b.Tag(sets) {
-		t.Fatal("distinct lines in one set must have distinct tags")
-	}
-}
-
 func TestFootprintBasics(t *testing.T) {
 	var f Footprint
 	if f.Count() != 0 {

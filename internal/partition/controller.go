@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"math"
 
+	"ldis/internal/cache"
 	"ldis/internal/mem"
 	"ldis/internal/mrc"
 	"ldis/internal/obs"
 )
 
-// MaxTenants bounds the tenants one controller can manage; it matches
-// cache.MaxPartitionTenants so every allocation the controller emits
-// is enforceable, and lets the per-epoch Decision record use fixed
-// arrays instead of allocating.
-const MaxTenants = 8
+// MaxTenants bounds the tenants one controller can manage. It is the
+// caches' tenant bound, so every allocation the controller emits is
+// enforceable, and lets the per-epoch Decision record use fixed arrays
+// instead of allocating.
+const MaxTenants = cache.MaxPartitionTenants
 
 // Config parameterizes one Controller.
 type Config struct {

@@ -90,7 +90,8 @@ func TestPrefetchComposesWithDistill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := distill.New(distill.DefaultConfig())
+	dc := distill.New(distill.Config{Name: "distill", SizeBytes: 1 << 20, Ways: 8, WOCWays: 2,
+		MedianThreshold: true, Reverter: true, Seed: 1})
 	p := Wrap(hierarchy.NewDistillL2(dc), Config{Degree: 2})
 	sys := hierarchy.NewSystem(p)
 	sys.Run(prof.Stream(), 100_000)

@@ -78,12 +78,12 @@ type atdEntry struct {
 
 // Sampler tracks the leader-set ATD and the PSEL decision.
 type Sampler struct {
-	cfg      Config
-	stride   int
-	tagShift uint // precomputed log2(NumSets) for the ATD tag extraction
-	psel     *stats.SatCounter
-	enabled  bool
-	atd      [][]atdEntry // one LRU tag list per leader set, MRU-first
+	cfg     Config
+	stride  int
+	geom    mem.Geometry // the shadowed traditional cache's set mapping, for ATD tags
+	psel    *stats.SatCounter
+	enabled bool
+	atd     [][]atdEntry // one LRU tag list per leader set, MRU-first
 
 	// Counters for observability.
 	PolicyMisses uint64 // leader-set misses under the experimental policy
@@ -107,9 +107,9 @@ func New(cfg Config) *Sampler {
 		enabled: true, // the experimental policy starts enabled
 		atd:     atd,
 	}
-	for n := cfg.NumSets; n > 1; n >>= 1 {
-		s.tagShift++
-	}
+	// The ATD shadows a NumSets-set, ATDWays-way traditional cache;
+	// Validate accepted both counts.
+	s.geom, _ = mem.NewGeometry(cfg.NumSets*cfg.ATDWays*mem.LineSize, cfg.ATDWays)
 	return s
 }
 
@@ -142,7 +142,7 @@ func (s *Sampler) ObserveATD(setIdx int, line mem.LineAddr) {
 		return
 	}
 	set := s.atd[s.leaderIndex(setIdx)]
-	tag := uint64(line) >> s.tagShift
+	tag := s.geom.Tag(line)
 	for pos := range set {
 		if set[pos].valid && set[pos].tag == tag {
 			e := set[pos]

@@ -63,12 +63,8 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 || c.Ways > wordstore.MaxWays {
 		return fmt.Errorf("sfp %q: ways %d not in [1, %d]", c.Name, c.Ways, wordstore.MaxWays)
 	}
-	sets := c.Sets()
-	if sets <= 0 || sets*c.Ways*mem.LineSize != c.SizeBytes {
-		return fmt.Errorf("sfp %q: size %dB not divisible into %d ways", c.Name, c.SizeBytes, c.Ways)
-	}
-	if sets&(sets-1) != 0 {
-		return fmt.Errorf("sfp %q: set count %d not a power of two", c.Name, sets)
+	if _, err := mem.NewGeometry(c.SizeBytes, c.Ways); err != nil {
+		return fmt.Errorf("sfp %q: %w", c.Name, err)
 	}
 	if c.PredictorEntries <= 0 || c.PredictorEntries&(c.PredictorEntries-1) != 0 {
 		return fmt.Errorf("sfp %q: predictor entries %d must be a positive power of two", c.Name, c.PredictorEntries)
@@ -188,17 +184,13 @@ func (s *Stats) Misses() uint64 { return s.HoleMisses + s.LineMisses }
 // Cache is the SFP-filtered decoupled word-organized cache.
 type Cache struct {
 	cfg   Config
+	geom  mem.Geometry
 	sets  []sfpSet
 	table []predEntry
 	smp   *sampler.Sampler
 	st    Stats
 	rng   uint64
 	tick  uint64
-
-	// Set-indexing geometry, precomputed at construction so the access
-	// path does not rederive it per access.
-	setMask  uint64
-	tagShift uint
 }
 
 // New builds the cache; panics on invalid config.
@@ -206,14 +198,12 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, rng: cfg.Seed | 1, setMask: uint64(cfg.Sets() - 1)}
-	for n := cfg.Sets(); n > 1; n >>= 1 {
-		c.tagShift++
-	}
+	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
+	c := &Cache{cfg: cfg, geom: geom, rng: cfg.Seed | 1}
 	// Per-set slices come from shared backing arrays (see
 	// wordstore.NewSets): construction cost scales with the number of
 	// arenas, not the number of sets.
-	numSets := cfg.Sets()
+	numSets := geom.Sets()
 	c.sets = make([]sfpSet, numSets)
 	stores := wordstore.NewSets(cfg.Ways, numSets)
 	metaArena := make([]metaEntry, numSets*cfg.TagsPerSet)
@@ -256,11 +246,6 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// setIndexOf and tagOf are the precomputed equivalents of
-// mem.LineAddr.SetIndex/Tag for this cache's geometry.
-func (c *Cache) setIndexOf(la mem.LineAddr) int { return int(uint64(la) & c.setMask) }
-func (c *Cache) tagOf(la mem.LineAddr) uint64   { return uint64(la) >> c.tagShift }
-
 // predIndex hashes (pc, line) into the footprint history table; the
 // upper hash bits form the alias-filter tag.
 func (c *Cache) predIndex(pc mem.Addr, la mem.LineAddr) (int, uint8) {
@@ -298,7 +283,7 @@ func (c *Cache) train(pc mem.Addr, la mem.LineAddr, observed mem.Footprint) {
 //ldis:noalloc
 func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit bool, valid mem.Footprint) {
 	c.st.Accesses++
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	s := &c.sets[si]
 	leader := false
 	forceFull := false
@@ -309,7 +294,7 @@ func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit 
 		// the set behave like a traditional word-organized cache.
 		forceFull = !leader && !c.smp.Enabled()
 	}
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 	if idx := s.store.Find(tag); idx >= 0 {
 		l := &s.store.Lines[idx]
 		m := s.meta.get(tag)
@@ -355,7 +340,7 @@ func (c *Cache) install(s *sfpSet, si int, la mem.LineAddr, word int, pc mem.Add
 		fp = c.predict(pc, la).Set(word)
 	}
 	nl := wordstore.Line{
-		Tag:   c.tagOf(la),
+		Tag:   c.geom.Tag(la),
 		Words: fp,
 		Slots: uint8(mem.Pow2WordsFor(fp.Count())),
 	}
@@ -400,13 +385,9 @@ func (c *Cache) evicted(s *sfpSet, si int, l wordstore.Line) {
 		c.st.Writebacks++
 	}
 	if m, ok := s.meta.lookup(l.Tag); ok {
-		c.train(m.pc, c.lineFromTag(l.Tag, si), m.observed)
+		c.train(m.pc, c.geom.Line(l.Tag, si), m.observed)
 		s.meta.del(l.Tag)
 	}
-}
-
-func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
-	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
 }
 
 // WritebackFromL1 accepts an L1D eviction notice, mirroring the distill
@@ -416,9 +397,9 @@ func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 //ldis:noalloc
 func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint) {
 	footprint = footprint.Or(dirty)
-	si := c.setIndexOf(la)
+	si := c.geom.SetIndex(la)
 	s := &c.sets[si]
-	tag := c.tagOf(la)
+	tag := c.geom.Tag(la)
 	if idx := s.store.Find(tag); idx >= 0 {
 		l := &s.store.Lines[idx]
 		m := s.meta.get(tag)
@@ -441,8 +422,8 @@ func (c *Cache) Present(la mem.LineAddr) bool { return c.StoredWords(la) != 0 }
 
 // StoredWords returns the stored-word mask of the line, or 0 if absent.
 func (c *Cache) StoredWords(la mem.LineAddr) mem.Footprint {
-	s := &c.sets[c.setIndexOf(la)]
-	if idx := s.store.Find(c.tagOf(la)); idx >= 0 {
+	s := &c.sets[c.geom.SetIndex(la)]
+	if idx := s.store.Find(c.geom.Tag(la)); idx >= 0 {
 		return s.store.Lines[idx].Words
 	}
 	return 0

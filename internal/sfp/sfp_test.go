@@ -174,7 +174,8 @@ func TestReverterForcesFullInstalls(t *testing.T) {
 	// Train a narrow prediction on a follower set (set 1).
 	pc := mem.Addr(0x400)
 	la := mem.LineAddr(1) // set 1 is a follower (leaders every 2nd set: 0, 2)
-	if c.Sampler().IsLeader(la.SetIndex(cfg.Sets())) {
+	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways)
+	if c.Sampler().IsLeader(geom.SetIndex(la)) {
 		t.Fatal("test expects a follower set")
 	}
 	c.Access(la, 0, pc, false)
