@@ -29,8 +29,8 @@
 # `make microbench` runs the Go testing benchmarks (per-figure,
 # hot-path, and scheduler fan-out).
 # `make fuzz-smoke` runs the trace-codec, checkpoint-scan, job-spec,
-# MRC-engine, branch-predictor and DRAM-MSHR fuzzers briefly over their
-# committed seed corpora.
+# MRC-engine, branch-predictor, DRAM-MSHR and distill-reference fuzzers
+# briefly over their committed seed corpora.
 # `make mrc-smoke` validates the miss-ratio-curve engine: SHARDS-vs-
 # exact tolerance on every benchmark, curve-vs-simulation spot checks,
 # and a short end-to-end ldisexp mrc run.
@@ -166,7 +166,9 @@ chaos:
 # LRU stack (internal/mrc/testdata/fuzz), the branch predictor against
 # its branchy reference (internal/branch/testdata/fuzz), and the DRAM
 # model's FIFO MSHR against a linear-scan one
-# (internal/dram/testdata/fuzz). Sized for CI. Each new-coverage input is
+# (internal/dram/testdata/fuzz), and the distill cache against its
+# reference written from the paper's text
+# (internal/distill/testdata/fuzz). Sized for CI. Each new-coverage input is
 # minimized for at most 100 runs: the default 60 s an input would spend
 # most of a 10 s run minimizing one find.
 fuzz-smoke:
@@ -176,6 +178,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesStack -fuzztime 10s -fuzzminimizetime 100x ./internal/mrc
 	$(GO) test -run '^$$' -fuzz FuzzPredictorMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/branch
 	$(GO) test -run '^$$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/dram
+	$(GO) test -run '^$$' -fuzz FuzzDistillMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/distill
 
 # Miss-ratio-curve validation: the acceptance gate for internal/mrc.
 # The tests assert the SHARDS curve within 0.02 absolute error of the
