@@ -33,3 +33,18 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 		t.Errorf("distill access path allocates %.1f/op", n)
 	}
 }
+
+// TestNewAllocsIndependentOfSets pins distill.New at a handful of
+// allocations whatever the set count: per-set state lives in shared
+// arrays (the LOC arena, the set headers and the WOC store), not in
+// per-set slices.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	allocs := func(sets int) float64 {
+		cfg := Config{Name: "d", SizeBytes: sets * 8 * mem.LineSize, Ways: 8, WOCWays: 2, Seed: 1, MedianThreshold: true}
+		return testing.AllocsPerRun(10, func() { New(cfg) })
+	}
+	small, large := allocs(64), allocs(2048)
+	if small != large || large > 16 {
+		t.Errorf("distill.New allocates %.0f times at 64 sets and %.0f at 2048, want the same handful (<= 16)", small, large)
+	}
+}

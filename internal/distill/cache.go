@@ -103,7 +103,6 @@ func (s *Stats) Hits() uint64 { return s.LOCHits + s.WOCHits }
 // entry.
 type locEntry struct {
 	tag      uint64
-	valid    bool
 	instr    bool // instruction lines are never distilled (Section 4)
 	fp       mem.Footprint
 	dirty    mem.Footprint
@@ -111,12 +110,13 @@ type locEntry struct {
 	tenant   uint8
 }
 
-// set is one distill-cache set. In distill mode loc has LOCWays entries
-// and woc is active; in traditional mode (reverter fallback) loc has
-// Ways entries and woc is empty.
-type set struct {
-	loc  []locEntry // MRU-first
-	woc  wordstore.Set
+// setHdr is one set's state outside its LOC and WOC storage: how many
+// LOC entries are valid (always a prefix of the MRU-first LOC), and
+// whether the reverter has switched the set to traditional mode, where
+// its LOC has all Ways entries and its WOC is empty; in distill mode
+// the LOC has LOCWays entries.
+type setHdr struct {
+	n    uint8
 	trad bool
 }
 
@@ -124,12 +124,16 @@ type set struct {
 type Cache struct {
 	cfg  Config
 	geom mem.Geometry
-	sets []set
+	// loc holds every set's LOC, Ways entries a set (set si's starts at
+	// si*Ways), so the traditional-mode widening stays in place.
+	loc  []locEntry
+	hdr  []setHdr
+	woc  wordstore.Store
 	smp  *sampler.Sampler
 	mt   *medianFilter
 	st   Stats
 	rng  uint64
-	tick uint64
+	tick uint64 // WOC recency clock; the store keeps stamps only under Config.WOCLRU
 
 	// touche, when non-nil, is the compressed superblock tag filter the
 	// WOC lookup and install paths route through (Config.Touche).
@@ -166,20 +170,10 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{cfg: cfg, rng: cfg.Seed | 1}
 	c.geom, _ = mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
-	// Per-set slices are carved from shared backing arrays: thousands of
-	// sets construct in a handful of allocations, and the full-slice
-	// expression caps each LOC at its own region so the traditional-mode
-	// regrow (switchMode extends loc to cfg.Ways) stays in place.
 	numSets := c.geom.Sets()
-	c.sets = make([]set, numSets)
-	locArena := make([]locEntry, numSets*cfg.Ways)
-	wocSets := wordstore.NewSets(cfg.WOCWays, numSets)
-	for i := range c.sets {
-		c.sets[i] = set{
-			loc: locArena[i*cfg.Ways : i*cfg.Ways+cfg.LOCWays() : (i+1)*cfg.Ways],
-			woc: wocSets[i],
-		}
-	}
+	c.loc = make([]locEntry, numSets*cfg.Ways)
+	c.hdr = make([]setHdr, numSets)
+	c.woc = wordstore.NewStore(cfg.WOCWays, numSets, cfg.WOCLRU)
 	if cfg.Reverter {
 		sc := sampler.DefaultConfig(cfg.Sets())
 		if cfg.SamplerConfig != nil {
@@ -210,11 +204,7 @@ func New(cfg Config) *Cache {
 	c.obsToucheAliasMiss = cfg.Obs.Counter("distill_touche_alias_misses")
 	c.obsCopyBacks = cfg.Obs.Counter("distill_copybacks")
 	c.obsCopyBackRejects = cfg.Obs.Counter("distill_copyback_rejects")
-	if slotsHist := cfg.Obs.Histogram("woc_install_slots", []uint64{1, 2, 4}); slotsHist != nil {
-		for i := range c.sets {
-			c.sets[i].woc.ObsInstallSlots = slotsHist
-		}
-	}
+	c.woc.ObsInstallSlots = cfg.Obs.Histogram("woc_install_slots", []uint64{1, 2, 4})
 	return c
 }
 
@@ -282,15 +272,15 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 		c.cb.eng.Access(la, word)
 	}
 	si := c.geom.SetIndex(la)
-	s := &c.sets[si]
+	h := &c.hdr[si]
 	leader := false
 	if c.smp != nil {
 		leader = c.smp.IsLeader(si)
 		c.smp.ObserveATD(si, la)
 		if !leader {
 			// Followers lazily adopt the sampler's decision.
-			if wantTrad := !c.smp.Enabled(); wantTrad != s.trad {
-				c.switchMode(s, si, wantTrad)
+			if wantTrad := !c.smp.Enabled(); wantTrad != h.trad {
+				c.switchMode(h, si, wantTrad)
 			}
 		}
 	}
@@ -298,7 +288,9 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 
 	// LOC lookup. MRU fast path first: a hit on way 0 needs no
 	// promotion (and cannot raise maxFPPos), so it updates in place.
-	if e := &s.loc[0]; e.valid && e.tag == tag {
+	loc := c.validLOC(si, h)
+	if len(loc) > 0 && loc[0].tag == tag {
+		e := &loc[0]
 		e.fp = e.fp.Set(word)
 		if write {
 			e.dirty = e.dirty.Set(word)
@@ -306,11 +298,11 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 		c.st.LOCHits++
 		return AccessResult{Outcome: LOCHit, ValidBits: mem.FullFootprint}
 	}
-	for pos := 1; pos < len(s.loc); pos++ {
-		if !s.loc[pos].valid || s.loc[pos].tag != tag {
+	for pos := 1; pos < len(loc); pos++ {
+		if loc[pos].tag != tag {
 			continue
 		}
-		e := s.loc[pos]
+		e := loc[pos]
 		if !e.fp.Has(word) {
 			e.fp = e.fp.Set(word)
 			if uint8(pos) > e.maxFPPos {
@@ -320,46 +312,46 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 		if write {
 			e.dirty = e.dirty.Set(word)
 		}
-		copy(s.loc[1:pos+1], s.loc[0:pos])
-		s.loc[0] = e
+		copy(loc[1:pos+1], loc[0:pos])
+		loc[0] = e
 		c.st.LOCHits++
 		return AccessResult{Outcome: LOCHit, ValidBits: mem.FullFootprint}
 	}
 
 	// WOC lookup (inactive in traditional mode).
-	if !s.trad {
+	if !h.trad {
 		tok := c.obsSpans.Begin(obs.StageWOCLookup)
 		var idx int
 		if c.touche != nil {
 			aliases := c.st.Touche.AliasSafeMisses
-			idx = c.touche.Find(&s.woc, tag)
+			idx = c.touche.Find(&c.woc, si, tag)
 			if c.st.Touche.AliasSafeMisses != aliases {
 				c.obsToucheAliasMiss.Inc()
 			}
 		} else {
-			idx = s.woc.Find(tag)
+			idx = c.woc.Find(si, tag)
 		}
 		c.obsSpans.End(obs.StageWOCLookup, tok)
 		if idx >= 0 {
-			wl := &s.woc.Lines[idx]
+			wl := &c.woc.Lines(si)[idx]
 			if wl.Words.Has(word) {
 				if write {
 					wl.Dirty = wl.Dirty.Set(word)
 				}
 				c.tick++
-				wl.LastUse = c.tick
+				c.woc.Touch(si, idx, c.tick)
 				c.st.WOCHits++
 				return AccessResult{Outcome: WOCHit, ValidBits: wl.Words}
 			}
 			// Hole miss: invalidate the WOC copy, keep its dirty words,
 			// refetch from memory, install in the LOC (Section 5.2).
-			removed := s.woc.RemoveAt(idx)
+			removed := c.woc.RemoveAt(si, idx)
 			c.st.HoleMisses++
 			c.obsHoleMisses.Inc()
 			if leader {
 				c.smp.RecordPolicyMiss(si)
 			}
-			c.installLOC(s, si, tag, word, write, instr, removed.Dirty, tenant)
+			c.installLOC(h, si, tag, word, write, instr, removed.Dirty, tenant)
 			return AccessResult{Outcome: HoleMiss, ValidBits: mem.FullFootprint}
 		}
 	}
@@ -369,30 +361,46 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 	if leader {
 		c.smp.RecordPolicyMiss(si)
 	}
-	c.installLOC(s, si, tag, word, write, instr, 0, tenant)
+	c.installLOC(h, si, tag, word, write, instr, 0, tenant)
 	return AccessResult{Outcome: LineMiss, ValidBits: mem.FullFootprint}
+}
+
+// validLOC returns set si's valid LOC entries, MRU first.
+func (c *Cache) validLOC(si int, h *setHdr) []locEntry {
+	base := si * c.cfg.Ways
+	return c.loc[base : base+int(h.n)]
 }
 
 // installLOC fills the line as MRU in the LOC, distilling the LRU
 // victim if the set is full (under the tenant's way quota when a
 // partition is installed). mergedDirty carries dirty words recovered
 // from a hole-missed WOC copy.
-func (c *Cache) installLOC(s *set, si int, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
-	victimPos := len(s.loc) - 1
+func (c *Cache) installLOC(h *setHdr, si int, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
+	width := c.cfg.LOCWays()
+	if h.trad {
+		width = c.cfg.Ways
+	}
+	loc := c.loc[si*c.cfg.Ways : si*c.cfg.Ways+width]
+	n := int(h.n)
+	victimPos := width - 1
 	if c.locQuota.Active() {
 		var owners cache.Owners
-		for pos := range s.loc {
-			owners.Add(pos, s.loc[pos].valid, s.loc[pos].tenant)
+		for pos := range loc {
+			owners.Add(pos, pos < n, loc[pos].tenant)
 		}
 		victimPos = c.locQuota.Victim(&owners, tenant)
 	}
-	if v := s.loc[victimPos]; v.valid {
+	if victimPos < n {
 		tok := c.obsSpans.Begin(obs.StageDistillEvict)
-		c.evictLOC(s, si, v)
+		c.evictLOC(h, si, loc[victimPos])
 		c.obsSpans.End(obs.StageDistillEvict, tok)
+	} else {
+		// A free way: the valid entries are a prefix, so the new line
+		// extends it.
+		victimPos = n
+		h.n++
 	}
 	e := locEntry{
-		valid:  true,
 		instr:  instr,
 		tag:    tag,
 		fp:     mem.FootprintOfWord(word).Or(mergedDirty),
@@ -410,14 +418,14 @@ func (c *Cache) installLOC(s *set, si int, tag uint64, word int, write, instr bo
 			e.fp = e.fp.Set(int(r % mem.WordsPerLine))
 		}
 	}
-	copy(s.loc[1:victimPos+1], s.loc[0:victimPos])
-	s.loc[0] = e
+	copy(loc[1:victimPos+1], loc[0:victimPos])
+	loc[0] = e
 }
 
 // evictLOC handles a LOC victim: record statistics, then either distill
 // its used words into the WOC or evict it entirely (traditional mode or
 // filtered by MT).
-func (c *Cache) evictLOC(s *set, si int, v locEntry) {
+func (c *Cache) evictLOC(h *setHdr, si int, v locEntry) {
 	if v.instr {
 		// Instruction lines bypass distillation and the data-footprint
 		// statistics (Section 4: LDIS only for data lines).
@@ -431,7 +439,7 @@ func (c *Cache) evictLOC(s *set, si int, v locEntry) {
 	c.st.WordsUsedAtEvict.Add(used)
 	c.st.FPChangePos.Add(int(v.maxFPPos))
 
-	if s.trad {
+	if h.trad {
 		c.st.TradEvictions++
 		if v.dirty != 0 {
 			c.st.Writebacks++
@@ -451,29 +459,28 @@ func (c *Cache) evictLOC(s *set, si int, v locEntry) {
 		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
 		slots = c.cfg.Slots(c.geom.Line(v.tag, si), v.fp)
 	}
-	c.installWOC(s, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: uint8(slots)}, v.tenant)
+	c.installWOC(si, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: uint8(slots)}, v.tenant)
 }
 
 // installWOC places a distilled line and accounts for displaced lines.
 // Under a partition the line is confined to its owning tenant's WOC
 // ways, so tenants evict only their own distilled words.
-func (c *Cache) installWOC(s *set, wl wordstore.Line, tenant uint8) {
+func (c *Cache) installWOC(si int, wl wordstore.Line, tenant uint8) {
 	c.st.Distilled++
 	c.obsDistilled.Inc()
-	c.wocInsert(s, wl, tenant)
+	c.wocInsert(si, wl, tenant)
 }
 
 // wocInsert is installWOC without the distillation accounting — shared
 // by the distill path and the clean copy-back path, which installs
 // lines that were never LOC victims.
-func (c *Cache) wocInsert(s *set, wl wordstore.Line, tenant uint8) {
+func (c *Cache) wocInsert(si int, wl wordstore.Line, tenant uint8) {
 	c.tick++
-	wl.LastUse = c.tick
 	if c.touche != nil {
 		// Evict whatever the compressed tag store cannot represent next
 		// to wl: (member, signature) aliases and superblocks beyond the
 		// provisioned entry budget.
-		for _, ev := range c.touche.PrepareInstall(&s.woc, wl.Tag) {
+		for _, ev := range c.touche.PrepareInstall(&c.woc, si, wl.Tag) {
 			c.st.WOCEvictions++
 			c.obsWOCEvictions.Inc()
 			if ev.Dirty != 0 {
@@ -483,13 +490,13 @@ func (c *Cache) wocInsert(s *set, wl wordstore.Line, tenant uint8) {
 	}
 	var evicted []wordstore.Line
 	if c.cfg.WOCLRU {
-		evicted = s.woc.InstallLRU(wl)
+		evicted = c.woc.InstallLRU(si, wl, c.tick)
 	} else {
 		var mask uint64 // every WOC way
 		if int(tenant) < len(c.wocMask) {
 			mask = c.wocMask[tenant]
 		}
-		evicted = s.woc.Install(wl, c.nextRand(), mask)
+		evicted = c.woc.Install(si, wl, c.nextRand(), mask)
 	}
 	for _, ev := range evicted {
 		c.st.WOCEvictions++
@@ -534,32 +541,27 @@ func (c *Cache) SetPartition(locQuota []int, wocMask []uint64) {
 // organization (reverter fallback). Entering traditional mode empties
 // the WOC (writing back dirty words) and widens the LOC to all ways;
 // returning to distill mode narrows the LOC, distilling the overflow.
-func (c *Cache) switchMode(s *set, si int, trad bool) {
+func (c *Cache) switchMode(h *setHdr, si int, trad bool) {
 	c.st.ModeSwitches++
 	c.obsModeSwitches.Inc()
 	if trad {
-		for _, wl := range s.woc.Clear() {
+		for _, wl := range c.woc.Clear(si) {
 			if wl.Dirty != 0 {
 				c.st.Writebacks++
 			}
 		}
-		// Expose the full-width LOC; the extra entries were zeroed at
-		// allocation or by the previous narrow step.
-		s.loc = s.loc[:c.cfg.Ways]
-		s.trad = true
+		h.trad = true
 		return
 	}
 	// Distill the entries that no longer fit, LRU-most first. The set is
 	// back in distill mode before they leave, so evictLOC distills them
 	// instead of evicting them traditionally.
-	s.trad = false
-	for i := len(s.loc) - 1; i >= c.cfg.LOCWays(); i-- {
-		if s.loc[i].valid {
-			c.evictLOC(s, si, s.loc[i])
-		}
-		s.loc[i] = locEntry{}
+	h.trad = false
+	loc := c.validLOC(si, h)
+	for i := len(loc) - 1; i >= c.cfg.LOCWays(); i-- {
+		c.evictLOC(h, si, loc[i])
 	}
-	s.loc = s.loc[:c.cfg.LOCWays()]
+	h.n = uint8(min(len(loc), c.cfg.LOCWays()))
 }
 
 // admit applies the configured distillation threshold: the running
@@ -584,11 +586,12 @@ func (c *Cache) admit(used int) bool {
 func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint) {
 	footprint = footprint.Or(dirty) // written words are used words
 	si := c.geom.SetIndex(la)
-	s := &c.sets[si]
+	h := &c.hdr[si]
 	tag := c.geom.Tag(la)
-	for pos := range s.loc {
-		if s.loc[pos].valid && s.loc[pos].tag == tag {
-			e := &s.loc[pos]
+	loc := c.validLOC(si, h)
+	for pos := range loc {
+		if loc[pos].tag == tag {
+			e := &loc[pos]
 			if merged := e.fp.Or(footprint); merged != e.fp {
 				e.fp = merged
 				if uint8(pos) > e.maxFPPos {
@@ -599,9 +602,9 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 			return
 		}
 	}
-	if !s.trad {
-		if idx := s.woc.Find(tag); idx >= 0 {
-			wl := &s.woc.Lines[idx]
+	if !h.trad {
+		if idx := c.woc.Find(si, tag); idx >= 0 {
+			wl := &c.woc.Lines(si)[idx]
 			// Dirty words the WOC copy stores stay with it; words it
 			// discarded must go to memory now.
 			kept := dirty & wl.Words
@@ -620,7 +623,7 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 	// (Config.CopyBack) the reuse predictor decides whether its used
 	// words are worth a WOC slot; otherwise — as in the base design —
 	// the line is dropped.
-	if c.cb != nil && !s.trad && footprint != 0 {
+	if c.cb != nil && !h.trad && footprint != 0 {
 		within, known := c.cb.predict(la)
 		switch {
 		case !known:
@@ -632,7 +635,7 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 		default:
 			c.st.CopyBacks++
 			c.obsCopyBacks.Inc()
-			c.wocInsert(s, wordstore.Line{
+			c.wocInsert(si, wordstore.Line{
 				Tag:   tag,
 				Words: footprint,
 				Slots: uint8(mem.Pow2WordsFor(footprint.Count())),
@@ -645,14 +648,14 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 // ""); exposed for tests.
 func (c *Cache) Present(la mem.LineAddr) string {
 	si := c.geom.SetIndex(la)
-	s := &c.sets[si]
+	h := &c.hdr[si]
 	tag := c.geom.Tag(la)
-	for pos := range s.loc {
-		if s.loc[pos].valid && s.loc[pos].tag == tag {
+	for _, e := range c.validLOC(si, h) {
+		if e.tag == tag {
 			return "loc"
 		}
 	}
-	if !s.trad && s.woc.Find(tag) >= 0 {
+	if !h.trad && c.woc.Find(si, tag) >= 0 {
 		return "woc"
 	}
 	return ""
@@ -662,12 +665,11 @@ func (c *Cache) Present(la mem.LineAddr) string {
 // (zero if not in the WOC).
 func (c *Cache) WOCValidBits(la mem.LineAddr) mem.Footprint {
 	si := c.geom.SetIndex(la)
-	s := &c.sets[si]
-	if s.trad {
+	if c.hdr[si].trad {
 		return 0
 	}
-	if idx := s.woc.Find(c.geom.Tag(la)); idx >= 0 {
-		return s.woc.Lines[idx].Words
+	if idx := c.woc.Find(si, c.geom.Tag(la)); idx >= 0 {
+		return c.woc.Lines(si)[idx].Words
 	}
 	return 0
 }
@@ -687,31 +689,28 @@ func (c *Cache) CheckInvariants() error {
 		}
 		return false
 	}
-	for i := range c.sets {
-		s := &c.sets[i]
-		if err := s.woc.CheckInvariants(); err != nil {
+	for i := range c.hdr {
+		h := &c.hdr[i]
+		if err := c.woc.CheckInvariants(i); err != nil {
 			return fmt.Errorf("set %d: %v", i, err)
 		}
 		if c.touche != nil {
-			if err := c.touche.CheckInvariants(&s.woc); err != nil {
+			if err := c.touche.CheckInvariants(&c.woc, i); err != nil {
 				return fmt.Errorf("set %d: %v", i, err)
 			}
 		}
-		want := c.cfg.LOCWays()
-		if s.trad {
-			want = c.cfg.Ways
+		width := c.cfg.LOCWays()
+		if h.trad {
+			width = c.cfg.Ways
 		}
-		if len(s.loc) != want {
-			return fmt.Errorf("set %d: loc width %d, want %d", i, len(s.loc), want)
+		if int(h.n) > width {
+			return fmt.Errorf("set %d: %d valid LOC entries in %d ways", i, h.n, width)
 		}
-		if s.trad && len(s.woc.Lines) != 0 {
-			return fmt.Errorf("set %d: traditional mode with %d WOC lines", i, len(s.woc.Lines))
+		if h.trad && len(c.woc.Lines(i)) != 0 {
+			return fmt.Errorf("set %d: traditional mode with %d WOC lines", i, len(c.woc.Lines(i)))
 		}
 		seen = seen[:0]
-		for _, e := range s.loc {
-			if !e.valid {
-				continue
-			}
+		for _, e := range c.validLOC(i, h) {
 			if contains(e.tag) {
 				return fmt.Errorf("set %d: duplicate LOC tag %x", i, e.tag)
 			}
@@ -720,7 +719,7 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("set %d: LOC dirty outside footprint", i)
 			}
 		}
-		for _, wl := range s.woc.Lines {
+		for _, wl := range c.woc.Lines(i) {
 			if contains(wl.Tag) {
 				return fmt.Errorf("set %d: tag %x in both LOC and WOC", i, wl.Tag)
 			}

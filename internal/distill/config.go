@@ -156,7 +156,7 @@ func (c Config) Validate() error {
 //     WOC contents) depend on cross-set interleaving.
 //
 // The WOC-LRU tick counter is global but harmless: only the relative
-// order of LastUse stamps within one set matters, and per-shard
+// order of recency stamps within one set matters, and per-shard
 // processing preserves per-set program order. Touché compressed tags
 // are likewise shard-neutral: signatures and checksums are pure
 // functions of (tag, seed), and the install filter touches only the

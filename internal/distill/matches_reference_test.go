@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,13 +19,15 @@ import (
 
 // twin drives distill.Cache and the reference cache with the same
 // calls and fails at the first call whose outcome, returned valid bits
-// or Stats differ. It is a hierarchy.L2, so a System's L1D produces
+// or Stats differ, or after which the called set's WOC lines sit in
+// different places or hold different words. It is a hierarchy.L2, so a System's L1D produces
 // the calls exactly as in a simulation.
 type twin struct {
-	tb    testing.TB
-	c     *distill.Cache
-	r     *refCache
-	calls int
+	tb       testing.TB
+	c        *distill.Cache
+	r        *refCache
+	calls    int
+	got, ref []distill.WOCLine // reused WOC listings
 }
 
 func newTwin(tb testing.TB, cfg distill.Config) *twin {
@@ -40,28 +43,33 @@ func (w *twin) access(la mem.LineAddr, word int, write, instr bool) distill.Acce
 	}
 	want := w.r.access(la, word, write, instr)
 	if got != want {
-		w.tb.Fatalf("call %d: access(%#x, word %d, write %v, instr %v) = %v %v, reference %v %v",
+		w.tb.Fatalf("call %d: access(%v, word %d, write %v, instr %v) = %v %v, reference %v %v",
 			w.calls, la, word, write, instr, got.Outcome, got.ValidBits, want.Outcome, want.ValidBits)
 	}
-	w.check()
+	w.check(la)
 	return got
 }
 
 func (w *twin) writeback(la mem.LineAddr, fp, dirty mem.Footprint) {
 	w.c.WritebackFromL1(la, fp, dirty)
 	w.r.writebackFromL1(la, fp, dirty)
-	w.check()
+	w.check(la)
 }
 
-// check compares the counters after every call, and the histograms and
-// the reverter's state every 4096 calls and at the end (verify).
-func (w *twin) check() {
+// check compares the counters and the called set's WOC after every
+// call, and the histograms and the reverter's state every 4096 calls
+// and at the end (verify).
+func (w *twin) check(la mem.LineAddr) {
 	w.calls++
 	got, want := *w.c.Stats(), w.r.st
 	got.WordsUsedAtEvict, got.FPChangePos = nil, nil
 	want.WordsUsedAtEvict, want.FPChangePos = nil, nil
 	if got != want {
 		w.tb.Fatalf("call %d: stats\n got %+v\nwant %+v", w.calls, got, want)
+	}
+	w.got, w.ref = distill.WOCSet(w.c, la, w.got), w.r.wocSet(la, w.ref)
+	if !slices.Equal(w.got, w.ref) {
+		w.tb.Fatalf("call %d: WOC of %v's set\n got %+v\nwant %+v", w.calls, la, w.got, w.ref)
 	}
 	if w.calls%4096 == 0 {
 		w.verify()
@@ -93,6 +101,27 @@ func (w *twin) verify() {
 	if err := w.c.CheckInvariants(); err != nil {
 		w.tb.Fatalf("call %d: %v", w.calls, err)
 	}
+}
+
+// wocSet lists the reference's WOC lines in la's set in position order,
+// each from its head entry and the entries that follow with its tag,
+// appending to out[:0].
+func (r *refCache) wocSet(la mem.LineAddr, out []distill.WOCLine) []distill.WOCLine {
+	s := &r.sets[uint64(la)%uint64(len(r.sets))]
+	out = out[:0]
+	for pos, h := range s.woc {
+		if !h.valid || !h.head {
+			continue
+		}
+		l := distill.WOCLine{Line: h.line, Pos: pos}
+		for i := pos; i < len(s.woc) && s.woc[i].valid && s.woc[i].line == h.line && (i == pos || !s.woc[i].head); i++ {
+			l.Slots++
+			l.Words |= s.woc[i].words
+			l.Dirty |= s.woc[i].dirty
+		}
+		out = append(out, l)
+	}
+	return out
 }
 
 func class(r distill.AccessResult) hierarchy.Class {

@@ -159,11 +159,6 @@ func (t *metaTable) del(tag uint64) {
 
 func (t *metaTable) len() int { return len(t.entries) }
 
-type sfpSet struct {
-	store wordstore.Set
-	meta  metaTable
-}
-
 // Stats counts SFP cache behaviour. Hole misses here are accesses to
 // words the predictor chose not to install.
 type Stats struct {
@@ -185,7 +180,8 @@ func (s *Stats) Misses() uint64 { return s.HoleMisses + s.LineMisses }
 type Cache struct {
 	cfg   Config
 	geom  mem.Geometry
-	sets  []sfpSet
+	store wordstore.Store
+	meta  []metaTable // one per set
 	table []predEntry
 	smp   *sampler.Sampler
 	st    Stats
@@ -200,18 +196,15 @@ func New(cfg Config) *Cache {
 	}
 	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
 	c := &Cache{cfg: cfg, geom: geom, rng: cfg.Seed | 1}
-	// Per-set slices come from shared backing arrays (see
-	// wordstore.NewSets): construction cost scales with the number of
-	// arenas, not the number of sets.
+	// Per-set metadata tables are carved from one backing array:
+	// construction cost scales with the number of arenas, not the
+	// number of sets.
 	numSets := geom.Sets()
-	c.sets = make([]sfpSet, numSets)
-	stores := wordstore.NewSets(cfg.Ways, numSets)
+	c.store = wordstore.NewStore(cfg.Ways, numSets, false)
+	c.meta = make([]metaTable, numSets)
 	metaArena := make([]metaEntry, numSets*cfg.TagsPerSet)
-	for i := range c.sets {
-		c.sets[i] = sfpSet{
-			store: stores[i],
-			meta:  metaTable{entries: metaArena[i*cfg.TagsPerSet : i*cfg.TagsPerSet : (i+1)*cfg.TagsPerSet]},
-		}
+	for i := range c.meta {
+		c.meta[i].entries = metaArena[i*cfg.TagsPerSet : i*cfg.TagsPerSet : (i+1)*cfg.TagsPerSet]
 	}
 	c.table = make([]predEntry, cfg.PredictorEntries)
 	if cfg.Reverter {
@@ -284,7 +277,7 @@ func (c *Cache) train(pc mem.Addr, la mem.LineAddr, observed mem.Footprint) {
 func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit bool, valid mem.Footprint) {
 	c.st.Accesses++
 	si := c.geom.SetIndex(la)
-	s := &c.sets[si]
+	meta := &c.meta[si]
 	leader := false
 	forceFull := false
 	if c.smp != nil {
@@ -295,15 +288,15 @@ func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit 
 		forceFull = !leader && !c.smp.Enabled()
 	}
 	tag := c.geom.Tag(la)
-	if idx := s.store.Find(tag); idx >= 0 {
-		l := &s.store.Lines[idx]
-		m := s.meta.get(tag)
+	if idx := c.store.Find(si, tag); idx >= 0 {
+		l := &c.store.Lines(si)[idx]
+		m := meta.get(tag)
 		if l.Words.Has(word) {
 			c.st.Hits++
 			c.tick++
 			m.observed = m.observed.Set(word)
 			m.lastUse = c.tick
-			s.meta.put(tag, m)
+			meta.put(tag, m)
 			if write {
 				l.Dirty = l.Dirty.Set(word)
 			}
@@ -316,25 +309,25 @@ func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit 
 		if leader {
 			c.smp.RecordPolicyMiss(si)
 		}
-		removed := s.store.RemoveAt(idx)
+		removed := c.store.RemoveAt(si, idx)
 		if removed.Dirty != 0 {
 			c.st.Writebacks++
 		}
-		s.meta.del(tag)
+		meta.del(tag)
 		c.train(m.pc, la, m.observed.Set(word))
-		return false, c.install(s, si, la, word, pc, write, forceFull)
+		return false, c.install(si, la, word, pc, write, forceFull)
 	}
 	c.st.LineMisses++
 	if leader {
 		c.smp.RecordPolicyMiss(si)
 	}
-	return false, c.install(s, si, la, word, pc, write, forceFull)
+	return false, c.install(si, la, word, pc, write, forceFull)
 }
 
 // install fetches the line and places the predicted words.
 //
 //ldis:noalloc
-func (c *Cache) install(s *sfpSet, si int, la mem.LineAddr, word int, pc mem.Addr, write, forceFull bool) mem.Footprint {
+func (c *Cache) install(si int, la mem.LineAddr, word int, pc mem.Addr, write, forceFull bool) mem.Footprint {
 	fp := mem.FullFootprint
 	if !forceFull {
 		fp = c.predict(pc, la).Set(word)
@@ -352,25 +345,26 @@ func (c *Cache) install(s *sfpSet, si int, la mem.LineAddr, word int, pc mem.Add
 	// aligned region of the required size is free and the tag budget
 	// holds. This also makes the reverter's full-install fallback
 	// behave like the traditional LRU baseline.
-	for len(s.store.Lines) > 0 &&
-		(!s.store.HasFreeRegion(int(nl.Slots)) || len(s.store.Lines)+1 > c.cfg.TagsPerSet) {
-		c.evicted(s, si, s.store.RemoveAt(c.lruIndex(s)))
+	for len(c.store.Lines(si)) > 0 &&
+		(!c.store.HasFreeRegion(si, int(nl.Slots)) || len(c.store.Lines(si))+1 > c.cfg.TagsPerSet) {
+		c.evicted(si, c.store.RemoveAt(si, c.lruIndex(si)))
 	}
-	for _, ev := range s.store.Install(nl, c.nextRand(), 0) {
-		c.evicted(s, si, ev)
+	for _, ev := range c.store.Install(si, nl, c.nextRand(), 0) {
+		c.evicted(si, ev)
 	}
 	c.tick++
-	s.meta.put(nl.Tag, lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick})
+	c.meta[si].put(nl.Tag, lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick})
 	return fp
 }
 
 // lruIndex returns the index of the least-recently-used resident line.
 //
 //ldis:noalloc
-func (c *Cache) lruIndex(s *sfpSet) int {
+func (c *Cache) lruIndex(si int) int {
 	best, bestUse := 0, ^uint64(0)
-	for i := range s.store.Lines {
-		if u := s.meta.get(s.store.Lines[i].Tag).lastUse; u < bestUse {
+	lines := c.store.Lines(si)
+	for i := range lines {
+		if u := c.meta[si].get(lines[i].Tag).lastUse; u < bestUse {
 			best, bestUse = i, u
 		}
 	}
@@ -379,14 +373,14 @@ func (c *Cache) lruIndex(s *sfpSet) int {
 
 // evicted trains the predictor with the line's observed footprint and
 // accounts for dirty writebacks.
-func (c *Cache) evicted(s *sfpSet, si int, l wordstore.Line) {
+func (c *Cache) evicted(si int, l wordstore.Line) {
 	c.st.Evictions++
 	if l.Dirty != 0 {
 		c.st.Writebacks++
 	}
-	if m, ok := s.meta.lookup(l.Tag); ok {
+	if m, ok := c.meta[si].lookup(l.Tag); ok {
 		c.train(m.pc, c.geom.Line(l.Tag, si), m.observed)
-		s.meta.del(l.Tag)
+		c.meta[si].del(l.Tag)
 	}
 }
 
@@ -398,13 +392,13 @@ func (c *Cache) evicted(s *sfpSet, si int, l wordstore.Line) {
 func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint) {
 	footprint = footprint.Or(dirty)
 	si := c.geom.SetIndex(la)
-	s := &c.sets[si]
 	tag := c.geom.Tag(la)
-	if idx := s.store.Find(tag); idx >= 0 {
-		l := &s.store.Lines[idx]
-		m := s.meta.get(tag)
+	if idx := c.store.Find(si, tag); idx >= 0 {
+		l := &c.store.Lines(si)[idx]
+		meta := &c.meta[si]
+		m := meta.get(tag)
 		m.observed = m.observed.Or(footprint & l.Words)
-		s.meta.put(tag, m)
+		meta.put(tag, m)
 		l.Dirty = l.Dirty.Or(dirty & l.Words)
 		if dirty&^l.Words != 0 {
 			c.st.Writebacks++
@@ -422,9 +416,9 @@ func (c *Cache) Present(la mem.LineAddr) bool { return c.StoredWords(la) != 0 }
 
 // StoredWords returns the stored-word mask of the line, or 0 if absent.
 func (c *Cache) StoredWords(la mem.LineAddr) mem.Footprint {
-	s := &c.sets[c.geom.SetIndex(la)]
-	if idx := s.store.Find(c.geom.Tag(la)); idx >= 0 {
-		return s.store.Lines[idx].Words
+	si := c.geom.SetIndex(la)
+	if idx := c.store.Find(si, c.geom.Tag(la)); idx >= 0 {
+		return c.store.Lines(si)[idx].Words
 	}
 	return 0
 }
@@ -436,21 +430,21 @@ func (c *Cache) PredictorStorageBytes() int { return c.cfg.PredictorEntries * 4 
 // CheckInvariants validates internal consistency; tests call it after
 // stress runs.
 func (c *Cache) CheckInvariants() error {
-	for i := range c.sets {
-		s := &c.sets[i]
-		if err := s.store.CheckInvariants(); err != nil {
+	for i := range c.meta {
+		if err := c.store.CheckInvariants(i); err != nil {
 			return fmt.Errorf("set %d: %v", i, err)
 		}
-		if len(s.store.Lines) > c.cfg.TagsPerSet {
-			return fmt.Errorf("set %d: %d lines exceed tag budget %d", i, len(s.store.Lines), c.cfg.TagsPerSet)
+		lines := c.store.Lines(i)
+		if len(lines) > c.cfg.TagsPerSet {
+			return fmt.Errorf("set %d: %d lines exceed tag budget %d", i, len(lines), c.cfg.TagsPerSet)
 		}
-		for _, l := range s.store.Lines {
-			if _, ok := s.meta.lookup(l.Tag); !ok {
+		for _, l := range lines {
+			if _, ok := c.meta[i].lookup(l.Tag); !ok {
 				return fmt.Errorf("set %d: line %x missing metadata", i, l.Tag)
 			}
 		}
-		if s.meta.len() != len(s.store.Lines) {
-			return fmt.Errorf("set %d: %d meta entries for %d lines", i, s.meta.len(), len(s.store.Lines))
+		if c.meta[i].len() != len(lines) {
+			return fmt.Errorf("set %d: %d meta entries for %d lines", i, c.meta[i].len(), len(lines))
 		}
 	}
 	return nil

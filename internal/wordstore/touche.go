@@ -121,7 +121,6 @@ type ToucheTags struct {
 	// its own Stats so shard merging folds Touché counters for free.
 	Stats *ToucheStats
 
-	evictBuf  []Line
 	sbScratch []sbCount
 }
 
@@ -158,7 +157,6 @@ func NewToucheTags(cfg ToucheConfig, ways int) *ToucheTags {
 		sigMask:   1<<uint(cfg.TagBits) - 1,
 		ckMask:    1<<uint(cfg.ChecksumBits) - 1,
 		Stats:     new(ToucheStats),
-		evictBuf:  make([]Line, 0, cap),
 		sbScratch: make([]sbCount, 0, cap),
 	}
 }
@@ -201,13 +199,14 @@ func (t *ToucheTags) checksum(sb uint64) uint64 {
 // produces a safe miss, never a false hit.
 //
 //ldis:noalloc
-func (t *ToucheTags) Find(s *Set, tag uint64) int {
+func (t *ToucheTags) Find(st *Store, si int, tag uint64) int {
 	t.Stats.Lookups++
 	member := tag & t.sbMask
 	sb := tag >> t.sbShift
 	sigWant := t.sig(sb)
-	for i := range s.Lines {
-		lt := s.Lines[i].Tag
+	lines := st.Lines(si)
+	for i := range lines {
+		lt := lines[i].Tag
 		if lt&t.sbMask != member {
 			continue
 		}
@@ -233,9 +232,9 @@ func (t *ToucheTags) Find(s *Set, tag uint64) int {
 }
 
 // PrepareInstall evicts whatever the compressed tag store cannot
-// represent alongside an incoming line with the given tag, and returns
-// the evicted lines (valid until the next PrepareInstall) so the
-// caller can account writebacks. Two invariants are restored ahead of
+// represent in set si alongside an incoming line with the given tag,
+// and returns the evicted lines (in the store's eviction buffer, valid
+// until its next mutation) so the caller can account writebacks. Two invariants are restored ahead of
 // the install:
 //
 //  1. no resident line may share the incoming line's (member,
@@ -248,18 +247,18 @@ func (t *ToucheTags) Find(s *Set, tag uint64) int {
 //     (SuperblockEvictions).
 //
 //ldis:noalloc
-func (t *ToucheTags) PrepareInstall(s *Set, tag uint64) []Line {
-	evicted := t.evictBuf[:0]
+func (t *ToucheTags) PrepareInstall(st *Store, si int, tag uint64) []Line {
+	evicted := st.evictBuf[:0]
 	member := tag & t.sbMask
 	sb := tag >> t.sbShift
 	sigWant := t.sig(sb)
 
 	// Invariant 1: evict (member, signature) aliases.
-	for i := 0; i < len(s.Lines); {
-		lt := s.Lines[i].Tag
+	for i := 0; i < int(st.count[si]); {
+		lt := st.Lines(si)[i].Tag
 		lsb := lt >> t.sbShift
 		if lt&t.sbMask == member && lsb != sb && t.sig(lsb) == sigWant {
-			evicted = append(evicted, s.RemoveAt(i))
+			evicted = append(evicted, st.RemoveAt(si, i))
 			t.Stats.AliasEvictions++
 			continue
 		}
@@ -270,21 +269,22 @@ func (t *ToucheTags) PrepareInstall(s *Set, tag uint64) []Line {
 	// resident superblocks and the words each stores.
 	counts := t.sbScratch[:0]
 	sbResident := false
-	for i := range s.Lines {
-		lsb := s.Lines[i].Tag >> t.sbShift
+	lines := st.Lines(si)
+	for i := range lines {
+		lsb := lines[i].Tag >> t.sbShift
 		if lsb == sb {
 			sbResident = true
 		}
 		found := false
 		for j := range counts {
 			if counts[j].sb == lsb {
-				counts[j].words += s.Lines[i].Words.Count()
+				counts[j].words += lines[i].Words.Count()
 				found = true
 				break
 			}
 		}
 		if !found {
-			counts = append(counts, sbCount{sb: lsb, words: s.Lines[i].Words.Count()})
+			counts = append(counts, sbCount{sb: lsb, words: lines[i].Words.Count()})
 		}
 	}
 	t.sbScratch = counts
@@ -298,27 +298,28 @@ func (t *ToucheTags) PrepareInstall(s *Set, tag uint64) []Line {
 				victim = c
 			}
 		}
-		for i := 0; i < len(s.Lines); {
-			if s.Lines[i].Tag>>t.sbShift == victim.sb {
-				evicted = append(evicted, s.RemoveAt(i))
+		for i := 0; i < int(st.count[si]); {
+			if st.Lines(si)[i].Tag>>t.sbShift == victim.sb {
+				evicted = append(evicted, st.RemoveAt(si, i))
 				t.Stats.SuperblockEvictions++
 				continue
 			}
 			i++
 		}
 	}
-	t.evictBuf = evicted
+	st.evictBuf = evicted
 	return evicted
 }
 
 // CheckInvariants verifies the compressed-tag representability
-// invariants PrepareInstall maintains; tests call it after stress
-// runs.
-func (t *ToucheTags) CheckInvariants(s *Set) error {
-	for i := range s.Lines {
-		ti := s.Lines[i].Tag
-		for j := i + 1; j < len(s.Lines); j++ {
-			tj := s.Lines[j].Tag
+// invariants PrepareInstall maintains in set si; tests call it after
+// stress runs.
+func (t *ToucheTags) CheckInvariants(st *Store, si int) error {
+	lines := st.Lines(si)
+	for i := range lines {
+		ti := lines[i].Tag
+		for j := i + 1; j < len(lines); j++ {
+			tj := lines[j].Tag
 			if ti&t.sbMask != tj&t.sbMask {
 				continue
 			}
@@ -329,8 +330,8 @@ func (t *ToucheTags) CheckInvariants(s *Set) error {
 		}
 	}
 	distinct := t.sbScratch[:0]
-	for i := range s.Lines {
-		lsb := s.Lines[i].Tag >> t.sbShift
+	for i := range lines {
+		lsb := lines[i].Tag >> t.sbShift
 		found := false
 		for _, d := range distinct {
 			if d.sb == lsb {

@@ -1,13 +1,14 @@
-// Package wordstore implements a word-organized cache set: a group of
-// 64B data ways logically partitioned into 8B word entries, holding
-// variable-size (power-of-two, aligned) groups of words per line. It is
-// the storage substrate of the distill cache's WOC (paper Section 5.1)
-// and of the decoupled-sectored store used by the SFP baseline
-// (Section 9 / Figure 13).
+// Package wordstore implements the word-organized storage of a cache: a
+// group of 64B data ways per set logically partitioned into 8B word
+// entries, holding variable-size (power-of-two, aligned) groups of
+// words per line. It is the storage substrate of the distill cache's
+// WOC (paper Section 5.1) and of the decoupled-sectored store used by
+// the SFP baseline (Section 9 / Figure 13).
 package wordstore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ldis/internal/mem"
 	"ldis/internal/obs"
@@ -15,116 +16,135 @@ import (
 
 // Line is one resident line: its stored words are packed into Slots
 // consecutive word entries of way Way, starting at the aligned offset
-// Start. The paper's head-bit corresponds to the Start slot. The
-// 8-byte fields come first so the byte-sized ones pack into one word:
-// 24 bytes a line.
+// Start. The paper's head-bit corresponds to the Start slot. The tag
+// comes first so the byte-sized fields pack after it: 16 bytes a line.
 type Line struct {
-	Tag uint64
-	// LastUse is an optional recency stamp maintained by callers that
-	// use InstallLRU (the paper's footnote 4 compares the WOC's random
-	// replacement against such an LRU variant).
-	LastUse uint64
-	Words   mem.Footprint // which words of the line are stored
-	Dirty   mem.Footprint // which stored words are dirty
-	Way     uint8
-	Start   uint8
-	Slots   uint8 // power-of-two entry count (>= stored payload)
+	Tag   uint64
+	Words mem.Footprint // which words of the line are stored
+	Dirty mem.Footprint // which stored words are dirty
+	Way   uint8
+	Start uint8
+	Slots uint8 // power-of-two entry count (>= stored payload)
 }
 
 // MaxWays bounds a set's data ways: a way mask is one uint64 and
 // Line.Way one byte.
 const MaxWays = 64
 
-// Set is the word-organized portion of one cache set.
-type Set struct {
-	Lines []Line
-	occ   []mem.Footprint // per-way occupancy bitmap over the 8 slots
-	// heads mirrors, per way, the Start slot of every resident line, so
-	// the replacement scan answers "is this slot a head?" with one bit
-	// test instead of walking Lines. Maintained by RemoveAt/Clear/place;
-	// callers never move a line (they only touch Words/Dirty/LastUse),
-	// so the bitmap cannot go stale.
-	heads []mem.Footprint
-	// evictBuf backs the slices returned by Install/InstallLRU/Clear.
-	// Callers consume the returned lines before the next mutation, so
-	// reusing one buffer keeps the install path allocation-free.
+// wayBits is one data way's bookkeeping over its 8 word entries: which
+// are in use, and which start a resident line (the paper's head bits).
+// The head bits let the replacement scan answer "is this slot a head?"
+// without walking the lines; only RemoveAt, Clear and place move
+// lines, so they cannot go stale.
+type wayBits struct {
+	occ, heads mem.Footprint
+}
+
+// Store is the word-organized portion of every set of one cache. Sets
+// are addressed by index; each owns a fixed region of one line-record
+// array (ways*8 records, the hard capacity of one single-slot line per
+// word entry) of which its first count[set] records are resident, and
+// ways consecutive wayBits. A cache of any set count constructs in a
+// handful of allocations.
+type Store struct {
+	ways    int
+	lineCap int
+	lines   []Line
+	count   []uint16
+	bits    []wayBits
+	// lastUse holds one recency stamp per line record, moved with the
+	// record; only stores built for InstallLRU keep it (the paper's
+	// footnote 4 compares the WOC's random replacement against such an
+	// LRU variant).
+	lastUse []uint64
+	// evictBuf backs the slices returned by Install, InstallLRU, Clear
+	// and ToucheTags.PrepareInstall. Callers consume the returned lines
+	// before the next mutation, so one buffer keeps those paths
+	// allocation-free.
 	evictBuf []Line
 
 	// ObsInstallSlots, when non-nil, histograms the slot count of every
-	// installed line (the distilled-line size distribution). The owning
-	// cache shares one histogram across all its sets; a nil handle
-	// no-ops.
+	// installed line (the distilled-line size distribution); a nil
+	// handle no-ops.
 	ObsInstallSlots *obs.Histogram
 }
 
-// NewSet returns an empty set with the given number of data ways.
-// Lines is pre-sized to the hard capacity (one single-slot line per
-// word entry) so steady-state installs never grow it.
-func NewSet(ways int) Set {
-	return Set{
-		Lines: make([]Line, 0, ways*mem.WordsPerLine),
-		occ:   make([]mem.Footprint, ways),
-		heads: make([]mem.Footprint, ways),
-	}
-}
-
-// NewSets returns n empty sets with the given number of data ways,
-// carving every per-set slice out of three shared backing arrays. A
-// cache with thousands of sets constructs in 3 allocations instead of
-// 3n, and the contiguous layout keeps neighbouring sets on shared
-// pages. Full-slice expressions pin each set's Lines capacity to its
-// own region, so growth past the hard cap (which NewSet's sizing
-// already rules out) could never bleed into a neighbour.
-func NewSets(ways, n int) []Set {
-	sets := make([]Set, n)
+// NewStore returns an empty store of sets sets with ways data ways
+// each. recency keeps the per-line stamps InstallLRU and Touch use.
+func NewStore(ways, sets int, recency bool) Store {
 	lineCap := ways * mem.WordsPerLine
-	lines := make([]Line, n*lineCap)
-	occ := make([]mem.Footprint, n*ways)
-	heads := make([]mem.Footprint, n*ways)
-	for i := range sets {
-		sets[i] = Set{
-			Lines: lines[i*lineCap : i*lineCap : (i+1)*lineCap],
-			occ:   occ[i*ways : (i+1)*ways : (i+1)*ways],
-			heads: heads[i*ways : (i+1)*ways : (i+1)*ways],
-		}
+	st := Store{
+		ways:     ways,
+		lineCap:  lineCap,
+		lines:    make([]Line, sets*lineCap),
+		count:    make([]uint16, sets),
+		bits:     make([]wayBits, sets*ways),
+		evictBuf: make([]Line, 0, lineCap),
 	}
-	return sets
+	if recency {
+		st.lastUse = make([]uint64, sets*lineCap)
+	}
+	return st
 }
 
-// Ways returns the number of data ways.
-func (s *Set) Ways() int { return len(s.occ) }
+// Ways returns the number of data ways per set.
+func (st *Store) Ways() int { return st.ways }
 
-// Find returns the index of the line with the given tag, or -1.
-func (s *Set) Find(tag uint64) int {
-	for i := range s.Lines {
-		if s.Lines[i].Tag == tag {
+// Lines returns set si's resident lines. Callers may update a line's
+// Words and Dirty in place; the slice is valid until the set's next
+// mutation.
+func (st *Store) Lines(si int) []Line {
+	base := si * st.lineCap
+	return st.lines[base : base+int(st.count[si]) : base+st.lineCap]
+}
+
+func (st *Store) setBits(si int) []wayBits {
+	return st.bits[si*st.ways : (si+1)*st.ways]
+}
+
+// Find returns the index of set si's line with the given tag, or -1.
+func (st *Store) Find(si int, tag uint64) int {
+	ls := st.Lines(si)
+	for i := range ls {
+		if ls[i].Tag == tag {
 			return i
 		}
 	}
 	return -1
 }
 
-// RemoveAt deletes the line at index i and frees its slots.
-func (s *Set) RemoveAt(i int) Line {
-	l := s.Lines[i]
-	s.occ[l.Way] &^= RegionMask(int(l.Start), int(l.Slots))
-	s.heads[l.Way] &^= RegionMask(int(l.Start), 1)
-	s.Lines[i] = s.Lines[len(s.Lines)-1]
-	s.Lines = s.Lines[:len(s.Lines)-1]
+// Touch stamps line i of set si as used at now (a no-op without
+// recency stamps).
+func (st *Store) Touch(si, i int, now uint64) {
+	if st.lastUse != nil {
+		st.lastUse[si*st.lineCap+i] = now
+	}
+}
+
+// RemoveAt deletes line i of set si and frees its slots. The set's last
+// line takes its index.
+func (st *Store) RemoveAt(si, i int) Line {
+	base, last := si*st.lineCap, int(st.count[si])-1
+	l := st.lines[base+i]
+	b := &st.bits[si*st.ways+int(l.Way)]
+	b.occ &^= RegionMask(int(l.Start), int(l.Slots))
+	b.heads &^= RegionMask(int(l.Start), 1)
+	st.lines[base+i] = st.lines[base+last]
+	if st.lastUse != nil {
+		st.lastUse[base+i] = st.lastUse[base+last]
+	}
+	st.count[si]--
 	return l
 }
 
-// Clear removes every line, returning the removed lines so the caller
-// can account for dirty writebacks. The returned slice is only valid
-// until the next Install/InstallLRU/Clear on this set.
-func (s *Set) Clear() []Line {
-	s.evictBuf = append(s.evictBuf[:0], s.Lines...)
-	s.Lines = s.Lines[:0]
-	for i := range s.occ {
-		s.occ[i] = 0
-		s.heads[i] = 0
-	}
-	return s.evictBuf
+// Clear removes every line of set si, returning the removed lines so
+// the caller can account for dirty writebacks. The returned slice is
+// only valid until the store's next Install, InstallLRU or Clear.
+func (st *Store) Clear(si int) []Line {
+	st.evictBuf = append(st.evictBuf[:0], st.Lines(si)...)
+	st.count[si] = 0
+	clear(st.setBits(si))
+	return st.evictBuf
 }
 
 // RegionMask returns the occupancy bits for slots [start, start+slots).
@@ -132,75 +152,73 @@ func RegionMask(start, slots int) mem.Footprint {
 	return mem.Footprint(((1 << uint(slots)) - 1) << uint(start))
 }
 
-// candidate is one aligned region eligible for replacement.
-type candidate struct {
-	way, start int
-}
+// regionStarts[n] marks the first slot of every aligned n-slot region.
+var regionStarts = [mem.WordsPerLine + 1]uint8{1: 0xff, 2: 0x55, 4: 0x11, 8: 0x01}
 
-// regionState classifies the aligned region (way, start): free means
-// no slot is in use; eligible means it may be reclaimed — its first
-// slot is invalid or carries a head-bit (paper Section 5.3).
-func (s *Set) regionState(way, start, slots int) (free, eligible bool) {
-	if s.occ[way]&RegionMask(start, slots) == 0 {
-		return true, false
+// regions classifies one way's aligned regions of the given power-of-two
+// size, one bit at each region's first slot: free regions have no slot
+// in use; eligible ones are partly used but may be reclaimed, because
+// their first slot is free or carries a head bit (paper Section 5.3).
+func regions(b wayBits, slots int) (free, eligible uint8) {
+	occ := uint8(b.occ)
+	used := occ // folded so each region's first bit ORs the whole region
+	for w := 1; w < slots; w <<= 1 {
+		used |= used >> uint(w)
 	}
-	firstFree := s.occ[way]&RegionMask(start, 1) == 0
-	return false, firstFree || s.isHead(way, start)
+	starts := regionStarts[slots]
+	return ^used & starts, used & (^occ | uint8(b.heads)) & starts
 }
 
-// countCandidates counts the free and eligible-occupied aligned regions
-// for a line of the given slot count in the data ways whose bit is set
-// in wayMask, in way-major/start-minor order — the enumeration Install's
-// random pick indexes into.
-func (s *Set) countCandidates(slots int, wayMask uint64) (nfree, nocc int) {
-	for way := range s.occ {
-		if wayMask&(1<<uint(way)) == 0 {
+// pickRegion returns the aligned region a line of the given size takes
+// among the ways of wayMask (clipped by clipWays), indexing with rnd
+// into the candidates in way-major, start-minor order: the free
+// regions when any exists, since they never cost an eviction, else the
+// eligible ones. Per way it folds the occupancy byte, masks the region
+// starts and counts with popcounts; the k-th candidate is the k-th set
+// bit.
+func pickRegion(ways []wayBits, wayMask uint64, slots int, rnd uint64) (way, start int) {
+	var nfree, nelig int
+	for m := wayMask; m != 0; m &= m - 1 {
+		f, e := regions(ways[bits.TrailingZeros64(m)], slots)
+		nfree += bits.OnesCount8(f)
+		nelig += bits.OnesCount8(e)
+	}
+	wantFree, n := nfree > 0, nfree
+	if !wantFree {
+		n = nelig
+	}
+	if n == 0 {
+		// Cannot happen: region (way, 0) of any selected way is always
+		// eligible — slot 0 is either free or the head of the line
+		// covering it; defend anyway.
+		panic("wordstore: no replacement candidate")
+	}
+	k := int(rnd % uint64(n))
+	for m := wayMask; m != 0; m &= m - 1 {
+		way = bits.TrailingZeros64(m)
+		cand, e := regions(ways[way], slots)
+		if !wantFree {
+			cand = e
+		}
+		if c := bits.OnesCount8(cand); k >= c {
+			k -= c
 			continue
 		}
-		for start := 0; start+slots <= mem.WordsPerLine; start += slots {
-			free, eligible := s.regionState(way, start, slots)
-			switch {
-			case free:
-				nfree++
-			case eligible:
-				nocc++
-			}
+		for ; k > 0; k-- {
+			cand &= cand - 1
 		}
-	}
-	return nfree, nocc
-}
-
-// nthCandidate returns the k-th free (or, with wantFree false, k-th
-// eligible-occupied) region in the same enumeration order as
-// countCandidates. The two-pass count-then-pick keeps replacement
-// decisions identical to materializing the candidate lists while doing
-// no allocation.
-func (s *Set) nthCandidate(slots int, wayMask uint64, wantFree bool, k int) candidate {
-	for way := range s.occ {
-		if wayMask&(1<<uint(way)) == 0 {
-			continue
-		}
-		for start := 0; start+slots <= mem.WordsPerLine; start += slots {
-			free, eligible := s.regionState(way, start, slots)
-			if free != wantFree || (!free && !eligible) {
-				continue
-			}
-			if k == 0 {
-				return candidate{way, start}
-			}
-			k--
-		}
+		return way, bits.TrailingZeros8(cand)
 	}
 	panic("wordstore: candidate index out of range")
 }
 
 // Install places nl (whose Slots field must be a power of two <= 8)
-// into the data ways whose bit is set in wayMask, evicting any lines
-// overlapping the chosen region. The region is picked uniformly at
-// random — via the caller-supplied rnd value — among the eligible
-// aligned candidates (paper Section 5.3); fully free regions are
-// preferred because they never cost an eviction. Mask bits above the
-// way count are ignored, and a mask selecting no way selects every
+// into the data ways of set si whose bit is set in wayMask, evicting
+// any lines overlapping the chosen region. The region is picked
+// uniformly at random — via the caller-supplied rnd value — among the
+// eligible aligned candidates (paper Section 5.3); fully free regions
+// are preferred because they never cost an eviction. Mask bits above
+// the way count are ignored, and a mask selecting no way selects every
 // way, so 0 means "unrestricted". The distill cache passes a tenant's
 // WOC ways to confine its distilled lines there; the mask restricts
 // where nl is placed, never which lines a placement may evict —
@@ -208,152 +226,149 @@ func (s *Set) nthCandidate(slots int, wayMask uint64, wantFree bool, k int) cand
 // way. It returns the evicted lines, valid until the next mutation.
 //
 //ldis:noalloc
-func (s *Set) Install(nl Line, rnd, wayMask uint64) []Line {
-	s.checkInstall(nl)
-	full := uint64(1)<<uint(len(s.occ)) - 1
-	wayMask &= full
-	if wayMask == 0 {
-		wayMask = full
-	}
-	slots := int(nl.Slots)
-	nfree, nocc := s.countCandidates(slots, wayMask)
-	if nfree > 0 {
-		return s.place(nl, s.nthCandidate(slots, wayMask, true, int(rnd%uint64(nfree))))
-	}
-	if nocc == 0 {
-		// Cannot happen: region (way, 0) of any selected way is always
-		// eligible — slot 0 is either free or the head of the line
-		// covering it; defend anyway.
-		panic("wordstore: no replacement candidate")
-	}
-	return s.place(nl, s.nthCandidate(slots, wayMask, false, int(rnd%uint64(nocc))))
+func (st *Store) Install(si int, nl Line, rnd, wayMask uint64) []Line {
+	st.checkInstall(si, nl)
+	way, start := pickRegion(st.setBits(si), clipWays(wayMask, st.ways), int(nl.Slots), rnd)
+	return st.place(si, nl, way, start)
 }
 
-// InstallLRU places nl like Install but, when no region is free, evicts
-// the candidate region whose youngest resident line is oldest (a
+// clipWays drops the mask bits above the way count and turns a mask
+// selecting no way into one selecting every way.
+func clipWays(wayMask uint64, ways int) uint64 {
+	full := uint64(1)<<uint(ways) - 1
+	if wayMask &= full; wayMask == 0 {
+		return full
+	}
+	return wayMask
+}
+
+// InstallLRU places nl like Install but takes the first free region in
+// way-major, start-minor order, and when none is free evicts the
+// candidate region whose youngest resident line is oldest (a
 // variable-size LRU approximation — the policy the paper's footnote 4
-// says random replacement approximates).
+// says random replacement approximates). nl is stamped as used at now.
+// The store must keep recency stamps.
 //
 //ldis:noalloc
-func (s *Set) InstallLRU(nl Line) []Line {
-	s.checkInstall(nl)
+func (st *Store) InstallLRU(si int, nl Line, now uint64) []Line {
+	st.checkInstall(si, nl)
 	slots := int(nl.Slots)
-	var best candidate
-	haveBest := false
-	bestAge := ^uint64(0)
-	for way := range s.occ {
-		for start := 0; start+slots <= mem.WordsPerLine; start += slots {
-			free, eligible := s.regionState(way, start, slots)
-			if free {
-				// First free region in enumeration order, as before.
-				return s.place(nl, candidate{way, start})
-			}
-			if !eligible {
-				continue
-			}
-			// Age of a region = the max LastUse of the lines it would evict.
+	ways := st.setBits(si)
+	for way := range ways {
+		if f, _ := regions(ways[way], slots); f != 0 {
+			return st.placeStamped(si, nl, way, bits.TrailingZeros8(f), now)
+		}
+	}
+	base := si * st.lineCap
+	ls := st.Lines(si)
+	bestWay, bestStart, bestAge := -1, 0, ^uint64(0)
+	for way := range ways {
+		for _, e := regions(ways[way], slots); e != 0; e &= e - 1 {
+			start := bits.TrailingZeros8(e)
+			// Age of a region = the max stamp of the lines it would evict.
 			var youngest uint64
-			for i := range s.Lines {
-				l := &s.Lines[i]
+			for i := range ls {
+				l := &ls[i]
 				if int(l.Way) == way && int(l.Start) >= start && int(l.Start) < start+slots {
-					if l.LastUse > youngest {
-						youngest = l.LastUse
-					}
+					youngest = max(youngest, st.lastUse[base+i])
 				}
 			}
 			if youngest < bestAge {
-				best, bestAge, haveBest = candidate{way, start}, youngest, true
+				bestWay, bestStart, bestAge = way, start, youngest
 			}
 		}
 	}
-	if !haveBest {
+	if bestWay < 0 {
 		panic("wordstore: no replacement candidate")
 	}
-	return s.place(nl, best)
+	return st.placeStamped(si, nl, bestWay, bestStart, now)
+}
+
+func (st *Store) placeStamped(si int, nl Line, way, start int, now uint64) []Line {
+	evicted := st.place(si, nl, way, start)
+	st.Touch(si, int(st.count[si])-1, now)
+	return evicted
 }
 
 // validSlots reports whether n is a legal slot count: a power of two
 // up to mem.WordsPerLine.
 func validSlots(n uint8) bool { return n != 0 && n <= mem.WordsPerLine && n&(n-1) == 0 }
 
-func (s *Set) checkInstall(nl Line) {
+func (st *Store) checkInstall(si int, nl Line) {
 	if !validSlots(nl.Slots) {
 		panic(fmt.Sprintf("wordstore: installing line with %d slots", nl.Slots))
 	}
-	if s.Find(nl.Tag) >= 0 {
+	if st.Find(si, nl.Tag) >= 0 {
 		panic("wordstore: set already holds this line")
 	}
-	s.ObsInstallSlots.Observe(uint64(nl.Slots))
+	st.ObsInstallSlots.Observe(uint64(nl.Slots))
 }
 
 // place evicts every line starting inside the chosen region (alignment
 // guarantees such lines are fully contained or fully cover it; the
-// paper's head-bit rule evicts them whole either way) and installs nl.
-// The returned slice aliases the set's reusable eviction buffer.
-func (s *Set) place(nl Line, c candidate) []Line {
-	evicted := s.evictBuf[:0]
-	// The head bitmap counts the lines starting inside the region, so a
+// paper's head-bit rule evicts them whole either way) and installs nl
+// as the set's last line. The returned slice aliases the store's
+// reusable eviction buffer.
+func (st *Store) place(si int, nl Line, way, start int) []Line {
+	evicted := st.evictBuf[:0]
+	slots := int(nl.Slots)
+	region := RegionMask(start, slots)
+	b := &st.bits[si*st.ways+way]
+	// The head bits count the lines starting inside the region, so a
 	// free-region placement skips the eviction walk entirely and an
 	// occupied one stops as soon as every victim is found.
-	slots := int(nl.Slots)
-	if want := (s.heads[c.way] & RegionMask(c.start, slots)).Count(); want > 0 {
-		for i := 0; i < len(s.Lines) && want > 0; {
-			l := s.Lines[i]
-			if int(l.Way) == c.way && int(l.Start) >= c.start && int(l.Start) < c.start+slots {
-				evicted = append(evicted, s.RemoveAt(i))
+	if want := (b.heads & region).Count(); want > 0 {
+		base := si * st.lineCap
+		for i := 0; want > 0; {
+			l := &st.lines[base+i]
+			if int(l.Way) == way && int(l.Start) >= start && int(l.Start) < start+slots {
+				evicted = append(evicted, st.RemoveAt(si, i))
 				want--
 				continue
 			}
 			i++
 		}
 	}
-	s.evictBuf = evicted
-	if s.occ[c.way]&RegionMask(c.start, slots) != 0 {
+	st.evictBuf = evicted
+	if b.occ&region != 0 {
 		panic("wordstore: region still occupied after eviction")
 	}
-	nl.Way, nl.Start = uint8(c.way), uint8(c.start)
-	s.occ[c.way] |= RegionMask(c.start, slots)
-	s.heads[c.way] |= RegionMask(c.start, 1)
-	s.Lines = append(s.Lines, nl)
+	nl.Way, nl.Start = uint8(way), uint8(start)
+	b.occ |= region
+	b.heads |= RegionMask(start, 1)
+	st.lines[si*st.lineCap+int(st.count[si])] = nl
+	st.count[si]++
 	return evicted
 }
 
-// isHead reports whether (way, start) is the first slot of a resident
-// line: one bit test against the maintained head bitmap.
-func (s *Set) isHead(way, start int) bool {
-	return s.heads[way]&RegionMask(start, 1) != 0
-}
-
-// HasFreeRegion reports whether some aligned region of the given
-// power-of-two size is entirely free.
-func (s *Set) HasFreeRegion(slots int) bool {
-	for way := range s.occ {
-		for start := 0; start+slots <= mem.WordsPerLine; start += slots {
-			if s.occ[way]&RegionMask(start, slots) == 0 {
-				return true
-			}
+// HasFreeRegion reports whether some aligned region of set si of the
+// given power-of-two size is entirely free.
+func (st *Store) HasFreeRegion(si, slots int) bool {
+	for _, b := range st.setBits(si) {
+		if f, _ := regions(b, slots); f != 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// OccupiedSlots returns the total number of word entries in use.
-func (s *Set) OccupiedSlots() int {
+// OccupiedSlots returns the number of set si's word entries in use.
+func (st *Store) OccupiedSlots(si int) int {
 	n := 0
-	for _, l := range s.Lines {
-		n += int(l.Slots)
+	for _, b := range st.setBits(si) {
+		n += b.occ.Count()
 	}
 	return n
 }
 
-// CheckInvariants verifies occupancy bookkeeping; tests call it after
-// stress runs.
-func (s *Set) CheckInvariants() error {
-	occ := make([]mem.Footprint, len(s.occ))
-	heads := make([]mem.Footprint, len(s.occ))
-	for _, l := range s.Lines {
-		if int(l.Way) >= len(occ) {
-			return fmt.Errorf("line %x in way %d of %d", l.Tag, l.Way, len(occ))
+// CheckInvariants verifies set si's occupancy bookkeeping; tests call
+// it after stress runs.
+func (st *Store) CheckInvariants(si int) error {
+	rec := st.setBits(si)
+	got := make([]wayBits, len(rec))
+	for _, l := range st.Lines(si) {
+		if int(l.Way) >= len(got) {
+			return fmt.Errorf("line %x in way %d of %d", l.Tag, l.Way, len(got))
 		}
 		if !validSlots(l.Slots) {
 			return fmt.Errorf("line %x has %d slots, want a power of two up to %d", l.Tag, l.Slots, mem.WordsPerLine)
@@ -368,18 +383,18 @@ func (s *Set) CheckInvariants() error {
 			return fmt.Errorf("line %x has dirty bits outside stored words", l.Tag)
 		}
 		mask := RegionMask(int(l.Start), int(l.Slots))
-		if occ[l.Way]&mask != 0 {
+		if got[l.Way].occ&mask != 0 {
 			return fmt.Errorf("line %x overlaps another line", l.Tag)
 		}
-		occ[l.Way] |= mask
-		heads[l.Way] |= RegionMask(int(l.Start), 1)
+		got[l.Way].occ |= mask
+		got[l.Way].heads |= RegionMask(int(l.Start), 1)
 	}
-	for w := range occ {
-		if occ[w] != s.occ[w] {
-			return fmt.Errorf("way %d occupancy %v, recorded %v", w, occ[w], s.occ[w])
+	for w := range got {
+		if got[w].occ != rec[w].occ {
+			return fmt.Errorf("way %d occupancy %v, recorded %v", w, got[w].occ, rec[w].occ)
 		}
-		if heads[w] != s.heads[w] {
-			return fmt.Errorf("way %d heads %v, recorded %v", w, heads[w], s.heads[w])
+		if got[w].heads != rec[w].heads {
+			return fmt.Errorf("way %d heads %v, recorded %v", w, got[w].heads, rec[w].heads)
 		}
 	}
 	return nil
