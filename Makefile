@@ -26,6 +26,12 @@
 # (cmd/ldbench, declared in BENCHMARK.json) for one second and fails
 # unless every run reports "correct":true. Throughput regressions are
 # judged by comparing full BENCHMARK.json runs, not by this target.
+# `make bench-ab BASE=<rev>` gives a performance verdict for the
+# working tree against BASE on the repo benchmark (cmd/benchab): both
+# sides built through cmd/ldbench/run.sh, refused unless their digests
+# match, PAIRS alternating pairs per workload, each metric's medians,
+# IQRs, pairs won and verdict printed and appended to
+# BENCH_history.json. BASE=HEAD is an A/A noise-floor run.
 # `make microbench` runs the Go testing benchmarks (per-figure,
 # hot-path, and scheduler fan-out).
 # `make fuzz-smoke` runs the trace-codec, checkpoint-scan, job-spec,
@@ -65,7 +71,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt-check lint lint-vet lint-json lint-fix-check \
-	lint-install test check race test-race microbench bench-smoke \
+	lint-install test check race test-race microbench bench-smoke bench-ab \
 	chaos fuzz-smoke mrc-smoke \
 	obs-smoke ldisd-smoke partition-smoke orgs-smoke examples govulncheck profile \
 	clean
@@ -271,6 +277,17 @@ bench-smoke:
 		case "$$last" in *'"correct":true'*) ;; \
 		*) echo "bench-smoke: workload $$w did not report \"correct\":true" >&2; exit 1 ;; esac; \
 	done
+
+# Paired perf verdict against BASE (see cmd/benchab). WORKLOADS is a
+# comma-separated list; pair i runs seed SEED+i.
+WORKLOADS ?= sweep,replay,timing,tenants
+PAIRS ?= 10
+SECONDS ?= 20
+SEED ?= 1
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>" >&2; exit 2; }
+	$(GO) run ./cmd/benchab -base '$(BASE)' -workloads '$(WORKLOADS)' \
+		-pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
 # CPU + heap profiles of the headline experiment, written to ./profiles.
 profile:
