@@ -376,9 +376,9 @@ func (c *Cache) validLOC(si int, h *setHdr) []locEntry {
 // partition is installed). mergedDirty carries dirty words recovered
 // from a hole-missed WOC copy.
 func (c *Cache) installLOC(h *setHdr, si int, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
-	width := c.cfg.LOCWays()
-	if h.trad {
-		width = c.cfg.Ways
+	width := c.cfg.Ways
+	if !h.trad {
+		width -= c.cfg.WOCWays
 	}
 	loc := c.loc[si*c.cfg.Ways : si*c.cfg.Ways+width]
 	n := int(h.n)

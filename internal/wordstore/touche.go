@@ -234,8 +234,8 @@ func (t *ToucheTags) Find(st *Store, si int, tag uint64) int {
 // PrepareInstall evicts whatever the compressed tag store cannot
 // represent in set si alongside an incoming line with the given tag,
 // and returns the evicted lines (in the store's eviction buffer, valid
-// until its next mutation) so the caller can account writebacks. Two invariants are restored ahead of
-// the install:
+// until its next mutation) so the caller can account writebacks. Two
+// invariants are restored ahead of the install:
 //
 //  1. no resident line may share the incoming line's (member,
 //     signature) pair with a different superblock — such an alias is

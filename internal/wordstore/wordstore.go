@@ -55,8 +55,8 @@ type Store struct {
 	// lastUse holds one recency stamp per line record, moved with the
 	// record; only stores built for InstallLRU keep it (the paper's
 	// footnote 4 compares the WOC's random replacement against such an
-	// LRU variant).
-	lastUse []uint64
+	// LRU variant), with ages, InstallLRU's per-region scratch.
+	lastUse, ages []uint64
 	// evictBuf backs the slices returned by Install, InstallLRU, Clear
 	// and ToucheTags.PrepareInstall. Callers consume the returned lines
 	// before the next mutation, so one buffer keeps those paths
@@ -83,6 +83,7 @@ func NewStore(ways, sets int, recency bool) Store {
 	}
 	if recency {
 		st.lastUse = make([]uint64, sets*lineCap)
+		st.ages = make([]uint64, lineCap)
 	}
 	return st
 }
@@ -152,21 +153,39 @@ func RegionMask(start, slots int) mem.Footprint {
 	return mem.Footprint(((1 << uint(slots)) - 1) << uint(start))
 }
 
-// regionStarts[n] marks the first slot of every aligned n-slot region.
-var regionStarts = [mem.WordsPerLine + 1]uint8{1: 0xff, 2: 0x55, 4: 0x11, 8: 0x01}
+// A region size class k covers aligned regions of 1<<k slots (k = 0..3
+// for the legal slot counts 1, 2, 4 and 8).
+func sizeClass(slots int) int { return bits.TrailingZeros8(uint8(slots)) & 3 }
 
-// regions classifies one way's aligned regions of the given power-of-two
-// size, one bit at each region's first slot: free regions have no slot
-// in use; eligible ones are partly used but may be reclaimed, because
-// their first slot is free or carries a head bit (paper Section 5.3).
-func regions(b wayBits, slots int) (free, eligible uint8) {
+// regionStarts[k] marks the first slot of every aligned 1<<k-slot
+// region, and freeStarts[k][occ] those of the wholly free ones in a way
+// whose occupancy byte is occ: the occupancy byte folded so each
+// region's first bit ORs the whole region, inverted and masked to the
+// region starts.
+var (
+	regionStarts = [4]uint8{0xff, 0x55, 0x11, 0x01}
+	freeStarts   = func() (t [4][256]uint8) {
+		for k := range t {
+			for occ := range 256 {
+				used := uint8(occ)
+				for w := 1; w < 1<<k; w <<= 1 {
+					used |= used >> uint(w)
+				}
+				t[k][occ] = ^used & regionStarts[k]
+			}
+		}
+		return t
+	}()
+)
+
+// regions classifies one way's aligned regions of size class k, one bit
+// at each region's first slot: free regions have no slot in use;
+// eligible ones are partly used but may be reclaimed, because their
+// first slot is free or carries a head bit (paper Section 5.3).
+func regions(b wayBits, k int) (free, eligible uint8) {
 	occ := uint8(b.occ)
-	used := occ // folded so each region's first bit ORs the whole region
-	for w := 1; w < slots; w <<= 1 {
-		used |= used >> uint(w)
-	}
-	starts := regionStarts[slots]
-	return ^used & starts, used & (^occ | uint8(b.heads)) & starts
+	free = freeStarts[k][occ]
+	return free, regionStarts[k] &^ free & (^occ | uint8(b.heads))
 }
 
 // pickRegion returns the aligned region a line of the given size takes
@@ -177,9 +196,10 @@ func regions(b wayBits, slots int) (free, eligible uint8) {
 // starts and counts with popcounts; the k-th candidate is the k-th set
 // bit.
 func pickRegion(ways []wayBits, wayMask uint64, slots int, rnd uint64) (way, start int) {
+	k := sizeClass(slots)
 	var nfree, nelig int
 	for m := wayMask; m != 0; m &= m - 1 {
-		f, e := regions(ways[bits.TrailingZeros64(m)], slots)
+		f, e := regions(ways[bits.TrailingZeros64(m)], k)
 		nfree += bits.OnesCount8(f)
 		nelig += bits.OnesCount8(e)
 	}
@@ -193,18 +213,18 @@ func pickRegion(ways []wayBits, wayMask uint64, slots int, rnd uint64) (way, sta
 		// covering it; defend anyway.
 		panic("wordstore: no replacement candidate")
 	}
-	k := int(rnd % uint64(n))
+	nth := int(rnd % uint64(n))
 	for m := wayMask; m != 0; m &= m - 1 {
 		way = bits.TrailingZeros64(m)
-		cand, e := regions(ways[way], slots)
+		cand, e := regions(ways[way], k)
 		if !wantFree {
 			cand = e
 		}
-		if c := bits.OnesCount8(cand); k >= c {
-			k -= c
+		if c := bits.OnesCount8(cand); nth >= c {
+			nth -= c
 			continue
 		}
-		for ; k > 0; k-- {
+		for ; nth > 0; nth-- {
 			cand &= cand - 1
 		}
 		return way, bits.TrailingZeros8(cand)
@@ -244,37 +264,37 @@ func clipWays(wayMask uint64, ways int) uint64 {
 
 // InstallLRU places nl like Install but takes the first free region in
 // way-major, start-minor order, and when none is free evicts the
-// candidate region whose youngest resident line is oldest (a
-// variable-size LRU approximation — the policy the paper's footnote 4
-// says random replacement approximates). nl is stamped as used at now.
-// The store must keep recency stamps.
+// eligible region whose youngest resident line is oldest, the first
+// such region on ties (a variable-size LRU approximation — the policy
+// the paper's footnote 4 says random replacement approximates). nl is
+// stamped as used at now. The store must keep recency stamps.
 //
 //ldis:noalloc
 func (st *Store) InstallLRU(si int, nl Line, now uint64) []Line {
 	st.checkInstall(si, nl)
-	slots := int(nl.Slots)
+	k := sizeClass(int(nl.Slots))
 	ways := st.setBits(si)
 	for way := range ways {
-		if f, _ := regions(ways[way], slots); f != 0 {
+		if f, _ := regions(ways[way], k); f != 0 {
 			return st.placeStamped(si, nl, way, bits.TrailingZeros8(f), now)
 		}
 	}
-	base := si * st.lineCap
+	// The age of a region is the largest stamp of the lines starting
+	// inside it, the lines an install there would evict.
+	ages := st.ages[:len(ways)*mem.WordsPerLine]
+	clear(ages)
 	ls := st.Lines(si)
+	stamps := st.lastUse[si*st.lineCap : si*st.lineCap+len(ls)]
+	for i := range ls {
+		r := int(ls[i].Way)*mem.WordsPerLine + int(ls[i].Start)&^(1<<k-1)
+		ages[r] = max(ages[r], stamps[i])
+	}
 	bestWay, bestStart, bestAge := -1, 0, ^uint64(0)
 	for way := range ways {
-		for _, e := regions(ways[way], slots); e != 0; e &= e - 1 {
+		for _, e := regions(ways[way], k); e != 0; e &= e - 1 {
 			start := bits.TrailingZeros8(e)
-			// Age of a region = the max stamp of the lines it would evict.
-			var youngest uint64
-			for i := range ls {
-				l := &ls[i]
-				if int(l.Way) == way && int(l.Start) >= start && int(l.Start) < start+slots {
-					youngest = max(youngest, st.lastUse[base+i])
-				}
-			}
-			if youngest < bestAge {
-				bestWay, bestStart, bestAge = way, start, youngest
+			if age := ages[way*mem.WordsPerLine+start]; age < bestAge {
+				bestWay, bestStart, bestAge = way, start, age
 			}
 		}
 	}
@@ -344,8 +364,9 @@ func (st *Store) place(si int, nl Line, way, start int) []Line {
 // HasFreeRegion reports whether some aligned region of set si of the
 // given power-of-two size is entirely free.
 func (st *Store) HasFreeRegion(si, slots int) bool {
+	k := sizeClass(slots)
 	for _, b := range st.setBits(si) {
-		if f, _ := regions(b, slots); f != 0 {
+		if f, _ := regions(b, k); f != 0 {
 			return true
 		}
 	}
