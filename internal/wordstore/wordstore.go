@@ -88,9 +88,6 @@ func NewStore(ways, sets int, recency bool) Store {
 	return st
 }
 
-// Ways returns the number of data ways per set.
-func (st *Store) Ways() int { return st.ways }
-
 // Lines returns set si's resident lines. Callers may update a line's
 // Words and Dirty in place; the slice is valid until the set's next
 // mutation.
@@ -371,15 +368,6 @@ func (st *Store) HasFreeRegion(si, slots int) bool {
 		}
 	}
 	return false
-}
-
-// OccupiedSlots returns the number of set si's word entries in use.
-func (st *Store) OccupiedSlots(si int) int {
-	n := 0
-	for _, b := range st.setBits(si) {
-		n += b.occ.Count()
-	}
-	return n
 }
 
 // CheckInvariants verifies set si's occupancy bookkeeping; tests call

@@ -200,13 +200,6 @@ func TestWOCStressInvariants(t *testing.T) {
 	}
 }
 
-func TestWays(t *testing.T) {
-	s := newSet(3)
-	if s.Ways() != 3 {
-		t.Errorf("Ways = %d", s.Ways())
-	}
-}
-
 func TestHasFreeRegion(t *testing.T) {
 	s := newSet(1)
 	if !s.HasFreeRegion(0, 8) {
@@ -223,18 +216,6 @@ func TestHasFreeRegion(t *testing.T) {
 	}
 	if s2.HasFreeRegion(0, 8) {
 		t.Error("partially used way has no free 8-region")
-	}
-}
-
-func TestOccupiedSlots(t *testing.T) {
-	s := newSet(2)
-	if s.OccupiedSlots(0) != 0 {
-		t.Fatal("empty set should have 0 slots used")
-	}
-	s.Install(0, Line{Tag: 1, Words: 1, Slots: 1}, 0, 0)
-	s.Install(0, Line{Tag: 2, Words: 0b1111, Slots: 4}, 0, 0)
-	if got := s.OccupiedSlots(0); got != 5 {
-		t.Errorf("OccupiedSlots = %d, want 5", got)
 	}
 }
 
