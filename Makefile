@@ -29,9 +29,10 @@
 # `make bench-ab BASE=<rev>` gives a performance verdict for the
 # working tree against BASE on the repo benchmark (cmd/benchab): both
 # sides built through cmd/ldbench/run.sh, refused unless their digests
-# match, PAIRS alternating pairs per workload, each metric's medians,
-# IQRs, pairs won and verdict printed and appended to
-# BENCH_history.json. BASE=HEAD is an A/A noise-floor run.
+# match in every pair, 10 alternating pairs per BENCHMARK.json
+# workload at its run length, each metric's medians, IQRs, pairs won
+# and verdict printed and appended to BENCH_history.json. BASE=HEAD is
+# an A/A noise-floor run.
 # `make microbench` runs the Go testing benchmarks (per-figure,
 # hot-path, and scheduler fan-out).
 # `make fuzz-smoke` runs the trace-codec, checkpoint-scan, job-spec,
@@ -278,16 +279,10 @@ bench-smoke:
 		*) echo "bench-smoke: workload $$w did not report \"correct\":true" >&2; exit 1 ;; esac; \
 	done
 
-# Paired perf verdict against BASE (see cmd/benchab). WORKLOADS is a
-# comma-separated list; pair i runs seed SEED+i.
-WORKLOADS ?= sweep,replay,timing,tenants
-PAIRS ?= 10
-SECONDS ?= 20
-SEED ?= 1
+# Paired perf verdict against BASE (see cmd/benchab).
 bench-ab:
 	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>" >&2; exit 2; }
-	$(GO) run ./cmd/benchab -base '$(BASE)' -workloads '$(WORKLOADS)' \
-		-pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
+	$(GO) run ./cmd/benchab -base '$(BASE)'
 
 # CPU + heap profiles of the headline experiment, written to ./profiles.
 profile:

@@ -4,11 +4,14 @@
 // worktree under .bench_build and the working tree, each through the
 // unchanged cmd/ldbench/run.sh; refuses to time anything unless both
 // sides print the same "# digest" and "correct":true for every
-// workload; runs alternating pairs; and prints, for every end-to-end
-// metric, both medians, both interquartile ranges, the pairs won and a
-// verdict. The run is appended to BENCH_history.json.
+// workload; runs pairs alternating which side goes first, each pair
+// refused unless its two runs print the same digest; and prints, for
+// every end-to-end metric, both medians, both interquartile ranges, the
+// pairs won and a verdict. BENCHMARK.json sets the workloads and each
+// run's length; every workload runs 10 pairs, pair i at seed 1+i. The
+// run is appended to BENCH_history.json.
 //
-//	go run ./cmd/benchab -base HEAD~1 -pairs 10 -seconds 20
+//	go run ./cmd/benchab -base HEAD~1
 //
 // -base HEAD measures the working tree against its own commit: an A/A
 // run that shows each workload's noise floor on the machine at hand.
@@ -30,6 +33,22 @@ import (
 	"strings"
 	"time"
 )
+
+// Each workload runs pairs alternating base/work pairs; pair i runs
+// seed seed+i.
+const (
+	pairs = 10
+	seed  = 1
+)
+
+// bench is what benchab reads from BENCHMARK.json.
+type bench struct {
+	RunSeconds int `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metric `json:"end_to_end"`
+}
 
 // metric is one BENCHMARK.json end-to-end metric.
 type metric struct {
@@ -67,24 +86,20 @@ type result struct {
 
 func main() {
 	base := flag.String("base", "", "base revision (required)")
-	workloads := flag.String("workloads", "sweep,replay,timing,tenants", "comma-separated workloads")
-	pairs := flag.Int("pairs", 10, "alternating base/work pairs per workload")
-	seconds := flag.Int("seconds", 20, "timed phase of each run, in seconds")
-	seed := flag.Uint64("seed", 1, "seed of the first pair; pair i runs seed+i")
 	history := flag.String("history", "BENCH_history.json", "file the run is appended to")
 	flag.Parse()
-	if *base == "" || *pairs < 1 || *seconds < 1 {
-		fmt.Fprintln(os.Stderr, "benchab: -base is required, and -pairs and -seconds must be positive")
+	if *base == "" {
+		fmt.Fprintln(os.Stderr, "benchab: -base is required")
 		os.Exit(2)
 	}
-	if err := abRun(*base, strings.Split(*workloads, ","), *pairs, *seconds, *seed, *history); err != nil {
+	if err := abRun(*base, *history); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
 }
 
-func abRun(baseRev string, workloads []string, pairs, seconds int, seed uint64, history string) error {
-	metrics, err := endToEnd("BENCHMARK.json")
+func abRun(baseRev, history string) error {
+	b, err := readBench("BENCHMARK.json")
 	if err != nil {
 		return err
 	}
@@ -106,45 +121,31 @@ func abRun(baseRev string, workloads []string, pairs, seconds int, seed uint64, 
 	defer git("worktree", "remove", "--force", baseDir)
 	sides := [2]string{baseDir, "."}
 
-	// Correctness gate: same digest and correct:true on both sides.
-	for _, w := range workloads {
-		var digests [2]string
+	// Correctness gate, a 1 s run of each workload on both sides,
+	// before anything is timed.
+	for _, w := range b.Workloads {
+		var pair [2]run
 		for i, dir := range sides {
-			r, err := ldbench(dir, w, seed, 1)
-			if err != nil {
+			if pair[i], err = ldbench(dir, w.Name, seed, 1); err != nil {
 				return err
 			}
-			if !r.Correct || r.Failed != 0 || r.digest == "" {
-				return fmt.Errorf("%s: %s run not correct (correct %v, failed %d, digest %q)", w, side(i), r.Correct, r.Failed, r.digest)
-			}
-			digests[i] = r.digest
 		}
-		if digests[0] != digests[1] {
-			return fmt.Errorf("%s: digest %s at base, %s in the working tree; refusing to time different outputs", w, digests[0], digests[1])
+		if err := samePair(w.Name, -1, pair); err != nil {
+			return err
 		}
-		fmt.Printf("# %s: digest %s on both sides\n", w, digests[0])
+		fmt.Printf("# %s: digest %s on both sides\n", w.Name, pair[0].digest)
 	}
 
 	var results []result
-	for _, w := range workloads {
-		runs := [2][]run{}
-		for p := 0; p < pairs; p++ {
-			// Alternate which side runs first.
-			for k := 0; k < 2; k++ {
-				i := (p + k) % 2
-				r, err := ldbench(sides[i], w, seed+uint64(p), seconds)
-				if err != nil {
-					return err
-				}
-				if !r.Correct || r.Failed != 0 {
-					return fmt.Errorf("%s pair %d: %s run not correct (failed %d)", w, p, side(i), r.Failed)
-				}
-				runs[i] = append(runs[i], r)
-			}
-			fmt.Fprintf(os.Stderr, "# %s: pair %d/%d done\n", w, p+1, pairs)
+	for _, w := range b.Workloads {
+		runs, err := timePairs(w.Name, func(i, seed int) (run, error) {
+			return ldbench(sides[i], w.Name, seed, b.RunSeconds)
+		})
+		if err != nil {
+			return err
 		}
-		for _, m := range metrics {
-			results = append(results, compare(w, m, values(runs[0], m.Name), values(runs[1], m.Name)))
+		for _, m := range b.EndToEnd {
+			results = append(results, compare(w.Name, m, values(runs[0], m.Name), values(runs[1], m.Name)))
 		}
 	}
 	printTable(os.Stdout, results)
@@ -154,14 +155,60 @@ func abRun(baseRev string, workloads []string, pairs, seconds int, seed uint64, 
 		"work":       head,
 		"work_dirty": dirty != "",
 		"pairs":      pairs,
-		"seconds":    seconds,
+		"seconds":    b.RunSeconds,
 		"seed":       seed,
 		"cpus":       runtime.NumCPU(),
 		"results":    results,
 	})
 }
 
+// timePairs runs one workload's pairs through runOne(side, seed), side
+// 0 the base and 1 the working tree, alternating which side runs first,
+// and returns each side's runs in pair order.
+func timePairs(workload string, runOne func(i, seed int) (run, error)) ([2][]run, error) {
+	var runs [2][]run
+	for p := 0; p < pairs; p++ {
+		var pair [2]run
+		for k := 0; k < 2; k++ {
+			i := (p + k) % 2
+			r, err := runOne(i, seed+p)
+			if err != nil {
+				return runs, err
+			}
+			pair[i] = r
+		}
+		if err := samePair(workload, p, pair); err != nil {
+			return runs, err
+		}
+		for i := range pair {
+			runs[i] = append(runs[i], pair[i])
+		}
+		fmt.Fprintf(os.Stderr, "# %s: pair %d/%d done\n", workload, p+1, pairs)
+	}
+	return runs, nil
+}
+
 func side(i int) string { return [2]string{"base", "working-tree"}[i] }
+
+// samePair refuses a pair of runs (base, working tree) unless both are
+// correct and print the same digest: a timing of two programs with
+// different outputs is no verdict. p is the pair's index, -1 for the
+// gate run.
+func samePair(workload string, p int, pair [2]run) error {
+	at := workload
+	if p >= 0 {
+		at = fmt.Sprintf("%s pair %d", workload, p)
+	}
+	for i, r := range pair {
+		if !r.Correct || r.Failed != 0 || r.digest == "" {
+			return fmt.Errorf("%s: %s run not correct (correct %v, failed %d, digest %q)", at, side(i), r.Correct, r.Failed, r.digest)
+		}
+	}
+	if pair[0].digest != pair[1].digest {
+		return fmt.Errorf("%s: digest %s at base, %s in the working tree; refusing to time different outputs", at, pair[0].digest, pair[1].digest)
+	}
+	return nil
+}
 
 func git(args ...string) (string, error) {
 	out, err := exec.Command("git", args...).CombinedOutput()
@@ -171,23 +218,25 @@ func git(args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// endToEnd reads the end-to-end metrics BENCHMARK.json declares.
-func endToEnd(path string) ([]metric, error) {
+// readBench reads the workloads, the run length and the end-to-end
+// metrics BENCHMARK.json declares.
+func readBench(path string) (bench, error) {
+	var b bench
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
-	}
-	var b struct {
-		EndToEnd []metric `json:"end_to_end"`
+		return b, err
 	}
 	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+		return b, fmt.Errorf("%s: %v", path, err)
 	}
-	return b.EndToEnd, nil
+	if b.RunSeconds < 1 || len(b.Workloads) == 0 || len(b.EndToEnd) == 0 {
+		return b, fmt.Errorf("%s: needs run_seconds, workloads and end_to_end", path)
+	}
+	return b, nil
 }
 
 // ldbench runs one workload through dir's cmd/ldbench/run.sh.
-func ldbench(dir, workload string, seed uint64, seconds int) (run, error) {
+func ldbench(dir, workload string, seed, seconds int) (run, error) {
 	cmd := exec.Command("bash", "cmd/ldbench/run.sh", "--workload", workload,
 		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--spans", "")
 	cmd.Dir = dir

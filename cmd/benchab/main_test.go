@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestCompareVerdicts applies the verdict rule to pairs recorded in
 // CHANGES.md for the set-geometry change (sweep and replay
@@ -42,5 +46,70 @@ func TestQuartiles(t *testing.T) {
 	}
 	if m, iqr := quartiles([]float64{7}); m != 7 || iqr != 0 {
 		t.Errorf("quartiles(7) = %v, %v; want 7, 0", m, iqr)
+	}
+}
+
+// TestTimePairsRefusesDifferentDigests feeds the pair loop runs whose
+// digests differ between the sides from one seed on; the loop must
+// refuse at that pair, not time it.
+func TestTimePairsRefusesDifferentDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		runOne  func(i, seed int) run
+		refused string
+	}{
+		{"same digests", func(i, seed int) run {
+			return run{digest: fmt.Sprint(seed), Correct: true}
+		}, ""},
+		{"digests differ from seed 4", func(i, seed int) run {
+			d := fmt.Sprint(seed)
+			if i == 1 && seed >= 4 {
+				d += "x"
+			}
+			return run{digest: d, Correct: true}
+		}, "pair 3: digest 4 at base, 4x in the working tree"},
+		{"base run not correct at seed 6", func(i, seed int) run {
+			return run{digest: fmt.Sprint(seed), Correct: i == 1 || seed != 6}
+		}, "pair 5: base run not correct"},
+		{"working-tree run without a digest", func(i, seed int) run {
+			if i == 1 {
+				return run{Correct: true}
+			}
+			return run{digest: fmt.Sprint(seed), Correct: true}
+		}, "pair 0: working-tree run not correct"},
+	} {
+		var seeds, sides []int
+		runs, err := timePairs("sweep", func(i, seed int) (run, error) {
+			seeds, sides = append(seeds, seed), append(sides, i)
+			return tc.runOne(i, seed), nil
+		})
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.refused == "" && (len(runs[0]) != pairs || len(runs[1]) != pairs):
+			t.Errorf("%s: %d and %d runs; want %d each", tc.name, len(runs[0]), len(runs[1]), pairs)
+		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
+			t.Errorf("%s: error %v; want one containing %q", tc.name, err, tc.refused)
+		}
+		// Pair p runs seed+p on both sides, the base first in even pairs.
+		if tc.refused == "" {
+			for k := range seeds {
+				if p := k / 2; seeds[k] != seed+p || sides[k] != (p+k%2)%2 {
+					t.Errorf("%s: run %d is seed %d on side %d", tc.name, k, seeds[k], sides[k])
+				}
+			}
+		}
+	}
+}
+
+// TestReadBench reads the repository's BENCHMARK.json, which sets the
+// workloads and the run length.
+func TestReadBench(t *testing.T) {
+	b, err := readBench("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.RunSeconds < 1 || len(b.Workloads) == 0 || b.Workloads[0].Name == "" || len(b.EndToEnd) == 0 {
+		t.Errorf("readBench = %+v", b)
 	}
 }

@@ -36,6 +36,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{Name: "d", SizeBytes: 1<<20 + 64, Ways: 8, WOCWays: 2},
 		{Name: "e", SizeBytes: 3 * 8 * 64, Ways: 8, WOCWays: 2},
 		{Name: "f", SizeBytes: 256 * 64, Ways: 256, WOCWays: 65},
+		{Name: "g", SizeBytes: 256 * 64, Ways: 256, WOCWays: 2},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

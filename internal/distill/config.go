@@ -11,6 +11,7 @@ package distill
 
 import (
 	"fmt"
+	"math"
 
 	"ldis/internal/mem"
 	"ldis/internal/obs"
@@ -102,10 +103,14 @@ func (c Config) LOCWays() int { return c.Ways - c.WOCWays }
 // WOCEntries returns the number of word entries per set.
 func (c Config) WOCEntries() int { return c.WOCWays * mem.WordsPerLine }
 
+// maxWays bounds Ways: a set header counts its LOC entries, up to Ways
+// in traditional mode, in one byte.
+const maxWays = math.MaxUint8
+
 // Validate checks structural invariants.
 func (c Config) Validate() error {
-	if c.Ways <= 1 {
-		return fmt.Errorf("distill %q: need at least 2 ways, got %d", c.Name, c.Ways)
+	if c.Ways <= 1 || c.Ways > maxWays {
+		return fmt.Errorf("distill %q: ways %d not in [2, %d]", c.Name, c.Ways, maxWays)
 	}
 	if c.WOCWays < 1 || c.WOCWays >= c.Ways {
 		return fmt.Errorf("distill %q: WOCWays %d must be in [1, %d]", c.Name, c.WOCWays, c.Ways-1)
