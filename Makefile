@@ -40,7 +40,8 @@
 # briefly over their committed seed corpora.
 # `make mrc-smoke` validates the miss-ratio-curve engine: SHARDS-vs-
 # exact tolerance on every benchmark, curve-vs-simulation spot checks,
-# and a short end-to-end ldisexp mrc run.
+# a short end-to-end ldisexp mrc run, and a sample bound above
+# mrc.MaxSamplesLimit refused (exit 2) before any cell runs.
 # `make obs-smoke` validates the observability core: manifest
 # determinism across worker counts, the zero-allocation registry
 # tests, and an end-to-end ldisexp run whose manifest must round-trip
@@ -195,6 +196,12 @@ fuzz-smoke:
 mrc-smoke:
 	$(GO) test -run 'TestMRCShardsTolerance|TestMRCMatchesSimulation' -count=1 ./internal/exp
 	$(GO) run ./cmd/ldisexp -accesses 120000 -benchmarks sixtrack,health -mrc rate=0.2,max-samples=8192 mrc > /dev/null
+	$(GO) build -o bin/ldisexp ./cmd/ldisexp
+	@out=$$(bin/ldisexp -accesses 120000 -benchmarks sixtrack -mrc max-samples=1048577 mrc 2>&1); status=$$?; \
+	if [ $$status -ne 2 ] || ! echo "$$out" | grep -q 'mrc_max_samples.*above the limit' || echo "$$out" | grep -q 'done in'; then \
+		echo "mrc-smoke: -mrc max-samples above the limit exited $$status, want 2 before any cell runs; output:" >&2; \
+		echo "$$out" >&2; exit 1; \
+	fi
 
 # Observability smoke: the acceptance gate for internal/obs. The
 # tests pin manifest determinism across worker counts and the

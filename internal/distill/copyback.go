@@ -53,8 +53,8 @@ func (c CopyBackConfig) Validate() error {
 	if c.SampleRate < 0 || c.SampleRate >= 1 {
 		return fmt.Errorf("copy-back: sample rate %g outside [0, 1)", c.SampleRate)
 	}
-	if c.MaxSamples < 0 {
-		return fmt.Errorf("copy-back: negative MaxSamples %d", c.MaxSamples)
+	if c.MaxSamples < 0 || c.MaxSamples > mrc.MaxSamplesLimit {
+		return fmt.Errorf("copy-back: MaxSamples %d outside [0, %d]", c.MaxSamples, mrc.MaxSamplesLimit)
 	}
 	return nil
 }

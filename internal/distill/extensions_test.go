@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ldis/internal/mem"
+	"ldis/internal/mrc"
 )
 
 func TestConfigExtensionValidation(t *testing.T) {
@@ -18,6 +19,12 @@ func TestConfigExtensionValidation(t *testing.T) {
 		}(),
 		func() Config { c := tinyConfig(); c.FootprintNoise = -0.1; return c }(),
 		func() Config { c := tinyConfig(); c.FootprintNoise = 1.5; return c }(),
+		func() Config { c := tinyConfig(); c.CopyBack = &CopyBackConfig{MaxSamples: -1}; return c }(),
+		func() Config {
+			c := tinyConfig()
+			c.CopyBack = &CopyBackConfig{MaxSamples: mrc.MaxSamplesLimit + 1}
+			return c
+		}(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ldis/internal/cache"
+	"ldis/internal/mrc"
 	"ldis/internal/stats"
 	"ldis/internal/workload"
 )
@@ -202,6 +203,7 @@ func TestMRCOptionsValidate(t *testing.T) {
 		{MRCParams{SampleRate: 1e-30}, "mrc_sample_rate", "rounds to zero lines"},
 		{MRCParams{SampleRate: 1}, "mrc_max_samples", "requires a sample rate below 1"},
 		{MRCParams{MaxSamples: -1}, "mrc_max_samples", "negative max samples"},
+		{MRCParams{MaxSamples: mrc.MaxSamplesLimit + 1}, "mrc_max_samples", "above the limit"},
 		{MRCParams{Resolution: -64}, "mrc_resolution", "below the line size"},
 		{MRCParams{Resolution: 32, MaxBytes: 65536}, "mrc_resolution", "below the line size"},
 		{MRCParams{MaxBytes: -1}, "mrc_max_bytes", "below the resolution"},

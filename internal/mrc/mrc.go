@@ -62,7 +62,9 @@ type Config struct {
 	// MaxSamples, when > 0, bounds the number of concurrently tracked
 	// lines (SHARDS fixed-size mode): exceeding it evicts the
 	// maximum-hash line and lowers the threshold. Requires
-	// SampleRate < 1.
+	// SampleRate < 1 and at most MaxSamplesLimit. New allocates a
+	// fixed-size engine's whole stack for this many lines up front:
+	// 49–67 bytes per sample (see New).
 	MaxSamples int
 	// Seed perturbs the spatial hash so distinct runs (or benchmarks)
 	// sample independent line subsets.
@@ -110,11 +112,20 @@ func (c Config) Validate() error {
 	if c.MaxSamples < 0 {
 		return fmt.Errorf("mrc: negative max samples %d", c.MaxSamples)
 	}
+	if c.MaxSamples > MaxSamplesLimit {
+		return fmt.Errorf("mrc: max samples %d above the limit %d (a fixed-size engine allocates its whole sample up front)", c.MaxSamples, MaxSamplesLimit)
+	}
 	if c.MaxSamples > 0 && c.SampleRate >= 1 {
 		return fmt.Errorf("mrc: fixed-size mode (max samples %d) requires a sample rate below 1", c.MaxSamples)
 	}
 	return nil
 }
+
+// MaxSamplesLimit is the largest MaxSamples Validate accepts. A
+// fixed-size engine at the limit allocates about 60 MB in New; SHARDS
+// needs a few thousand samples for a curve within a percent or two, so
+// the limit only refuses sizes that would be an allocation hazard.
+const MaxSamplesLimit = 1 << 20
 
 // twoPow64 is 2^64 as a float, the denominator turning a uint64 hash
 // threshold into a sampling rate.
@@ -167,13 +178,22 @@ type Engine struct {
 	obsLiveWord *obs.Gauge
 }
 
-// initialCapacity is the stack tree's starting size in positions. It
-// grows by doubling with the live line count (see compact), never with
-// the trace length.
+// initialCapacity is the starting size, in positions and in table
+// slots, of an exact or fixed-rate engine's stack tree and line table.
+// Both grow by doubling with the live line count (see compact and
+// lineTable.insert), never with the trace length.
 const initialCapacity = 1 << 10
 
-// New returns an Engine. Its memory grows with the number of live
-// tracked lines, not with the number of accesses fed to it.
+// New returns an Engine. Its memory follows the number of live tracked
+// lines, never the number of accesses fed to it. An exact or
+// fixed-rate engine starts small and doubles its storage as live lines
+// grow. A fixed-size engine (MaxSamples > 0) never holds more than
+// MaxSamples+1 lines, so New allocates its storage once and nothing
+// reallocates it: a line table with slots for MaxSamples+1 keys at
+// most 3/4 full (13 bytes a slot, rounded up to a power of two), a
+// sample heap of MaxSamples+1 16-byte entries, and a tree of
+// 2*MaxSamples 8-byte positions, which compaction never has to double
+// — 49–67 bytes per sample in all, about 950 KB at 16K samples.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -182,9 +202,15 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		buckets: cfg.MaxBytes / cfg.ResolutionBytes,
-		tab:     newLineTable(),
-		fw:      newFenwick(initialCapacity),
 		invR:    1,
+	}
+	if n := cfg.MaxSamples; n > 0 {
+		e.tab = newLineTable(tableSlotsFor(n + 1))
+		e.heap = sampleHeap{refs: make([]sampleRef, 0, n+1)}
+		e.fw = newFenwick(2 * n)
+	} else {
+		e.tab = newLineTable(initialCapacity)
+		e.fw = newFenwick(initialCapacity)
 	}
 	if cfg.SampleRate < 1 {
 		e.sampled = true
@@ -301,10 +327,13 @@ func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse
 // renumbers the live lines 1..L in their current recency order and
 // rebuilds the tree in O(capacity). Relative order is all a reuse
 // distance depends on, so every distance is unchanged. The tree
-// doubles only when L exceeds a quarter of it; either way at least
-// half the capacity is free afterwards, so compaction costs amortized
-// O(1) per clock tick (top-of-stack re-touches do not tick) and the
-// tree stays within a small multiple of L.
+// doubles only when L exceeds half of it; either way at least half
+// the capacity is free afterwards, so each O(capacity) pass is paid
+// for by at least capacity/2 clock ticks (top-of-stack re-touches do
+// not tick) — two positions' worth of work per tick — and the tree
+// stays within 4x the peak live line count. A fixed-size engine's
+// tree holds 2*MaxSamples positions from New and L never exceeds
+// MaxSamples here, so it never doubles.
 //
 //ldis:noalloc
 func (e *Engine) compact() {
@@ -320,8 +349,8 @@ func (e *Engine) compact() {
 		}
 	}
 	next := old
-	if capacity := len(old) - 1; e.tab.n > capacity/4 {
-		//ldis:alloc-ok amortized growth: the tree doubles only when live lines exceed a quarter of it, so compaction stays O(1) per access
+	if capacity := len(old) - 1; e.tab.n > capacity/2 {
+		//ldis:alloc-ok amortized growth of an exact or fixed-rate engine's tree: it doubles only when live lines exceed half of it, so compaction stays O(1) per tick; a fixed-size tree is presized in New and never doubles
 		next = make([]cell, 2*capacity+1)
 	}
 	// Walk positions in order, handing out 1..L. The new position never

@@ -35,6 +35,7 @@ func TestConfigValidation(t *testing.T) {
 		{"fixed-size without sampling", Config{MaxSamples: 10}},
 		{"NaN rate", Config{SampleRate: math.NaN()}},
 		{"rate rounding to zero lines", Config{SampleRate: 1e-30}},
+		{"max samples above the limit", Config{SampleRate: 0.5, MaxSamples: MaxSamplesLimit + 1}},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); err == nil {
@@ -49,6 +50,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{}); err != nil {
 		t.Errorf("defaults rejected: %v", err)
+	}
+	if err := (Config{SampleRate: 0.5, MaxSamples: MaxSamplesLimit}).Validate(); err != nil {
+		t.Errorf("Validate rejected max samples at the limit: %v", err)
 	}
 }
 

@@ -27,7 +27,8 @@ const emptyKey = ^uint64(0)
 // stores cannot, and growth is amortized behind //ldis:alloc-ok).
 // Lines evicted from the SHARDS fixed-size sample are deleted outright
 // (backward-shift deletion, no tombstones), so occupancy tracks the
-// live sample rather than every line ever sampled.
+// live sample rather than every line ever sampled, and a table sized
+// by tableSlotsFor for the sample bound never grows.
 type lineTable struct {
 	keys []uint64
 	pos  []int32
@@ -35,17 +36,28 @@ type lineTable struct {
 	n    int // occupied slots, all live
 }
 
-func newLineTable() lineTable {
-	const initial = 1 << 10
+// newLineTable returns an empty table of size slots, a power of two.
+func newLineTable(size int) lineTable {
 	t := lineTable{
-		keys: make([]uint64, initial),
-		pos:  make([]int32, initial),
-		fp:   make([]mem.Footprint, initial),
+		keys: make([]uint64, size),
+		pos:  make([]int32, size),
+		fp:   make([]mem.Footprint, size),
 	}
 	for i := range t.keys {
 		t.keys[i] = emptyKey
 	}
 	return t
+}
+
+// tableSlotsFor returns the smallest power-of-two table size that
+// holds keys entries at no more than 3/4 load, so inserting up to keys
+// entries never triggers grow.
+func tableSlotsFor(keys int) int {
+	size := 1
+	for size*3 < keys*4 {
+		size *= 2
+	}
+	return size
 }
 
 // find returns the slot index holding key, or -1.
@@ -150,7 +162,8 @@ func (h *sampleHeap) less(a, b sampleRef) bool {
 }
 
 // push adds a tracked line. The append targets the receiver's own
-// slice, so growth is the caller's amortized storage, not an escape.
+// slice, whose capacity New sizes for the whole sample bound, so it
+// never grows.
 //
 //ldis:noalloc
 func (h *sampleHeap) push(r sampleRef) {

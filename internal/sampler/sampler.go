@@ -83,7 +83,7 @@ type Sampler struct {
 	geom    mem.Geometry // the shadowed traditional cache's set mapping, for ATD tags
 	psel    *stats.SatCounter
 	enabled bool
-	atd     [][]atdEntry // one LRU tag list per leader set, MRU-first
+	atd     []atdEntry // LeaderSets LRU tag lists of ATDWays entries each, MRU-first
 
 	// Counters for observability.
 	PolicyMisses uint64 // leader-set misses under the experimental policy
@@ -96,16 +96,12 @@ func New(cfg Config) *Sampler {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	atd := make([][]atdEntry, cfg.LeaderSets)
-	for i := range atd {
-		atd[i] = make([]atdEntry, cfg.ATDWays)
-	}
 	s := &Sampler{
 		cfg:     cfg,
 		stride:  cfg.NumSets / cfg.LeaderSets,
 		psel:    stats.NewSatCounter(uint32(1)<<cfg.PSELBits - 1),
 		enabled: true, // the experimental policy starts enabled
-		atd:     atd,
+		atd:     make([]atdEntry, cfg.LeaderSets*cfg.ATDWays),
 	}
 	// The ATD shadows a NumSets-set, ATDWays-way traditional cache;
 	// Validate accepted both counts.
@@ -141,7 +137,9 @@ func (s *Sampler) ObserveATD(setIdx int, line mem.LineAddr) {
 	if !s.IsLeader(setIdx) {
 		return
 	}
-	set := s.atd[s.leaderIndex(setIdx)]
+	w := s.cfg.ATDWays
+	li := s.leaderIndex(setIdx)
+	set := s.atd[li*w : (li+1)*w]
 	tag := s.geom.Tag(line)
 	for pos := range set {
 		if set[pos].valid && set[pos].tag == tag {

@@ -146,6 +146,27 @@ func TestATDModelsLRU(t *testing.T) {
 	if s.ATDMisses != 4 {
 		t.Errorf("ATDMisses = %d, want 4", s.ATDMisses)
 	}
+	// The leader sets share one arena: filling set 1 (lines 1 mod 8)
+	// must leave set 0's b and a resident.
+	s.ObserveATD(1, 1)  // miss
+	s.ObserveATD(1, 9)  // miss
+	s.ObserveATD(1, 17) // miss, evicts 1
+	s.ObserveATD(0, b)  // hit
+	s.ObserveATD(0, a)  // hit
+	s.ObserveATD(1, 9)  // hit
+	if s.ATDMisses != 7 {
+		t.Errorf("ATDMisses = %d after filling a neighbour set, want 7", s.ATDMisses)
+	}
+}
+
+// TestNewAllocs pins the sampler's construction cost: the leader sets'
+// tag lists live in one arena, so New makes a constant handful of
+// allocations however many leader sets it shadows.
+func TestNewAllocs(t *testing.T) {
+	cfg := DefaultConfig(2048)
+	if n := testing.AllocsPerRun(20, func() { New(cfg) }); n > 3 {
+		t.Errorf("New(DefaultConfig(2048)) makes %v allocations, want at most 3", n)
+	}
 }
 
 func TestStorageBits(t *testing.T) {
