@@ -49,3 +49,17 @@ func TestMissInstallPathZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocsIndependentOfSets pins New at a fixed number of
+// allocations whatever the set count: every set's ways live in one
+// line array.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	allocs := func(sets int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			New(Config{Name: "n", SizeBytes: sets * 8 * mem.LineSize, Ways: 8})
+		})
+	}
+	if few, many := allocs(4), allocs(2048); few != many {
+		t.Errorf("New allocates %.0f times at 4 sets, %.0f at 2048", few, many)
+	}
+}

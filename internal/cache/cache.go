@@ -50,19 +50,47 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Line is one tag entry. MaxFPPos tracks the maximum recency position
-// the line occupied at any access that changed its footprint — the
-// statistic behind the paper's Figure 2. Tenant records which sharer
-// installed the line (always 0 outside partitioned mode). The tag
-// comes first so the byte-sized fields pack after it: 16 bytes a line.
+// Line is one tag entry, packed into 8 bytes: the tag's low 32 bits,
+// the footprint, MaxFPPos, and a flag byte holding the valid and dirty
+// bits, the installing tenant (always 0 outside partitioned mode) and
+// the tag's bits 32-33 (mem.PackTag). MaxFPPos tracks the maximum
+// recency position the line occupied at any access that changed its
+// footprint — the statistic behind the paper's Figure 2.
 type Line struct {
-	Tag       uint64
-	Valid     bool
-	Dirty     bool
-	Footprint mem.Footprint
-	MaxFPPos  uint8
-	Tenant    uint8
+	tagLo    uint32
+	fp       mem.Footprint
+	maxFPPos uint8
+	flags    uint8
 }
+
+// The flag byte's fields below mem.TagHighMask.
+const (
+	lineValid   uint8 = 1 << 0
+	lineDirty   uint8 = 1 << 1
+	tenantShift       = 2
+	tenantMask  uint8 = MaxPartitionTenants - 1
+)
+
+// The tenant field must fit between the dirty bit and the tag bits.
+var _ [1<<(mem.TagHighShift-tenantShift) - MaxPartitionTenants]struct{}
+
+// newLine returns a valid line holding tag.
+func newLine(tag uint64, fp mem.Footprint, dirty bool, tenant int) Line {
+	k := mem.PackTag(tag)
+	l := Line{tagLo: k.Lo, fp: fp, flags: k.Hi | lineValid | (uint8(tenant)&tenantMask)<<tenantShift}
+	if dirty {
+		l.flags |= lineDirty
+	}
+	return l
+}
+
+func (l *Line) tag() uint64   { return mem.UnpackTag(l.tagLo, l.flags) }
+func (l *Line) valid() bool   { return l.flags&lineValid != 0 }
+func (l *Line) dirty() bool   { return l.flags&lineDirty != 0 }
+func (l *Line) tenant() uint8 { return l.flags >> tenantShift & tenantMask }
+
+// holds reports whether l is valid and holds the tag k keys.
+func (l *Line) holds(k mem.TagKey) bool { return k.Matches(l.tagLo, l.flags) && l.valid() }
 
 // Stats aggregates the cache's behaviour.
 type Stats struct {
@@ -101,8 +129,10 @@ func (s *Stats) HitRate() float64 {
 type Cache struct {
 	cfg  Config
 	geom mem.Geometry
-	sets [][]Line // sets[i] ordered MRU-first
-	st   Stats
+	// lines holds every set's ways, set si's at si*Ways, each set
+	// ordered MRU-first.
+	lines []Line
+	st    Stats
 
 	// Per-tenant way quotas, installed by SetPartition and consulted
 	// only on the AccessInstallTenant miss path.
@@ -132,11 +162,7 @@ func New(cfg Config) *Cache {
 	}
 	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
 	numSets := geom.Sets()
-	sets := make([][]Line, numSets)
-	for i := range sets {
-		sets[i] = make([]Line, cfg.Ways)
-	}
-	c := &Cache{cfg: cfg, geom: geom, sets: sets}
+	c := &Cache{cfg: cfg, geom: geom, lines: make([]Line, numSets*cfg.Ways)}
 	// Histograms are allocated eagerly so the access path never tests
 	// for them.
 	c.st.WordsUsedAtEvict = stats.NewHistogram(cfg.Name+" words used", mem.WordsPerLine+1)
@@ -164,18 +190,15 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the live statistics.
 func (c *Cache) Stats() *Stats { return &c.st }
 
+// set returns set si's ways, MRU-first.
+func (c *Cache) set(si int) []Line {
+	base := si * c.cfg.Ways
+	return c.lines[base : base+c.cfg.Ways : base+c.cfg.Ways]
+}
+
 // Lookup reports whether the line is present without touching LRU state
 // or stats (used by auxiliary structures and tests).
-func (c *Cache) Lookup(line mem.LineAddr) bool {
-	set := c.sets[c.geom.SetIndex(line)]
-	tag := c.geom.Tag(line)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Lookup(line mem.LineAddr) bool { return c.RecencyPosition(line) >= 0 }
 
 // promote moves the entry at pos to MRU, shifting the more recent
 // entries down one position.
@@ -211,67 +234,63 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 	st := &c.st
 	st.Accesses++
 	si := c.geom.SetIndex(line)
-	set := c.sets[si]
+	set := c.set(si)
 	tag := c.geom.Tag(line)
+	key := mem.KeyOf(tag)
 	c.memoLookup(si, tag)
 	// MRU fast path: a hit on way 0 needs no promotion (and cannot raise
 	// MaxFPPos), so it updates the line in place. Hits never transfer
 	// ownership: the installing tenant keeps the line against its quota.
-	if l := &set[0]; l.Valid && l.Tag == tag {
+	if l := &set[0]; l.holds(key) {
 		st.Hits++
-		l.Footprint = l.Footprint.Set(word)
+		l.fp = l.fp.Set(word)
 		if write {
-			l.Dirty = true
+			l.flags |= lineDirty
 		}
 		c.memoRecord(si, tag)
 		return true
 	}
 	for pos := 1; pos < len(set); pos++ {
-		if !set[pos].Valid || set[pos].Tag != tag {
+		if !set[pos].holds(key) {
 			continue
 		}
 		st.Hits++
 		l := set[pos]
-		if !l.Footprint.Has(word) {
-			l.Footprint = l.Footprint.Set(word)
-			if uint8(pos) > l.MaxFPPos {
-				l.MaxFPPos = uint8(pos)
+		if !l.fp.Has(word) {
+			l.fp = l.fp.Set(word)
+			if uint8(pos) > l.maxFPPos {
+				l.maxFPPos = uint8(pos)
 			}
 		}
 		if write {
-			l.Dirty = true
+			l.flags |= lineDirty
 		}
 		c.promote(set, pos, l)
 		c.memoRecord(si, tag)
 		return true
 	}
 	st.Misses++
+	mem.CheckLine(line)
 	victimPos := len(set) - 1
 	if c.quota.Active() {
 		var owners Owners
 		for pos := range set {
-			owners.Add(pos, set[pos].Valid, set[pos].Tenant)
+			owners.Add(pos, set[pos].valid(), set[pos].tenant())
 		}
 		victimPos = c.quota.Victim(&owners, tenant)
 	}
-	if v := set[victimPos]; v.Valid {
+	if v := set[victimPos]; v.valid() {
 		st.Evictions++
 		c.obsEvictions.Inc()
-		st.WordsUsedAtEvict.Add(v.Footprint.Count())
-		st.FPChangePos.Add(int(v.MaxFPPos))
-		if v.Dirty {
+		st.WordsUsedAtEvict.Add(v.fp.Count())
+		st.FPChangePos.Add(int(v.maxFPPos))
+		if v.dirty() {
 			st.Writebacks++
 			c.obsWritebacks.Inc()
 		}
-		c.memoInvalidate(si, v.Tag)
+		c.memoInvalidate(si, v.tag())
 	}
-	c.promote(set, victimPos, Line{
-		Valid:     true,
-		Dirty:     write,
-		Tag:       tag,
-		Footprint: mem.FootprintOfWord(word),
-		Tenant:    uint8(tenant),
-	})
+	c.promote(set, victimPos, newLine(tag, mem.FootprintOfWord(word), write, tenant))
 	c.memoRecord(si, tag)
 	return false
 }
@@ -284,19 +303,19 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 //
 //ldis:noalloc
 func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
-	set := c.sets[c.geom.SetIndex(line)]
-	tag := c.geom.Tag(line)
+	set := c.set(c.geom.SetIndex(line))
+	key := mem.KeyOf(c.geom.Tag(line))
 	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
+		if set[pos].holds(key) {
 			e := &set[pos]
-			if merged := e.Footprint.Or(fp); merged != e.Footprint {
-				e.Footprint = merged
-				if uint8(pos) > e.MaxFPPos {
-					e.MaxFPPos = uint8(pos)
+			if merged := e.fp.Or(fp); merged != e.fp {
+				e.fp = merged
+				if uint8(pos) > e.maxFPPos {
+					e.maxFPPos = uint8(pos)
 				}
 			}
 			if dirty != 0 {
-				e.Dirty = true
+				e.flags |= lineDirty
 			}
 			return
 		}
@@ -307,11 +326,9 @@ func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
 // sampling of Figure 10). The footprint passed is the line's current
 // footprint.
 func (c *Cache) VisitLines(fn func(line mem.LineAddr, fp mem.Footprint)) {
-	for si, set := range c.sets {
-		for _, l := range set {
-			if l.Valid {
-				fn(c.geom.Line(l.Tag, si), l.Footprint)
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid() {
+			fn(c.geom.Line(l.tag(), i/c.cfg.Ways), l.fp)
 		}
 	}
 }
@@ -320,10 +337,10 @@ func (c *Cache) VisitLines(fn func(line mem.LineAddr, fp mem.Footprint)) {
 // or -1 if absent; exposed for tests and the distill cache's auxiliary
 // structures.
 func (c *Cache) RecencyPosition(line mem.LineAddr) int {
-	set := c.sets[c.geom.SetIndex(line)]
-	tag := c.geom.Tag(line)
+	set := c.set(c.geom.SetIndex(line))
+	key := mem.KeyOf(c.geom.Tag(line))
 	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
+		if set[pos].holds(key) {
 			return pos
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -319,10 +320,153 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestLineRecordSize pins the tag record at 16 bytes, so a field that
+// TestLineRecordSize pins the tag record at 8 bytes, so a field that
 // re-pads it fails here.
 func TestLineRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Line{}); got != 16 {
-		t.Errorf("Line is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(Line{}); got != 8 {
+		t.Errorf("Line is %d bytes, want 8", got)
+	}
+}
+
+// refLine is one entry of refSet, the reference model of a set: plain
+// fields, the full line address, nothing packed.
+type refLine struct {
+	line     mem.LineAddr
+	fp       mem.Footprint
+	dirty    bool
+	maxFPPos int
+}
+
+// TestMatchesReferenceAcrossLineSpace drives random reads, writes and
+// L1D writeback notices over lines drawn from the whole 34-bit line
+// space through 1-set and 4-set caches and a reference model of plain
+// per-set slices, and after every call compares hit or miss, each
+// set's contents way by way (line, footprint, dirty bit, MaxFPPos)
+// and the eviction, writeback and histogram counters. The line pool
+// holds groups of lines that differ only in bits 32-33, which the
+// packed tag keeps outside its 32-bit field.
+func TestMatchesReferenceAcrossLineSpace(t *testing.T) {
+	for _, geo := range []struct{ sets, ways int }{{1, 4}, {4, 2}} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			x := seed * 0x9e3779b97f4a7c15
+			next := func() uint64 {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return x
+			}
+			pool := []mem.LineAddr{0, 1<<mem.LineBits - 1}
+			for range 3 {
+				low := next() & (1<<32 - 1)
+				for hi := uint64(0); hi < 4; hi++ {
+					pool = append(pool, mem.LineAddr(hi<<32|low))
+				}
+			}
+			c := New(Config{Name: "ref", SizeBytes: geo.sets * geo.ways * mem.LineSize, Ways: geo.ways})
+			ref := make([][]refLine, geo.sets)
+			var evictions, writebacks uint64
+			words := make([]uint64, mem.WordsPerLine+1)
+			fpPos := make([]uint64, geo.ways)
+			for call := 0; call < 400; call++ {
+				r := next()
+				line := pool[r%uint64(len(pool))]
+				word := int(r >> 8 % mem.WordsPerLine)
+				si := int(uint64(line) % uint64(geo.sets))
+				set := ref[si]
+				pos := slices.IndexFunc(set, func(e refLine) bool { return e.line == line })
+				if r>>16%4 == 3 {
+					// An L1D writeback notice: two used words, one of
+					// them dirty when bit 20 is set.
+					fp := mem.FootprintOfWord(word) | mem.FootprintOfWord((word+3)%8)
+					var dirty mem.Footprint
+					if r>>20&1 != 0 {
+						dirty = mem.FootprintOfWord(word)
+					}
+					c.MergeWriteback(line, fp, dirty)
+					if pos >= 0 {
+						e := &set[pos]
+						if e.fp|fp != e.fp {
+							e.fp |= fp
+							e.maxFPPos = max(e.maxFPPos, pos)
+						}
+						e.dirty = e.dirty || dirty != 0
+					}
+				} else {
+					write := r>>16%4 == 2
+					if hit := access(c, line, word, write); hit != (pos >= 0) {
+						t.Fatalf("%d sets, seed %d, call %d: access(%v) hit %v, reference %v", geo.sets, seed, call, line, hit, pos >= 0)
+					}
+					if pos >= 0 {
+						e := set[pos]
+						if !e.fp.Has(word) {
+							e.fp = e.fp.Set(word)
+							e.maxFPPos = max(e.maxFPPos, pos)
+						}
+						e.dirty = e.dirty || write
+						set = append(append([]refLine{e}, set[:pos]...), set[pos+1:]...)
+					} else {
+						if len(set) == geo.ways {
+							v := set[len(set)-1]
+							set = set[:len(set)-1]
+							evictions++
+							words[v.fp.Count()]++
+							fpPos[v.maxFPPos]++
+							if v.dirty {
+								writebacks++
+							}
+						}
+						set = append([]refLine{{line: line, fp: mem.FootprintOfWord(word), dirty: write}}, set...)
+					}
+					ref[si] = set
+				}
+				for s := range ref {
+					ways := c.set(s)
+					for p := range ways {
+						l := &ways[p]
+						if p >= len(ref[s]) {
+							if l.valid() {
+								t.Fatalf("%d sets, seed %d, call %d: set %d way %d valid, reference empty", geo.sets, seed, call, s, p)
+							}
+							continue
+						}
+						e := ref[s][p]
+						got := refLine{c.geom.Line(l.tag(), s), l.fp, l.dirty(), int(l.maxFPPos)}
+						if !l.valid() || got != e {
+							t.Fatalf("%d sets, seed %d, call %d: set %d way %d = %+v (valid %v), reference %+v", geo.sets, seed, call, s, p, got, l.valid(), e)
+						}
+					}
+				}
+				st := c.Stats()
+				if st.Evictions != evictions || st.Writebacks != writebacks {
+					t.Fatalf("%d sets, seed %d, call %d: %d evictions %d writebacks, reference %d %d", geo.sets, seed, call, st.Evictions, st.Writebacks, evictions, writebacks)
+				}
+				for i, n := range words {
+					if st.WordsUsedAtEvict.Count(i) != n {
+						t.Fatalf("%d sets, seed %d, call %d: words-used bucket %d = %d, reference %d", geo.sets, seed, call, i, st.WordsUsedAtEvict.Count(i), n)
+					}
+				}
+				for i, n := range fpPos {
+					if st.FPChangePos.Count(i) != n {
+						t.Fatalf("%d sets, seed %d, call %d: fp-change bucket %d = %d, reference %d", geo.sets, seed, call, i, st.FPChangePos.Count(i), n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A line beyond the 34-bit line space has no packed tag: installing
+// one panics instead of truncating its tag onto another line's.
+func TestInstallBeyondLineSpacePanics(t *testing.T) {
+	for _, sets := range []int{1, 4} {
+		c := New(Config{Name: "big", SizeBytes: sets * 2 * mem.LineSize, Ways: 2})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d sets: installing line 1<<34 did not panic", sets)
+				}
+			}()
+			access(c, 1<<mem.LineBits, 0, false)
+		}()
 	}
 }

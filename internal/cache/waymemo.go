@@ -103,7 +103,7 @@ func (c *Cache) CheckMemoInvariants() error {
 	if c.memoTags == nil {
 		return nil
 	}
-	for si := range c.sets {
+	for si := range c.geom.Sets() {
 		for slot := 0; slot < c.memoEPS; slot++ {
 			if c.memoValid[si]&(1<<uint(slot)) == 0 {
 				continue

@@ -95,20 +95,35 @@ func (s *Stats) Misses() uint64 { return s.HoleMisses + s.LineMisses }
 // Hits returns the total hit count.
 func (s *Stats) Hits() uint64 { return s.LOCHits + s.WOCHits }
 
-// locEntry is a LOC tag entry: tag, per-word footprint and dirty mask,
-// and the Figure-2 recency instrumentation. tenant records which
-// sharer installed the line (always 0 outside partitioned mode) and
-// follows the line into the WOC to pick its install-way mask. The tag
-// comes first so the byte-sized fields pack after it: 16 bytes an
-// entry.
+// locEntry is a LOC tag entry, packed into 8 bytes: the tag's low 32
+// bits, the per-word footprint and dirty mask, the Figure-2 recency
+// instrumentation, and a flag byte holding the installing tenant
+// (always 0 outside partitioned mode; it follows the line into the WOC
+// to pick its install-way mask), the instruction bit and the tag's
+// bits 32-33 (mem.PackTag).
 type locEntry struct {
-	tag      uint64
-	instr    bool // instruction lines are never distilled (Section 4)
+	tagLo    uint32
 	fp       mem.Footprint
 	dirty    mem.Footprint
 	maxFPPos uint8
-	tenant   uint8
+	flags    uint8
 }
+
+// The flag byte's fields below mem.TagHighMask.
+const (
+	locTenantMask uint8 = cache.MaxPartitionTenants - 1
+	// locInstr marks instruction lines, which are never distilled
+	// (Section 4).
+	locInstr uint8 = cache.MaxPartitionTenants
+)
+
+// The tenant and instruction bits must stay clear of the tag bits.
+var _ [1<<mem.TagHighShift - 2*cache.MaxPartitionTenants]struct{}
+
+func (e *locEntry) tag() uint64             { return mem.UnpackTag(e.tagLo, e.flags) }
+func (e *locEntry) holds(k mem.TagKey) bool { return k.Matches(e.tagLo, e.flags) }
+func (e *locEntry) tenant() uint8           { return e.flags & locTenantMask }
+func (e *locEntry) instr() bool             { return e.flags&locInstr != 0 }
 
 // setHdr is one set's state outside its LOC and WOC storage: how many
 // LOC entries are valid (always a prefix of the MRU-first LOC), and
@@ -285,11 +300,12 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 		}
 	}
 	tag := c.geom.Tag(la)
+	key := mem.KeyOf(tag)
 
 	// LOC lookup. MRU fast path first: a hit on way 0 needs no
 	// promotion (and cannot raise maxFPPos), so it updates in place.
 	loc := c.validLOC(si, h)
-	if len(loc) > 0 && loc[0].tag == tag {
+	if len(loc) > 0 && loc[0].holds(key) {
 		e := &loc[0]
 		e.fp = e.fp.Set(word)
 		if write {
@@ -299,7 +315,7 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 		return AccessResult{Outcome: LOCHit, ValidBits: mem.FullFootprint}
 	}
 	for pos := 1; pos < len(loc); pos++ {
-		if loc[pos].tag != tag {
+		if !loc[pos].holds(key) {
 			continue
 		}
 		e := loc[pos]
@@ -386,10 +402,11 @@ func (c *Cache) installLOC(h *setHdr, si int, tag uint64, word int, write, instr
 	if c.locQuota.Active() {
 		var owners cache.Owners
 		for pos := range loc {
-			owners.Add(pos, pos < n, loc[pos].tenant)
+			owners.Add(pos, pos < n, loc[pos].tenant())
 		}
 		victimPos = c.locQuota.Victim(&owners, tenant)
 	}
+	mem.CheckLine(c.geom.Line(tag, si))
 	if victimPos < n {
 		tok := c.obsSpans.Begin(obs.StageDistillEvict)
 		c.evictLOC(h, si, loc[victimPos])
@@ -400,12 +417,15 @@ func (c *Cache) installLOC(h *setHdr, si int, tag uint64, word int, write, instr
 		victimPos = n
 		h.n++
 	}
+	k := mem.PackTag(tag)
 	e := locEntry{
-		instr:  instr,
-		tag:    tag,
-		fp:     mem.FootprintOfWord(word).Or(mergedDirty),
-		dirty:  mergedDirty,
-		tenant: uint8(tenant),
+		tagLo: k.Lo,
+		fp:    mem.FootprintOfWord(word).Or(mergedDirty),
+		dirty: mergedDirty,
+		flags: k.Hi | uint8(tenant)&locTenantMask,
+	}
+	if instr {
+		e.flags |= locInstr
 	}
 	if write {
 		e.dirty = e.dirty.Set(word)
@@ -426,7 +446,7 @@ func (c *Cache) installLOC(h *setHdr, si int, tag uint64, word int, write, instr
 // its used words into the WOC or evict it entirely (traditional mode or
 // filtered by MT).
 func (c *Cache) evictLOC(h *setHdr, si int, v locEntry) {
-	if v.instr {
+	if v.instr() {
 		// Instruction lines bypass distillation and the data-footprint
 		// statistics (Section 4: LDIS only for data lines).
 		c.st.InstrEvictions++
@@ -457,9 +477,9 @@ func (c *Cache) evictLOC(h *setHdr, si int, v locEntry) {
 	slots := mem.Pow2WordsFor(used)
 	if c.cfg.Slots != nil {
 		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
-		slots = c.cfg.Slots(c.geom.Line(v.tag, si), v.fp)
+		slots = c.cfg.Slots(c.geom.Line(v.tag(), si), v.fp)
 	}
-	c.installWOC(si, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: uint8(slots)}, v.tenant)
+	c.installWOC(si, wordstore.NewLine(v.tag(), v.fp, v.dirty, slots), v.tenant())
 }
 
 // installWOC places a distilled line and accounts for displaced lines.
@@ -480,7 +500,7 @@ func (c *Cache) wocInsert(si int, wl wordstore.Line, tenant uint8) {
 		// Evict whatever the compressed tag store cannot represent next
 		// to wl: (member, signature) aliases and superblocks beyond the
 		// provisioned entry budget.
-		for _, ev := range c.touche.PrepareInstall(&c.woc, si, wl.Tag) {
+		for _, ev := range c.touche.PrepareInstall(&c.woc, si, wl.Tag()) {
 			c.st.WOCEvictions++
 			c.obsWOCEvictions.Inc()
 			if ev.Dirty != 0 {
@@ -588,9 +608,10 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 	si := c.geom.SetIndex(la)
 	h := &c.hdr[si]
 	tag := c.geom.Tag(la)
+	key := mem.KeyOf(tag)
 	loc := c.validLOC(si, h)
 	for pos := range loc {
-		if loc[pos].tag == tag {
+		if loc[pos].holds(key) {
 			e := &loc[pos]
 			if merged := e.fp.Or(footprint); merged != e.fp {
 				e.fp = merged
@@ -635,11 +656,7 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 		default:
 			c.st.CopyBacks++
 			c.obsCopyBacks.Inc()
-			c.wocInsert(si, wordstore.Line{
-				Tag:   tag,
-				Words: footprint,
-				Slots: uint8(mem.Pow2WordsFor(footprint.Count())),
-			}, 0)
+			c.wocInsert(si, wordstore.NewLine(tag, footprint, 0, mem.Pow2WordsFor(footprint.Count())), 0)
 		}
 	}
 }
@@ -650,8 +667,9 @@ func (c *Cache) Present(la mem.LineAddr) string {
 	si := c.geom.SetIndex(la)
 	h := &c.hdr[si]
 	tag := c.geom.Tag(la)
+	key := mem.KeyOf(tag)
 	for _, e := range c.validLOC(si, h) {
-		if e.tag == tag {
+		if e.holds(key) {
 			return "loc"
 		}
 	}
@@ -711,19 +729,19 @@ func (c *Cache) CheckInvariants() error {
 		}
 		seen = seen[:0]
 		for _, e := range c.validLOC(i, h) {
-			if contains(e.tag) {
-				return fmt.Errorf("set %d: duplicate LOC tag %x", i, e.tag)
+			if contains(e.tag()) {
+				return fmt.Errorf("set %d: duplicate LOC tag %x", i, e.tag())
 			}
-			seen = append(seen, e.tag)
+			seen = append(seen, e.tag())
 			if e.dirty&^e.fp != 0 {
 				return fmt.Errorf("set %d: LOC dirty outside footprint", i)
 			}
 		}
 		for _, wl := range c.woc.Lines(i) {
-			if contains(wl.Tag) {
-				return fmt.Errorf("set %d: tag %x in both LOC and WOC", i, wl.Tag)
+			if contains(wl.Tag()) {
+				return fmt.Errorf("set %d: tag %x in both LOC and WOC", i, wl.Tag())
 			}
-			seen = append(seen, wl.Tag)
+			seen = append(seen, wl.Tag())
 		}
 	}
 	return nil

@@ -524,10 +524,30 @@ func TestStressInvariants(t *testing.T) {
 	}
 }
 
-// TestLocEntrySize pins the LOC tag record at 16 bytes, so a field
+// TestLocEntrySize pins the LOC tag record at 8 bytes, so a field
 // that re-pads it fails here.
 func TestLocEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(locEntry{}); got != 16 {
-		t.Errorf("locEntry is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(locEntry{}); got != 8 {
+		t.Errorf("locEntry is %d bytes, want 8", got)
+	}
+}
+
+// A line beyond the 34-bit line space has no packed tag: installing
+// one panics instead of truncating its tag onto another line's, in a
+// one-set cache (where the tag is the whole line) and in a 4-set one
+// (where the tag would still fit 34 bits).
+func TestInstallBeyondLineSpacePanics(t *testing.T) {
+	for _, sets := range []int{1, 4} {
+		cfg := tinyConfig()
+		cfg.SizeBytes = sets * cfg.Ways * mem.LineSize
+		c := New(cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d sets: installing line 1<<34 did not panic", sets)
+				}
+			}()
+			c.Access(1<<mem.LineBits, 0, false)
+		}()
 	}
 }

@@ -127,7 +127,7 @@ func (c Config) Validate() error {
 	if c.StaticThreshold > 0 && c.MedianThreshold {
 		return fmt.Errorf("distill %q: StaticThreshold and MedianThreshold are mutually exclusive", c.Name)
 	}
-	if c.FootprintNoise < 0 || c.FootprintNoise > 1 {
+	if !(c.FootprintNoise >= 0 && c.FootprintNoise <= 1) {
 		return fmt.Errorf("distill %q: footprint noise %v out of [0,1]", c.Name, c.FootprintNoise)
 	}
 	if c.Touche != nil {

@@ -21,7 +21,7 @@ func WOCSet(c *Cache, la mem.LineAddr, out []WOCLine) []WOCLine {
 	si := c.geom.SetIndex(la)
 	out = out[:0]
 	for _, l := range c.woc.Lines(si) {
-		out = append(out, WOCLine{c.geom.Line(l.Tag, si), int(l.Way)*mem.WordsPerLine + int(l.Start), int(l.Slots), l.Words, l.Dirty})
+		out = append(out, WOCLine{c.geom.Line(l.Tag(), si), l.Way()*mem.WordsPerLine + l.Start(), l.Slots(), l.Words, l.Dirty})
 	}
 	slices.SortFunc(out, func(a, b WOCLine) int { return a.Pos - b.Pos })
 	return out

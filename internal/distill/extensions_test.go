@@ -1,6 +1,7 @@
 package distill
 
 import (
+	"math"
 	"testing"
 
 	"ldis/internal/mem"
@@ -19,6 +20,7 @@ func TestConfigExtensionValidation(t *testing.T) {
 		}(),
 		func() Config { c := tinyConfig(); c.FootprintNoise = -0.1; return c }(),
 		func() Config { c := tinyConfig(); c.FootprintNoise = 1.5; return c }(),
+		func() Config { c := tinyConfig(); c.FootprintNoise = math.NaN(); return c }(),
 		func() Config { c := tinyConfig(); c.CopyBack = &CopyBackConfig{MaxSamples: -1}; return c }(),
 		func() Config {
 			c := tinyConfig()

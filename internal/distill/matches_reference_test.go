@@ -28,6 +28,9 @@ type twin struct {
 	r        *refCache
 	calls    int
 	got, ref []distill.WOCLine // reused WOC listings
+	// highTag records whether the WOC ever held a line whose tag
+	// reaches bit 32, past the packed tag's 32-bit field.
+	highTag bool
 }
 
 func newTwin(tb testing.TB, cfg distill.Config) *twin {
@@ -70,6 +73,9 @@ func (w *twin) check(la mem.LineAddr) {
 	w.got, w.ref = distill.WOCSet(w.c, la, w.got), w.r.wocSet(la, w.ref)
 	if !slices.Equal(w.got, w.ref) {
 		w.tb.Fatalf("call %d: WOC of %v's set\n got %+v\nwant %+v", w.calls, la, w.got, w.ref)
+	}
+	for _, l := range w.got {
+		w.highTag = w.highTag || uint64(l.Line)/uint64(len(w.r.sets)) >= 1<<32
 	}
 	if w.calls%4096 == 0 {
 		w.verify()
@@ -216,6 +222,9 @@ func TestDistillMatchesReference(t *testing.T) {
 // threshold, a static threshold, the reverter (with a 4-bit PSEL and a
 // narrow band so it flips both ways within an input), WOC-LRU and a
 // Slots hook that halves the slot count, each selected by one bit.
+// Bit 6 selects a single set instead, whose tags are whole line
+// addresses and so reach bits 32-33; it has no reverter, which needs
+// leader and follower sets.
 func fuzzConfig(b byte) distill.Config {
 	cfg := distill.Config{Name: "fuzz", SizeBytes: 8 * 4 * mem.LineSize, Ways: 4, WOCWays: 1 + int(b&1), Seed: 3}
 	switch {
@@ -224,7 +233,9 @@ func fuzzConfig(b byte) distill.Config {
 	case b&4 != 0:
 		cfg.StaticThreshold = 2
 	}
-	if b&8 != 0 {
+	if b&64 != 0 {
+		cfg.SizeBytes = 4 * mem.LineSize
+	} else if b&8 != 0 {
 		cfg.Reverter = true
 		cfg.SamplerConfig = &sampler.Config{NumSets: 8, LeaderSets: 2, ATDWays: 4, PSELBits: 4, LowWatermark: 6, HighWatermark: 9}
 	}
@@ -241,6 +252,9 @@ func fuzzConfig(b byte) distill.Config {
 // 0-2), the kind (bits 3-4: read, write, instruction fetch, L1D
 // writeback) and, for a writeback, whether the word is dirty (bit 5);
 // the second byte picks one of 256 lines, shifted by 37 lines a round.
+// Line i is i with its top two bits copied to address bits 32-33: the
+// map is one-to-one and keeps each line's set, so it only moves tags
+// into the packed tag's high bits.
 func runFuzzInput(tb testing.TB, data []byte) *twin {
 	if len(data) < 4 {
 		return nil
@@ -250,7 +264,8 @@ func runFuzzInput(tb testing.TB, data []byte) *twin {
 	for round := 0; round <= int(data[1]%64); round++ {
 		for i := 0; i < len(body); i += 2 {
 			op, word := body[i], int(body[i]&7)
-			la := mem.LineAddr((int(body[i+1]) + 37*round) % 256)
+			idx := uint64(int(body[i+1])+37*round) % 256
+			la := mem.LineAddr(idx | idx>>6<<32)
 			switch op >> 3 & 3 {
 			case 0, 1:
 				w.access(la, word, op>>3&3 == 1, false)
@@ -282,14 +297,15 @@ func FuzzDistillMatchesReference(f *testing.F) {
 // TestDistillReferenceCorpus runs the committed fuzz corpus and
 // requires it to cover what the seeds were written for: a WOC install
 // with no free position, a line distilled with dirty words, a median
-// recomputed below 8 that filters victims, and follower sets switching
-// into traditional mode and back.
+// recomputed below 8 that filters victims, follower sets switching
+// into traditional mode and back, and a WOC line whose tag is 2^32 or
+// more.
 func TestDistillReferenceCorpus(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzDistillMatchesReference/*")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no corpus: %v", err)
 	}
-	var full, dirty, median, switches bool
+	var full, dirty, median, switches, high bool
 	for _, name := range files {
 		raw, err := os.ReadFile(name)
 		if err != nil {
@@ -306,9 +322,10 @@ func TestDistillReferenceCorpus(t *testing.T) {
 		dirty = dirty || w.r.dirtyInstalls > 0
 		median = median || (w.c.MedianThreshold() < mem.WordsPerLine && st.ThresholdSkips > 0)
 		switches = switches || (w.c.Sampler() != nil && w.c.Sampler().Flips >= 2 && st.ModeSwitches >= 2)
+		high = high || w.highTag
 	}
-	if !full || !dirty || !median || !switches {
-		t.Errorf("corpus coverage: full WOC %v, dirty distilled words %v, median window %v, mode switches both ways %v",
-			full, dirty, median, switches)
+	if !full || !dirty || !median || !switches || !high {
+		t.Errorf("corpus coverage: full WOC %v, dirty distilled words %v, median window %v, mode switches both ways %v, tags of 2^32 or more %v",
+			full, dirty, median, switches, high)
 	}
 }

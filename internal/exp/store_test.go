@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -189,5 +190,38 @@ func TestConfigTable(t *testing.T) {
 	// The leader ablation's 32-leader column reads plain ldis-mt-rc-2.
 	if n := ldisMTRC(2, 1).SamplerConfig.LeaderSets; n != 32 {
 		t.Errorf("default leader sets = %d, want 32", n)
+	}
+}
+
+// TestBuildAllocBound bounds the bytes building each of the sweep's
+// three organizations allocates (runtime.MemStats.TotalAlloc around
+// Build, the least of three builds). With 8-byte line records they
+// read about 145 KB, 422 KB and 554 KB. Each bound leaves less than
+// the 64 KB that re-padding one record to 12 bytes adds (4 bytes for
+// each of 2048 sets x 8 traditional or LOC ways, and more for the WOC's
+// 16 or 24 word entries a set), so such a field fails here, not only
+// in the benchmark.
+func TestBuildAllocBound(t *testing.T) {
+	for _, tc := range []struct {
+		key   string
+		bound uint64
+	}{
+		{"base-1MB", 180 << 10},
+		{"ldis-mt-rc-2", 460 << 10},
+		{"fac-3", 600 << 10},
+	} {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Build(tc.key, "mcf", nil); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > tc.bound {
+			t.Errorf("building %s allocates %d bytes, bound %d", tc.key, least, tc.bound)
+		}
 	}
 }

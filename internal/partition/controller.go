@@ -57,8 +57,12 @@ type Config struct {
 	// is salted independently from it.
 	Seed uint64
 	// AccessBudget is the maximum total Observe calls over the
-	// controller's lifetime; it sizes only the decision log (the MRC
-	// engines grow with their live lines, not with the access count).
+	// controller's lifetime; it sizes only the decision log. The MRC
+	// engines do not depend on it: a fixed-size SHARDS engine (any
+	// SampleRate below 1) allocates its whole MaxSamples sample in
+	// mrc.New, about 950 KB at the default 16K, and only an exact
+	// engine (SampleRate 1, or a Shadow engine) grows with its
+	// tenant's live lines.
 	AccessBudget int
 	// Obs, when non-nil, receives the epoch/rebalance counters and the
 	// rebalance span timings for the owning grid cell.
@@ -229,9 +233,10 @@ func NewController(cfg Config) (*Controller, error) {
 		// engine (SampleRate ≥ 1, used by tests) takes no sample cap.
 		ecfg.MaxSamples = cfg.maxSamples()
 	}
-	// The budget sizes only the decision log above: each engine grows
-	// with its tenant's live lines, so however unevenly the tenants'
-	// streams interleave, no engine needs sizing up front.
+	// The budget sizes only the decision log above. A fixed-size engine
+	// allocates its whole sample here (about 950 KB at the default 16K
+	// samples) however the tenants' streams interleave; an exact one
+	// grows with its tenant's live lines.
 	for t := 0; t < n; t++ {
 		ecfg.Seed = cfg.Seed + uint64(t)*0x9e3779b97f4a7c15
 		eng, err := mrc.New(ecfg)

@@ -332,28 +332,26 @@ func (c *Cache) install(si int, la mem.LineAddr, word int, pc mem.Addr, write, f
 	if !forceFull {
 		fp = c.predict(pc, la).Set(word)
 	}
-	nl := wordstore.Line{
-		Tag:   c.geom.Tag(la),
-		Words: fp,
-		Slots: uint8(mem.Pow2WordsFor(fp.Count())),
-	}
+	mem.CheckLine(la)
+	var dirty mem.Footprint
 	if write {
-		nl.Dirty = mem.FootprintOfWord(word)
+		dirty = mem.FootprintOfWord(word)
 	}
+	nl := wordstore.NewLine(c.geom.Tag(la), fp, dirty, mem.Pow2WordsFor(fp.Count()))
 	// The decoupled sectored cache replaces in LRU order (unlike the
 	// WOC's random policy): evict least-recently-used lines until an
 	// aligned region of the required size is free and the tag budget
 	// holds. This also makes the reverter's full-install fallback
 	// behave like the traditional LRU baseline.
 	for len(c.store.Lines(si)) > 0 &&
-		(!c.store.HasFreeRegion(si, int(nl.Slots)) || len(c.store.Lines(si))+1 > c.cfg.TagsPerSet) {
+		(!c.store.HasFreeRegion(si, nl.Slots()) || len(c.store.Lines(si))+1 > c.cfg.TagsPerSet) {
 		c.evicted(si, c.store.RemoveAt(si, c.lruIndex(si)))
 	}
 	for _, ev := range c.store.Install(si, nl, c.nextRand(), 0) {
 		c.evicted(si, ev)
 	}
 	c.tick++
-	c.meta[si].put(nl.Tag, lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick})
+	c.meta[si].put(nl.Tag(), lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick})
 	return fp
 }
 
@@ -364,7 +362,7 @@ func (c *Cache) lruIndex(si int) int {
 	best, bestUse := 0, ^uint64(0)
 	lines := c.store.Lines(si)
 	for i := range lines {
-		if u := c.meta[si].get(lines[i].Tag).lastUse; u < bestUse {
+		if u := c.meta[si].get(lines[i].Tag()).lastUse; u < bestUse {
 			best, bestUse = i, u
 		}
 	}
@@ -378,9 +376,9 @@ func (c *Cache) evicted(si int, l wordstore.Line) {
 	if l.Dirty != 0 {
 		c.st.Writebacks++
 	}
-	if m, ok := c.meta[si].lookup(l.Tag); ok {
-		c.train(m.pc, c.geom.Line(l.Tag, si), m.observed)
-		c.meta[si].del(l.Tag)
+	if m, ok := c.meta[si].lookup(l.Tag()); ok {
+		c.train(m.pc, c.geom.Line(l.Tag(), si), m.observed)
+		c.meta[si].del(l.Tag())
 	}
 }
 
@@ -439,8 +437,8 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("set %d: %d lines exceed tag budget %d", i, len(lines), c.cfg.TagsPerSet)
 		}
 		for _, l := range lines {
-			if _, ok := c.meta[i].lookup(l.Tag); !ok {
-				return fmt.Errorf("set %d: line %x missing metadata", i, l.Tag)
+			if _, ok := c.meta[i].lookup(l.Tag()); !ok {
+				return fmt.Errorf("set %d: line %x missing metadata", i, l.Tag())
 			}
 		}
 		if c.meta[i].len() != len(lines) {

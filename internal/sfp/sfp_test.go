@@ -230,3 +230,15 @@ func TestAccessZeroAllocs(t *testing.T) {
 		t.Errorf("Access allocates %.1f per 256 accesses", n)
 	}
 }
+
+// A line beyond the 34-bit line space has no packed tag: installing
+// one panics instead of truncating its tag onto another line's.
+func TestInstallBeyondLineSpacePanics(t *testing.T) {
+	c := New(tinyConfig())
+	defer func() {
+		if recover() == nil {
+			t.Error("installing line 1<<34 did not panic")
+		}
+	}()
+	c.Access(1<<mem.LineBits, 0, 0x400, false)
+}

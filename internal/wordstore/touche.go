@@ -206,7 +206,7 @@ func (t *ToucheTags) Find(st *Store, si int, tag uint64) int {
 	sigWant := t.sig(sb)
 	lines := st.Lines(si)
 	for i := range lines {
-		lt := lines[i].Tag
+		lt := lines[i].Tag()
 		if lt&t.sbMask != member {
 			continue
 		}
@@ -255,7 +255,7 @@ func (t *ToucheTags) PrepareInstall(st *Store, si int, tag uint64) []Line {
 
 	// Invariant 1: evict (member, signature) aliases.
 	for i := 0; i < int(st.count[si]); {
-		lt := st.Lines(si)[i].Tag
+		lt := st.Lines(si)[i].Tag()
 		lsb := lt >> t.sbShift
 		if lt&t.sbMask == member && lsb != sb && t.sig(lsb) == sigWant {
 			evicted = append(evicted, st.RemoveAt(si, i))
@@ -271,7 +271,7 @@ func (t *ToucheTags) PrepareInstall(st *Store, si int, tag uint64) []Line {
 	sbResident := false
 	lines := st.Lines(si)
 	for i := range lines {
-		lsb := lines[i].Tag >> t.sbShift
+		lsb := lines[i].Tag() >> t.sbShift
 		if lsb == sb {
 			sbResident = true
 		}
@@ -299,7 +299,7 @@ func (t *ToucheTags) PrepareInstall(st *Store, si int, tag uint64) []Line {
 			}
 		}
 		for i := 0; i < int(st.count[si]); {
-			if st.Lines(si)[i].Tag>>t.sbShift == victim.sb {
+			if st.Lines(si)[i].Tag()>>t.sbShift == victim.sb {
 				evicted = append(evicted, st.RemoveAt(si, i))
 				t.Stats.SuperblockEvictions++
 				continue
@@ -317,9 +317,9 @@ func (t *ToucheTags) PrepareInstall(st *Store, si int, tag uint64) []Line {
 func (t *ToucheTags) CheckInvariants(st *Store, si int) error {
 	lines := st.Lines(si)
 	for i := range lines {
-		ti := lines[i].Tag
+		ti := lines[i].Tag()
 		for j := i + 1; j < len(lines); j++ {
-			tj := lines[j].Tag
+			tj := lines[j].Tag()
 			if ti&t.sbMask != tj&t.sbMask {
 				continue
 			}
@@ -331,7 +331,7 @@ func (t *ToucheTags) CheckInvariants(st *Store, si int) error {
 	}
 	distinct := t.sbScratch[:0]
 	for i := range lines {
-		lsb := lines[i].Tag >> t.sbShift
+		lsb := lines[i].Tag() >> t.sbShift
 		found := false
 		for _, d := range distinct {
 			if d.sb == lsb {

@@ -27,7 +27,7 @@ func findAlias(t *testing.T, tt *ToucheTags, wantCkCollide bool) (a, b uint64) {
 }
 
 func installWhole(s *Store, tag uint64) {
-	s.Install(0, Line{Tag: tag, Words: mem.FullFootprint, Slots: mem.WordsPerLine}, 0, 0)
+	s.Install(0, NewLine(tag, mem.FullFootprint, 0, mem.WordsPerLine), 0, 0)
 }
 
 // A signature alias with a DIFFERING checksum must miss safely and be
@@ -37,11 +37,11 @@ func TestToucheAliasChecksumDisambiguates(t *testing.T) {
 	s := newSet(2)
 	a, b := findAlias(t, tt, false)
 	installWhole(s, a)
-	if got := tt.Find(s, 0, a); got < 0 || s.Lines(0)[got].Tag != a {
+	if got := tt.Find(s, 0, a); got < 0 || s.Lines(0)[got].Tag() != a {
 		t.Fatalf("exact lookup of %x: got %d", a, got)
 	}
 	if got := tt.Find(s, 0, b); got != -1 {
-		t.Fatalf("alias lookup of %x returned resident index %d (tag %x): false hit", b, got, s.Lines(0)[got].Tag)
+		t.Fatalf("alias lookup of %x returned resident index %d (tag %x): false hit", b, got, s.Lines(0)[got].Tag())
 	}
 	if tt.Stats.AliasSafeMisses != 1 || tt.Stats.ChecksumCollisions != 0 {
 		t.Fatalf("stats = %+v, want 1 alias safe miss, 0 checksum collisions", tt.Stats)
@@ -72,7 +72,7 @@ func TestTouchePrepareInstallEvictsAlias(t *testing.T) {
 	a, b := findAlias(t, tt, false)
 	installWhole(s, a)
 	ev := tt.PrepareInstall(s, 0, b)
-	if len(ev) != 1 || ev[0].Tag != a {
+	if len(ev) != 1 || ev[0].Tag() != a {
 		t.Fatalf("PrepareInstall evicted %v, want the alias %x", ev, a)
 	}
 	if tt.Stats.AliasEvictions != 1 {
@@ -90,12 +90,12 @@ func TestToucheSuperblockPressure(t *testing.T) {
 	s := newSet(4)
 	// Superblock 1: two lines, 4 words each. Superblock 2: one line,
 	// 2 words — the cheapest victim.
-	s.Install(0, Line{Tag: 4, Words: 0x0f, Slots: 4}, 0, 0)
-	s.Install(0, Line{Tag: 5, Words: 0x0f, Slots: 4}, 0, 0)
-	s.Install(0, Line{Tag: 8, Words: 0x03, Slots: 2}, 0, 0)
+	s.Install(0, NewLine(4, 0x0f, 0, 4), 0, 0)
+	s.Install(0, NewLine(5, 0x0f, 0, 4), 0, 0)
+	s.Install(0, NewLine(8, 0x03, 0, 2), 0, 0)
 	// Installing a line of superblock 3 exceeds the two-entry budget.
 	ev := tt.PrepareInstall(s, 0, 12)
-	if len(ev) != 1 || ev[0].Tag != 8 {
+	if len(ev) != 1 || ev[0].Tag() != 8 {
 		t.Fatalf("evicted %v, want the 2-word line of superblock 2", ev)
 	}
 	if tt.Stats.SuperblockEvictions != 1 {
@@ -126,14 +126,14 @@ func TestToucheStressNeverFalseHit(t *testing.T) {
 	}
 	for i := 0; i < 20000; i++ {
 		tag := next(512)
-		if got := tt.Find(s, 0, tag); got >= 0 && s.Lines(0)[got].Tag != tag {
-			t.Fatalf("false hit: lookup %x resolved to %x", tag, s.Lines(0)[got].Tag)
+		if got := tt.Find(s, 0, tag); got >= 0 && s.Lines(0)[got].Tag() != tag {
+			t.Fatalf("false hit: lookup %x resolved to %x", tag, s.Lines(0)[got].Tag())
 		}
 		if s.Find(0, tag) < 0 {
 			tt.PrepareInstall(s, 0, tag)
 			words := mem.Footprint(1<<next(8)) | 1
-			slots := uint8(mem.Pow2WordsFor(words.Count()))
-			s.Install(0, Line{Tag: tag, Words: words, Slots: slots}, next(1<<32), 0)
+			slots := mem.Pow2WordsFor(words.Count())
+			s.Install(0, NewLine(tag, words, 0, slots), next(1<<32), 0)
 			if err := tt.CheckInvariants(s, 0); err != nil {
 				t.Fatalf("after installing %x: %v", tag, err)
 			}

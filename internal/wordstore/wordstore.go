@@ -16,20 +16,59 @@ import (
 
 // Line is one resident line: its stored words are packed into Slots
 // consecutive word entries of way Way, starting at the aligned offset
-// Start. The paper's head-bit corresponds to the Start slot. The tag
-// comes first so the byte-sized fields pack after it: 16 bytes a line.
+// Start. The paper's head-bit corresponds to the Start slot. A record
+// is 8 bytes: the tag's low 32 bits, the word masks, a byte holding the
+// way (bits 0-5) and the tag's bits 32-33 (mem.PackTag), and a byte
+// holding Start (bits 0-2) and log2 Slots (bits 3-4). NewLine builds
+// one; the store sets its way and start when it places it.
 type Line struct {
-	Tag   uint64
+	tagLo uint32
 	Words mem.Footprint // which words of the line are stored
 	Dirty mem.Footprint // which stored words are dirty
-	Way   uint8
-	Start uint8
-	Slots uint8 // power-of-two entry count (>= stored payload)
+	way   uint8
+	place uint8
 }
 
 // MaxWays bounds a set's data ways: a way mask is one uint64 and
-// Line.Way one byte.
+// a line's way six bits.
 const MaxWays = 64
+
+// The way field must stay clear of the tag bits.
+var _ [1<<mem.TagHighShift - MaxWays]struct{}
+
+// The bits of Line.way and Line.place.
+const (
+	lineWayMask uint8 = MaxWays - 1
+	startMask   uint8 = mem.WordsPerLine - 1
+	slotsShift        = 3
+)
+
+// NewLine returns an unplaced line of the given tag, stored and dirty
+// words, and slot count. slots must be a power of two up to
+// mem.WordsPerLine and tag must fit the line space (mem.PackTag);
+// either violation panics.
+func NewLine(tag uint64, words, dirty mem.Footprint, slots int) Line {
+	if !validSlots(slots) {
+		badSlots(slots)
+	}
+	k := mem.PackTag(tag)
+	return Line{tagLo: k.Lo, Words: words, Dirty: dirty, way: k.Hi, place: uint8(bits.TrailingZeros8(uint8(slots))) << slotsShift}
+}
+
+//go:noinline
+func badSlots(slots int) { panic(fmt.Sprintf("wordstore: line with %d slots", slots)) }
+
+// Tag returns the line's full tag.
+func (l Line) Tag() uint64 { return mem.UnpackTag(l.tagLo, l.way) }
+
+// Way returns the data way the line is placed in.
+func (l Line) Way() int { return int(l.way & lineWayMask) }
+
+// Start returns the line's first word entry within its way.
+func (l Line) Start() int { return int(l.place & startMask) }
+
+// Slots returns the line's word-entry count, a power of two.
+func (l Line) Slots() int { return 1 << (l.place >> slotsShift) }
 
 // wayBits is one data way's bookkeeping over its 8 word entries: which
 // are in use, and which start a resident line (the paper's head bits).
@@ -102,9 +141,10 @@ func (st *Store) setBits(si int) []wayBits {
 
 // Find returns the index of set si's line with the given tag, or -1.
 func (st *Store) Find(si int, tag uint64) int {
-	ls := st.Lines(si)
-	for i := range ls {
-		if ls[i].Tag == tag {
+	k := mem.KeyOf(tag)
+	base := si * st.lineCap
+	for i, l := range st.lines[base : base+int(st.count[si])] {
+		if k.Matches(l.tagLo, l.way) {
 			return i
 		}
 	}
@@ -124,9 +164,9 @@ func (st *Store) Touch(si, i int, now uint64) {
 func (st *Store) RemoveAt(si, i int) Line {
 	base, last := si*st.lineCap, int(st.count[si])-1
 	l := st.lines[base+i]
-	b := &st.bits[si*st.ways+int(l.Way)]
-	b.occ &^= RegionMask(int(l.Start), int(l.Slots))
-	b.heads &^= RegionMask(int(l.Start), 1)
+	b := &st.bits[si*st.ways+l.Way()]
+	b.occ &^= RegionMask(l.Start(), l.Slots())
+	b.heads &^= RegionMask(l.Start(), 1)
 	st.lines[base+i] = st.lines[base+last]
 	if st.lastUse != nil {
 		st.lastUse[base+i] = st.lastUse[base+last]
@@ -229,12 +269,11 @@ func pickRegion(ways []wayBits, wayMask uint64, slots int, rnd uint64) (way, sta
 	panic("wordstore: candidate index out of range")
 }
 
-// Install places nl (whose Slots field must be a power of two <= 8)
-// into the data ways of set si whose bit is set in wayMask, evicting
-// any lines overlapping the chosen region. The region is picked
-// uniformly at random — via the caller-supplied rnd value — among the
-// eligible aligned candidates (paper Section 5.3); fully free regions
-// are preferred because they never cost an eviction. Mask bits above
+// Install places nl (built by NewLine) into the data ways of set si
+// whose bit is set in wayMask, evicting any lines overlapping the
+// chosen region. The region is picked uniformly at random — via the
+// caller-supplied rnd value — among the eligible aligned candidates
+// (paper Section 5.3); fully free regions are preferred because they never cost an eviction. Mask bits above
 // the way count are ignored, and a mask selecting no way selects every
 // way, so 0 means "unrestricted". The distill cache passes a tenant's
 // WOC ways to confine its distilled lines there; the mask restricts
@@ -245,7 +284,7 @@ func pickRegion(ways []wayBits, wayMask uint64, slots int, rnd uint64) (way, sta
 //ldis:noalloc
 func (st *Store) Install(si int, nl Line, rnd, wayMask uint64) []Line {
 	st.checkInstall(si, nl)
-	way, start := pickRegion(st.setBits(si), clipWays(wayMask, st.ways), int(nl.Slots), rnd)
+	way, start := pickRegion(st.setBits(si), clipWays(wayMask, st.ways), nl.Slots(), rnd)
 	return st.place(si, nl, way, start)
 }
 
@@ -269,7 +308,7 @@ func clipWays(wayMask uint64, ways int) uint64 {
 //ldis:noalloc
 func (st *Store) InstallLRU(si int, nl Line, now uint64) []Line {
 	st.checkInstall(si, nl)
-	k := sizeClass(int(nl.Slots))
+	k := sizeClass(nl.Slots())
 	ways := st.setBits(si)
 	for way := range ways {
 		if f, _ := regions(ways[way], k); f != 0 {
@@ -283,7 +322,7 @@ func (st *Store) InstallLRU(si int, nl Line, now uint64) []Line {
 	ls := st.Lines(si)
 	stamps := st.lastUse[si*st.lineCap : si*st.lineCap+len(ls)]
 	for i := range ls {
-		r := int(ls[i].Way)*mem.WordsPerLine + int(ls[i].Start)&^(1<<k-1)
+		r := ls[i].Way()*mem.WordsPerLine + ls[i].Start()&^(1<<k-1)
 		ages[r] = max(ages[r], stamps[i])
 	}
 	bestWay, bestStart, bestAge := -1, 0, ^uint64(0)
@@ -309,16 +348,13 @@ func (st *Store) placeStamped(si int, nl Line, way, start int, now uint64) []Lin
 
 // validSlots reports whether n is a legal slot count: a power of two
 // up to mem.WordsPerLine.
-func validSlots(n uint8) bool { return n != 0 && n <= mem.WordsPerLine && n&(n-1) == 0 }
+func validSlots(n int) bool { return n > 0 && n <= mem.WordsPerLine && n&(n-1) == 0 }
 
 func (st *Store) checkInstall(si int, nl Line) {
-	if !validSlots(nl.Slots) {
-		panic(fmt.Sprintf("wordstore: installing line with %d slots", nl.Slots))
-	}
-	if st.Find(si, nl.Tag) >= 0 {
+	if st.Find(si, nl.Tag()) >= 0 {
 		panic("wordstore: set already holds this line")
 	}
-	st.ObsInstallSlots.Observe(uint64(nl.Slots))
+	st.ObsInstallSlots.Observe(uint64(nl.Slots()))
 }
 
 // place evicts every line starting inside the chosen region (alignment
@@ -328,7 +364,7 @@ func (st *Store) checkInstall(si int, nl Line) {
 // reusable eviction buffer.
 func (st *Store) place(si int, nl Line, way, start int) []Line {
 	evicted := st.evictBuf[:0]
-	slots := int(nl.Slots)
+	slots := nl.Slots()
 	region := RegionMask(start, slots)
 	b := &st.bits[si*st.ways+way]
 	// The head bits count the lines starting inside the region, so a
@@ -338,7 +374,7 @@ func (st *Store) place(si int, nl Line, way, start int) []Line {
 		base := si * st.lineCap
 		for i := 0; want > 0; {
 			l := &st.lines[base+i]
-			if int(l.Way) == way && int(l.Start) >= start && int(l.Start) < start+slots {
+			if l.Way() == way && l.Start() >= start && l.Start() < start+slots {
 				evicted = append(evicted, st.RemoveAt(si, i))
 				want--
 				continue
@@ -350,7 +386,8 @@ func (st *Store) place(si int, nl Line, way, start int) []Line {
 	if b.occ&region != 0 {
 		panic("wordstore: region still occupied after eviction")
 	}
-	nl.Way, nl.Start = uint8(way), uint8(start)
+	nl.way = nl.way&mem.TagHighMask | uint8(way)
+	nl.place = nl.place&^startMask | uint8(start)
 	b.occ |= region
 	b.heads |= RegionMask(start, 1)
 	st.lines[si*st.lineCap+int(st.count[si])] = nl
@@ -376,27 +413,24 @@ func (st *Store) CheckInvariants(si int) error {
 	rec := st.setBits(si)
 	got := make([]wayBits, len(rec))
 	for _, l := range st.Lines(si) {
-		if int(l.Way) >= len(got) {
-			return fmt.Errorf("line %x in way %d of %d", l.Tag, l.Way, len(got))
+		if l.Way() >= len(got) {
+			return fmt.Errorf("line %x in way %d of %d", l.Tag(), l.Way(), len(got))
 		}
-		if !validSlots(l.Slots) {
-			return fmt.Errorf("line %x has %d slots, want a power of two up to %d", l.Tag, l.Slots, mem.WordsPerLine)
-		}
-		if int(l.Start)+int(l.Slots) > mem.WordsPerLine || l.Start%l.Slots != 0 {
-			return fmt.Errorf("line %x misaligned: start %d slots %d", l.Tag, l.Start, l.Slots)
+		if l.Start()%l.Slots() != 0 {
+			return fmt.Errorf("line %x misaligned: start %d slots %d", l.Tag(), l.Start(), l.Slots())
 		}
 		if l.Words == 0 {
-			return fmt.Errorf("line %x stores no words", l.Tag)
+			return fmt.Errorf("line %x stores no words", l.Tag())
 		}
 		if l.Dirty&^l.Words != 0 {
-			return fmt.Errorf("line %x has dirty bits outside stored words", l.Tag)
+			return fmt.Errorf("line %x has dirty bits outside stored words", l.Tag())
 		}
-		mask := RegionMask(int(l.Start), int(l.Slots))
-		if got[l.Way].occ&mask != 0 {
-			return fmt.Errorf("line %x overlaps another line", l.Tag)
+		mask := RegionMask(l.Start(), l.Slots())
+		if got[l.Way()].occ&mask != 0 {
+			return fmt.Errorf("line %x overlaps another line", l.Tag())
 		}
-		got[l.Way].occ |= mask
-		got[l.Way].heads |= RegionMask(int(l.Start), 1)
+		got[l.Way()].occ |= mask
+		got[l.Way()].heads |= RegionMask(l.Start(), 1)
 	}
 	for w := range got {
 		if got[w].occ != rec[w].occ {

@@ -39,7 +39,7 @@ func TestRegionMask(t *testing.T) {
 
 func TestWOCInstallIntoFree(t *testing.T) {
 	s := newSet(2)
-	ev := s.Install(0, Line{Tag: 1, Words: mem.FootprintOfWord(0), Slots: 1}, 0, 0)
+	ev := s.Install(0, NewLine(1, mem.FootprintOfWord(0), 0, 1), 0, 0)
 	if len(ev) != 0 {
 		t.Fatalf("install into empty set evicted %d lines", len(ev))
 	}
@@ -55,13 +55,13 @@ func TestWOCAlignment(t *testing.T) {
 	s := newSet(1)
 	// Install descending sizes 4,2,1,1: the random pick always prefers
 	// fully free regions, so nothing is evicted and the way packs full.
-	sizes := []uint8{4, 2, 1, 1}
+	sizes := []int{4, 2, 1, 1}
 	for i, sz := range sizes {
 		words := mem.Footprint(0)
-		for w := 0; w < int(sz); w++ {
+		for w := 0; w < sz; w++ {
 			words = words.Set(w)
 		}
-		ev := s.Install(0, Line{Tag: uint64(i + 1), Words: words, Slots: sz}, uint64(i*3+1), 0)
+		ev := s.Install(0, NewLine(uint64(i+1), words, 0, sz), uint64(i*3+1), 0)
 		if len(ev) != 0 {
 			t.Fatalf("install %d evicted %d lines prematurely", i, len(ev))
 		}
@@ -74,8 +74,8 @@ func TestWOCAlignment(t *testing.T) {
 		t.Fatalf("occupancy %v", s.bits[0].occ)
 	}
 	for _, l := range s.Lines(0) {
-		if l.Start%l.Slots != 0 {
-			t.Errorf("line %d misaligned: start %d slots %d", l.Tag, l.Start, l.Slots)
+		if l.Start()%l.Slots() != 0 {
+			t.Errorf("line %d misaligned: start %d slots %d", l.Tag(), l.Start(), l.Slots())
 		}
 	}
 }
@@ -83,10 +83,10 @@ func TestWOCAlignment(t *testing.T) {
 func TestWOCReplacementEvictsWholeLines(t *testing.T) {
 	s := newSet(1)
 	// Two 4-slot lines fill the way.
-	s.Install(0, Line{Tag: 1, Words: mem.Footprint(0b1111), Slots: 4}, 0, 0)
-	s.Install(0, Line{Tag: 2, Words: mem.Footprint(0b1111), Slots: 4}, 0, 0)
+	s.Install(0, NewLine(1, mem.Footprint(0b1111), 0, 4), 0, 0)
+	s.Install(0, NewLine(2, mem.Footprint(0b1111), 0, 4), 0, 0)
 	// Installing an 8-slot line must evict both.
-	ev := s.Install(0, Line{Tag: 3, Words: mem.FullFootprint, Slots: 8}, 5, 0)
+	ev := s.Install(0, NewLine(3, mem.FullFootprint, 0, 8), 5, 0)
 	if len(ev) != 2 {
 		t.Fatalf("evicted %d lines, want 2", len(ev))
 	}
@@ -100,11 +100,11 @@ func TestWOCReplacementEvictsWholeLines(t *testing.T) {
 
 func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 	s := newSet(1)
-	s.Install(0, Line{Tag: 1, Words: mem.FullFootprint, Slots: 8}, 0, 0)
+	s.Install(0, NewLine(1, mem.FullFootprint, 0, 8), 0, 0)
 	// A 1-slot install: the only eligible candidate is the head (slot 0)
 	// of the 8-slot line, which must be evicted whole (head-bit rule).
-	ev := s.Install(0, Line{Tag: 2, Words: mem.FootprintOfWord(3), Slots: 1}, 9, 0)
-	if len(ev) != 1 || ev[0].Tag != 1 {
+	ev := s.Install(0, NewLine(2, mem.FootprintOfWord(3), 0, 1), 9, 0)
+	if len(ev) != 1 || ev[0].Tag() != 1 {
 		t.Fatalf("evictions = %+v", ev)
 	}
 	if err := s.CheckInvariants(0); err != nil {
@@ -112,7 +112,7 @@ func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 	}
 	// The freed 7 slots are available for subsequent installs.
 	for i := 0; i < 7; i++ {
-		if ev := s.Install(0, Line{Tag: uint64(10 + i), Words: mem.FootprintOfWord(0), Slots: 1}, uint64(i), 0); len(ev) != 0 {
+		if ev := s.Install(0, NewLine(uint64(10+i), mem.FootprintOfWord(0), 0, 1), uint64(i), 0); len(ev) != 0 {
 			t.Fatalf("install %d into freed space evicted %d lines", i, len(ev))
 		}
 	}
@@ -120,33 +120,33 @@ func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 
 func TestWOCInstallPanicsOnBadSlots(t *testing.T) {
 	s := newSet(1)
-	for _, bad := range []uint8{0, 3, 5, 9} {
+	for _, bad := range []int{0, 3, 5, 9, 16} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("slots=%d should panic", bad)
 				}
 			}()
-			s.Install(0, Line{Tag: 99, Words: 1, Slots: bad}, 0, 0)
+			s.Install(0, NewLine(99, 1, 0, bad), 0, 0)
 		}()
 	}
 }
 
 func TestWOCDuplicateInstallPanics(t *testing.T) {
 	s := newSet(1)
-	s.Install(0, Line{Tag: 7, Words: 1, Slots: 1}, 0, 0)
+	s.Install(0, NewLine(7, 1, 0, 1), 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate tag install should panic")
 		}
 	}()
-	s.Install(0, Line{Tag: 7, Words: 1, Slots: 1}, 0, 0)
+	s.Install(0, NewLine(7, 1, 0, 1), 0, 0)
 }
 
 func TestWOCClear(t *testing.T) {
 	s := newSet(2)
-	s.Install(0, Line{Tag: 1, Words: 1, Slots: 1}, 0, 0)
-	s.Install(0, Line{Tag: 2, Words: 3, Dirty: 1, Slots: 2}, 0, 0)
+	s.Install(0, NewLine(1, 1, 0, 1), 0, 0)
+	s.Install(0, NewLine(2, 3, 1, 2), 0, 0)
 	removed := s.Clear(0)
 	if len(removed) != 2 {
 		t.Fatalf("clear removed %d", len(removed))
@@ -175,7 +175,7 @@ func TestWOCStressInvariants(t *testing.T) {
 			if s.Find(0, tag) >= 0 {
 				continue
 			}
-			wl := Line{Tag: tag, Words: words, Slots: uint8(mem.Pow2WordsFor(words.Count()))}
+			wl := NewLine(tag, words, 0, mem.Pow2WordsFor(words.Count()))
 			if op.Dirty {
 				wl.Dirty = words
 			}
@@ -186,7 +186,7 @@ func TestWOCStressInvariants(t *testing.T) {
 			}
 			total := 0
 			for _, l := range s.Lines(0) {
-				total += int(l.Slots)
+				total += int(l.Slots())
 			}
 			if total > 16 {
 				t.Logf("capacity exceeded: %d slots", total)
@@ -205,12 +205,12 @@ func TestHasFreeRegion(t *testing.T) {
 	if !s.HasFreeRegion(0, 8) {
 		t.Fatal("empty set must have a free 8-region")
 	}
-	s.Install(0, Line{Tag: 1, Words: mem.FullFootprint, Slots: 8}, 0, 0)
+	s.Install(0, NewLine(1, mem.FullFootprint, 0, 8), 0, 0)
 	if s.HasFreeRegion(0, 1) {
 		t.Error("full way should have no free region")
 	}
 	s2 := newSet(1)
-	s2.Install(0, Line{Tag: 2, Words: mem.Footprint(0b11), Slots: 2}, 0, 0)
+	s2.Install(0, NewLine(2, mem.Footprint(0b11), 0, 2), 0, 0)
 	if !s2.HasFreeRegion(0, 4) {
 		t.Error("half-empty way should have a free 4-region")
 	}
@@ -222,11 +222,11 @@ func TestHasFreeRegion(t *testing.T) {
 func TestInstallLRUPrefersOldest(t *testing.T) {
 	s := newSet(1)
 	// Two 4-slot lines with distinct ages.
-	s.InstallLRU(0, Line{Tag: 1, Words: 0b1111, Slots: 4}, 10)
-	s.InstallLRU(0, Line{Tag: 2, Words: 0b1111, Slots: 4}, 20)
+	s.InstallLRU(0, NewLine(1, 0b1111, 0, 4), 10)
+	s.InstallLRU(0, NewLine(2, 0b1111, 0, 4), 20)
 	// No free 4-region remains: LRU install must evict tag 1 (older).
-	ev := s.InstallLRU(0, Line{Tag: 3, Words: 0b1111, Slots: 4}, 30)
-	if len(ev) != 1 || ev[0].Tag != 1 {
+	ev := s.InstallLRU(0, NewLine(3, 0b1111, 0, 4), 30)
+	if len(ev) != 1 || ev[0].Tag() != 1 {
 		t.Errorf("evicted %+v, want tag 1", ev)
 	}
 	if s.Find(0, 2) < 0 || s.Find(0, 3) < 0 {
@@ -239,9 +239,9 @@ func TestInstallLRUPrefersOldest(t *testing.T) {
 
 func TestInstallLRUUsesFreeRegionFirst(t *testing.T) {
 	s := newSet(1)
-	s.InstallLRU(0, Line{Tag: 1, Words: 0b1111, Slots: 4}, 1)
+	s.InstallLRU(0, NewLine(1, 0b1111, 0, 4), 1)
 	// Half the way is free: no eviction expected.
-	if ev := s.InstallLRU(0, Line{Tag: 2, Words: 0b1111, Slots: 4}, 2); len(ev) != 0 {
+	if ev := s.InstallLRU(0, NewLine(2, 0b1111, 0, 4), 2); len(ev) != 0 {
 		t.Errorf("free region available but evicted %+v", ev)
 	}
 }
@@ -253,15 +253,23 @@ func TestInstallLRUChecksArguments(t *testing.T) {
 			t.Error("expected panic on bad slots")
 		}
 	}()
-	s.InstallLRU(0, Line{Tag: 9, Words: 1, Slots: 3}, 0)
+	s.InstallLRU(0, NewLine(9, 1, 0, 3), 0)
+}
+
+// placed returns a line as the store would place it in way at start,
+// without any of the store's checks.
+func placed(tag uint64, words, dirty mem.Footprint, way, start, slots int) Line {
+	l := NewLine(tag, words, dirty, slots)
+	l.way |= uint8(way)
+	l.place |= uint8(start)
+	return l
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	cases := []Line{
-		{Tag: 1, Words: 0b111, Slots: 3, Start: 0},            // non-pow2 slots
-		{Tag: 2, Words: 0b11, Slots: 2, Start: 1},             // misaligned
-		{Tag: 3, Words: 0, Slots: 1, Start: 0},                // no words
-		{Tag: 4, Words: 0b1, Dirty: 0b10, Slots: 1, Start: 0}, // dirty outside words
+		placed(2, 0b11, 0, 0, 1, 2),   // misaligned
+		placed(3, 0, 0, 0, 0, 1),      // no words
+		placed(4, 0b1, 0b10, 0, 0, 1), // dirty outside words
 	}
 	for i, bad := range cases {
 		s := newSet(1)
@@ -272,9 +280,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	// Overlap detection.
 	s := newSet(1)
-	inject(s,
-		Line{Tag: 1, Words: 0b11, Slots: 2, Start: 0},
-		Line{Tag: 2, Words: 0b11, Slots: 2, Start: 0})
+	inject(s, placed(1, 0b11, 0, 0, 0, 2), placed(2, 0b11, 0, 0, 0, 2))
 	if err := s.CheckInvariants(0); err == nil {
 		t.Error("overlap not detected")
 	}
@@ -282,8 +288,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 // TestCheckInvariantsRejectsBadPlacement covers placements the
 // bookkeeping masks cannot show: each row's occupancy and head bitmaps
-// are the ones its line truncates to, so only the slot-count, bounds
-// and way checks can reject it, and none may panic.
+// are the ones its line truncates to, so only the bounds and way
+// checks can reject it, and none may panic. A slot count that is not
+// a power of two up to 8 has no encoding (NewLine refuses it).
 func TestCheckInvariantsRejectsBadPlacement(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -291,13 +298,9 @@ func TestCheckInvariantsRejectsBadPlacement(t *testing.T) {
 		occ, heads  mem.Footprint
 		wantInError string
 	}{
-		{"zero slots", Line{Tag: 1, Words: 1, Slots: 0}, 0, 0, "0 slots"},
-		{"16 slots", Line{Tag: 2, Words: 1, Slots: 16}, 0xff, 0x01, "16 slots"},
-		{"32 slots", Line{Tag: 3, Words: 1, Slots: 32}, 0xff, 0x01, "32 slots"},
-		{"start past the way", Line{Tag: 4, Words: 1, Start: 8, Slots: 1}, 0, 0, "misaligned"},
-		{"region past the way", Line{Tag: 5, Words: 1, Start: 8, Slots: 8}, 0, 0, "misaligned"},
-		{"way out of range", Line{Tag: 6, Words: 1, Way: 1, Slots: 1}, 0, 0, "way 1 of 1"},
-		{"way 255", Line{Tag: 7, Words: 1, Way: 255, Slots: 1}, 0, 0, "way 255 of 1"},
+		{"region past the way", placed(5, 1, 0, 0, 4, 8), 0xf0, 0x10, "misaligned"},
+		{"way out of range", placed(6, 1, 0, 1, 0, 1), 0, 0, "way 1 of 1"},
+		{"way 63", placed(7, 1, 0, 63, 0, 1), 0, 0, "way 63 of 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -325,7 +328,7 @@ func installSeq(t *testing.T, wayMask uint64) *Store {
 			continue
 		}
 		words := mem.Footprint(x>>8) | 1
-		s.Install(0, Line{Tag: tag, Words: words, Slots: uint8(mem.Pow2WordsFor(words.Count()))}, x>>17, wayMask)
+		s.Install(0, NewLine(tag, words, 0, mem.Pow2WordsFor(words.Count())), x>>17, wayMask)
 		if err := s.CheckInvariants(0); err != nil {
 			t.Fatal(err)
 		}
@@ -343,8 +346,8 @@ func sameLines(a, b *Store) bool { return slices.Equal(a.Lines(0), b.Lines(0)) }
 func TestWOCInstallWayMask(t *testing.T) {
 	masked := installSeq(t, 0b0110)
 	for _, l := range masked.Lines(0) {
-		if l.Way != 1 && l.Way != 2 {
-			t.Fatalf("line %x placed in way %d outside mask 0b0110", l.Tag, l.Way)
+		if l.Way() != 1 && l.Way() != 2 {
+			t.Fatalf("line %x placed in way %d outside mask 0b0110", l.Tag(), l.Way())
 		}
 	}
 	if masked.bits[0].occ != 0 || masked.bits[3].occ != 0 {
@@ -364,11 +367,11 @@ func TestWOCInstallWayMask(t *testing.T) {
 	}
 }
 
-// TestLineRecordSize pins the resident-line record at 16 bytes, so a
+// TestLineRecordSize pins the resident-line record at 8 bytes, so a
 // field that re-pads it fails here.
 func TestLineRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Line{}); got != 16 {
-		t.Errorf("Line is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(Line{}); got != 8 {
+		t.Errorf("Line is %d bytes, want 8", got)
 	}
 }
 
@@ -388,4 +391,40 @@ func TestNewStoreAllocsIndependentOfSets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Lines whose tags differ only in bits 32-33, which the record keeps
+// outside its 32-bit tag field, are distinct: each is found under its
+// own tag, and every field reads back as installed. A tag beyond the
+// 34-bit line space has no encoding and panics.
+func TestHighTagBits(t *testing.T) {
+	s := newSet(4)
+	const low = 0x89abcdef
+	for hi := uint64(0); hi < 4; hi++ {
+		tag := hi<<32 | low
+		s.Install(0, NewLine(tag, 0b11, 0b10, 2), hi, 0)
+	}
+	for hi := uint64(0); hi < 4; hi++ {
+		tag := hi<<32 | low
+		i := s.Find(0, tag)
+		if i < 0 {
+			t.Fatalf("tag %#x not found", tag)
+		}
+		l := s.Lines(0)[i]
+		if l.Tag() != tag || l.Words != 0b11 || l.Dirty != 0b10 || l.Slots() != 2 || l.Start()%2 != 0 || l.Way() >= 4 {
+			t.Errorf("tag %#x reads back as %+v: tag %#x way %d start %d slots %d", tag, l, l.Tag(), l.Way(), l.Start(), l.Slots())
+		}
+	}
+	if err := s.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+	if s.Find(0, 4<<32|low) >= 0 {
+		t.Error("a tag beyond the line space matched a resident line")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewLine with tag 1<<34 did not panic")
+		}
+	}()
+	NewLine(1<<mem.LineBits, 1, 0, 1)
 }

@@ -65,11 +65,11 @@ func (p *Profile) Validate() error {
 	if err := validateSpec(p.Pattern); err != nil {
 		return fmt.Errorf("workload: profile %s: %w", p.Name, err)
 	}
-	if p.MemRefsPerKInst <= 0 {
-		return fmt.Errorf("workload: profile %s needs MemRefsPerKInst > 0", p.Name)
+	if !(p.MemRefsPerKInst > 0) || math.IsInf(p.MemRefsPerKInst, 1) {
+		return fmt.Errorf("workload: profile %s has MemRefsPerKInst %v, want finite and > 0", p.Name, p.MemRefsPerKInst)
 	}
-	if p.StoreFrac < 0 || p.StoreFrac > 1 {
-		return fmt.Errorf("workload: profile %s has StoreFrac %v", p.Name, p.StoreFrac)
+	if !(p.StoreFrac >= 0 && p.StoreFrac <= 1) {
+		return fmt.Errorf("workload: profile %s has StoreFrac %v out of [0, 1]", p.Name, p.StoreFrac)
 	}
 	if math.IsNaN(p.MLP) || p.MLP < 1 && p.MLP != 0 {
 		return fmt.Errorf("workload: profile %s has MLP %v, want 0 (unset) or >= 1", p.Name, p.MLP)
@@ -85,8 +85,8 @@ func (p *Profile) Validate() error {
 	if !(p.MispredictRate >= 0 && p.MispredictRate <= 1) {
 		return fmt.Errorf("workload: profile %s has MispredictRate %v out of [0, 1]", p.Name, p.MispredictRate)
 	}
-	if p.L1IMPKI < 0 {
-		return fmt.Errorf("workload: profile %s has negative L1IMPKI", p.Name)
+	if !(p.L1IMPKI >= 0) || math.IsInf(p.L1IMPKI, 1) {
+		return fmt.Errorf("workload: profile %s has L1IMPKI %v, want finite and >= 0", p.Name, p.L1IMPKI)
 	}
 	if p.CodeLines < 0 || p.CodeLines > MB(2) {
 		return fmt.Errorf("workload: profile %s CodeLines %d out of [0, 2MB]", p.Name, p.CodeLines)

@@ -411,9 +411,10 @@ func TestValidateSpecErrors(t *testing.T) {
 	}
 }
 
-// TestProfileValidateCPURates covers the fields only the CPU timing
-// model reads: each bad value must be rejected, and every bundled
-// profile must stay valid under any seed.
+// TestProfileValidateCPURates covers the rate fields (the access mix
+// and those only the CPU timing model reads): each bad value, NaN and
+// infinities included, must be rejected, and every bundled profile
+// must stay valid under any seed.
 func TestProfileValidateCPURates(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -429,6 +430,15 @@ func TestProfileValidateCPURates(t *testing.T) {
 		{"negative MispredictRate", func(p *Profile) { p.MispredictRate = -0.01 }},
 		{"MispredictRate above one", func(p *Profile) { p.MispredictRate = 1.5 }},
 		{"NaN MispredictRate", func(p *Profile) { p.MispredictRate = math.NaN() }},
+		{"zero MemRefsPerKInst", func(p *Profile) { p.MemRefsPerKInst = 0 }},
+		{"NaN MemRefsPerKInst", func(p *Profile) { p.MemRefsPerKInst = math.NaN() }},
+		{"infinite MemRefsPerKInst", func(p *Profile) { p.MemRefsPerKInst = math.Inf(1) }},
+		{"negative StoreFrac", func(p *Profile) { p.StoreFrac = -0.1 }},
+		{"StoreFrac above one", func(p *Profile) { p.StoreFrac = 1.5 }},
+		{"NaN StoreFrac", func(p *Profile) { p.StoreFrac = math.NaN() }},
+		{"negative L1IMPKI", func(p *Profile) { p.L1IMPKI = -1 }},
+		{"NaN L1IMPKI", func(p *Profile) { p.L1IMPKI = math.NaN() }},
+		{"infinite L1IMPKI", func(p *Profile) { p.L1IMPKI = math.Inf(1) }},
 	}
 	base, err := ByName("gcc")
 	if err != nil {
