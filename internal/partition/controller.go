@@ -45,7 +45,9 @@ type Config struct {
 	// Shadow additionally runs exact-Mattson engines beside the sampled
 	// ones and records, per epoch, the allocation the exact curves
 	// would pick — the online-vs-exact validation the partition smoke
-	// gate asserts on.
+	// gate asserts on. A policy that ignores the curves (Static) gets
+	// no exact engines: its exact decision is its own split, computed
+	// without them, and its epochs still count in Agreement.
 	Shadow bool
 	// SampleRate is the SHARDS rate of the online engines; 0 means the
 	// default 0.1.
@@ -110,6 +112,9 @@ func (c Config) validate() error {
 	}
 	if c.MinWays < 0 {
 		return fmt.Errorf("partition: negative minimum ways %d", c.MinWays)
+	}
+	if c.TotalWays > cache.MaxPartitionWays {
+		return fmt.Errorf("partition: %d ways above the caches' partition bound %d", c.TotalWays, cache.MaxPartitionWays)
 	}
 	if c.TotalWays < c.Tenants*c.minWays() {
 		return fmt.Errorf("partition: %d ways cannot grant %d tenants %d each", c.TotalWays, c.Tenants, c.minWays())
@@ -177,7 +182,7 @@ type Controller struct {
 	cfg     Config
 	n       int
 	engines []*mrc.Engine // online SHARDS-sampled, one per tenant
-	exact   []*mrc.Engine // shadow exact engines (nil unless Shadow)
+	exact   []*mrc.Engine // shadow exact engines (nil without Shadow or under Static)
 
 	alloc     []int // allocation in force
 	epochRefs []float64
@@ -245,7 +250,9 @@ func NewController(cfg Config) (*Controller, error) {
 		}
 		c.engines[t] = eng
 	}
-	if cfg.Shadow {
+	// Static ignores the curves, so its shadow decision needs no exact
+	// engines: Allocate on the unfilled exactDemand returns its split.
+	if _, static := cfg.Policy.(Static); cfg.Shadow && !static {
 		c.exact = make([]*mrc.Engine, n)
 		xcfg := mrc.Config{MaxBytes: ecfg.MaxBytes, ResolutionBytes: ecfg.ResolutionBytes}
 		for t := 0; t < n; t++ {
@@ -255,6 +262,8 @@ func NewController(cfg Config) (*Controller, error) {
 			}
 			c.exact[t] = eng
 		}
+	}
+	if cfg.Shadow {
 		c.exactDemand = makeVectors(n, cfg.TotalWays+1)
 		c.exactProp = make([]int, n)
 	}
@@ -302,10 +311,10 @@ func (c *Controller) Observe(tenant int, line mem.LineAddr, word int) bool {
 // endEpoch runs one allocation decision: fill both grains' miss-ratio
 // vectors, scale them by the epoch's per-tenant reference counts into
 // expected-miss demands, run the policy, and adopt its proposal iff it
-// differs and clears the hysteresis band. The shadow engines (when
-// present) re-run the policy on exact curves for the agreement metric,
-// and both engines decay so the next epoch sees a recency-weighted
-// window.
+// differs and clears the hysteresis band. Under Shadow the policy
+// re-runs on the exact curves for the agreement metric (on unfilled
+// vectors for a policy that ignores them), and every engine decays so
+// the next epoch sees a recency-weighted window.
 func (c *Controller) endEpoch() bool {
 	tok := c.spans.Begin(obs.StageRebalance)
 	c.epoch++
@@ -363,12 +372,12 @@ func (c *Controller) endEpoch() bool {
 		d.Adopted[t] = uint8(c.alloc[t])
 	}
 
-	if c.exact != nil {
-		for t := 0; t < c.n; t++ {
+	if c.cfg.Shadow {
+		for t, eng := range c.exact {
 			if c.cfg.Policy.Grain() == GrainWord {
-				c.exact[t].FillWordMissRatios(c.exactDemand[t], c.cfg.WayBytes)
+				eng.FillWordMissRatios(c.exactDemand[t], c.cfg.WayBytes)
 			} else {
-				c.exact[t].FillLineMissRatios(c.exactDemand[t], c.cfg.WayBytes)
+				eng.FillLineMissRatios(c.exactDemand[t], c.cfg.WayBytes)
 			}
 			refs := c.epochRefs[t]
 			for w := range c.exactDemand[t] {

@@ -1,10 +1,13 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"testing"
 
+	"ldis/internal/cache"
 	"ldis/internal/mem"
 )
 
@@ -358,12 +361,80 @@ func TestControllerSampledTracksExact(t *testing.T) {
 	}
 }
 
+// curveStatic is Static under another type, so the controller cannot
+// tell that it ignores the curves and builds its exact engines.
+type curveStatic struct{ Static }
+
+// TestStaticShadowNeedsNoEngines checks that a Shadow controller under
+// Static, which builds no exact engines, records exactly what it
+// records with them: every decision, the agreement tally, the grain
+// disagreements and each tenant's curves.
+func TestStaticShadowNeedsNoEngines(t *testing.T) {
+	mixes := []struct {
+		lines, words, shares []int
+	}{
+		{[]int{96, 111}, []int{1, 0}, []int{5, 3}},
+		{[]int{96, 16, 48, 111}, []int{1, 0, 2, 0}, []int{3, 2, 2, 1}},
+	}
+	for _, mix := range mixes {
+		for _, shares := range [][]int{nil, mix.shares} {
+			for _, rate := range []float64{1, 0.25} {
+				name := fmt.Sprintf("%d-tenants/shares=%v/rate=%g", len(mix.lines), shares, rate)
+				var ctrls [2]*Controller
+				for i, policy := range []Policy{Static{Shares: shares}, curveStatic{Static{Shares: shares}}} {
+					cfg := testConfig(policy)
+					cfg.Tenants = len(mix.lines)
+					cfg.SampleRate = rate
+					cfg.Seed = 42
+					cfg.Shadow = true
+					c, err := NewController(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					drive(c, mix.lines, mix.words, 1<<14)
+					ctrls[i] = c
+				}
+				plain, engines := ctrls[0], ctrls[1]
+				if len(plain.exact) != 0 || len(engines.exact) != len(mix.lines) {
+					t.Fatalf("%s: %d exact engines under Static, %d under its wrapper; want 0 and %d",
+						name, len(plain.exact), len(engines.exact), len(mix.lines))
+				}
+				pd, ed := plain.Decisions(), engines.Decisions()
+				if len(pd) == 0 || len(pd) != len(ed) {
+					t.Fatalf("%s: %d decisions without exact engines, %d with", name, len(pd), len(ed))
+				}
+				for i := range pd {
+					if pd[i] != ed[i] {
+						t.Fatalf("%s: epoch %d decision %+v without exact engines, %+v with", name, pd[i].Epoch, pd[i], ed[i])
+					}
+				}
+				pa, pt := plain.Agreement()
+				ea, et := engines.Agreement()
+				if pa != ea || pt != et || pt != plain.Epochs() {
+					t.Errorf("%s: agreement %d/%d without exact engines, %d/%d with, over %d epochs", name, pa, pt, ea, et, plain.Epochs())
+				}
+				if pg, eg := plain.GrainDisagreements(), engines.GrainDisagreements(); pg != eg {
+					t.Errorf("%s: %d grain disagreements without exact engines, %d with", name, pg, eg)
+				}
+				for tn := range mix.lines {
+					pl, pw := plain.Curves(tn, "t")
+					el, ew := engines.Curves(tn, "t")
+					if !reflect.DeepEqual(pl, el) || !reflect.DeepEqual(pw, ew) {
+						t.Errorf("%s: tenant %d curves differ without exact engines", name, tn)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	base := testConfig(UCP{})
 	bad := []func(*Config){
 		func(c *Config) { c.Tenants = 1 },
 		func(c *Config) { c.Tenants = MaxTenants + 1 },
 		func(c *Config) { c.TotalWays = 1 },
+		func(c *Config) { c.TotalWays = cache.MaxPartitionWays + 1 },
 		func(c *Config) { c.WayBytes = 32 },
 		func(c *Config) { c.EpochAccesses = 0 },
 		func(c *Config) { c.Policy = nil },

@@ -61,7 +61,8 @@ type Policy interface {
 // Static partitions the ways once and ignores the curves: equal shares
 // by default, or the fixed Shares when provided (must sum to the total
 // ways, one entry per tenant). It is the paper-style baseline the
-// utility-driven policies are measured against.
+// utility-driven policies are measured against. Because it ignores the
+// curves, a Shadow controller builds no exact engines for it.
 type Static struct {
 	Shares []int
 }
