@@ -265,24 +265,6 @@ func keyDistillConfig(key, benchmark string) distill.Config {
 	return mustNewSim(key, benchmark).System().L2.(*hierarchy.DistillL2).C.Config()
 }
 
-// benchmarkKeys runs each key's machine over 250k accesses of the
-// benchmark as a sub-benchmark named by its label, reporting MPKI.
-func benchmarkKeys(b *testing.B, benchmark string, labels, keys []string) {
-	prof, err := workload.ByName(benchmark)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, key := range keys {
-		b.Run(labels[i], func(b *testing.B) {
-			var mpki float64
-			for j := 0; j < b.N; j++ {
-				mpki = mustNewSim(key, benchmark).RunStream(benchmark, prof.Stream(), 250_000).MPKI
-			}
-			b.ReportMetric(mpki, "MPKI")
-		})
-	}
-}
-
 func BenchmarkBaselineCache(b *testing.B) {
 	benchmarkSimThroughput(b, func() *Sim { return mustNewSim("base-1MB", "mcf") }, "mcf")
 }
@@ -319,24 +301,6 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 // Ablations (design choices DESIGN.md calls out)
 // ---------------------------------------------------------------------
 
-// BenchmarkAblationWOCWays sweeps the LOC/WOC split (the paper fixes 2
-// of 8 ways; Figure 11 also uses 3).
-func BenchmarkAblationWOCWays(b *testing.B) {
-	benchmarkKeys(b, "health", []string{"woc1", "woc2", "woc3", "woc4"},
-		[]string{"ldis-mt-rc-1", "ldis-mt-rc-2", "ldis-mt-rc-3", "ldis-mt-rc-4"})
-}
-
-// BenchmarkAblationMedianThreshold compares MT filtering on/off.
-func BenchmarkAblationMedianThreshold(b *testing.B) {
-	benchmarkKeys(b, "mcf", []string{"mt-off", "mt-on"}, []string{"ldis-base-2", "ldis-mt-2"})
-}
-
-// BenchmarkAblationLeaderSets sweeps the reverter's sampling density.
-func BenchmarkAblationLeaderSets(b *testing.B) {
-	benchmarkKeys(b, "swim", []string{"leaders8", "leaders32", "leaders128"},
-		[]string{"ldis-mt-rc-2-l8", "ldis-mt-rc-2", "ldis-mt-rc-2-l128"})
-}
-
 // BenchmarkAblationTraceCodec measures trace serialization speed.
 func BenchmarkAblationTraceCodec(b *testing.B) {
 	prof, err := workload.ByName("art")
@@ -369,14 +333,6 @@ func BenchmarkAblationWOCReplacement(b *testing.B) {
 		{"random", func(*distill.Config) {}},
 		{"lru", func(c *distill.Config) { c.WOCLRU = true }},
 	})
-}
-
-// BenchmarkAblationStaticThreshold sweeps the fixed distillation
-// threshold K against the adaptive median (Section 5.4's discussion of
-// low vs high K).
-func BenchmarkAblationStaticThreshold(b *testing.B) {
-	benchmarkKeys(b, "mcf", []string{"k1", "k2", "k4", "k8", "median"},
-		[]string{"ldis-k1", "ldis-k2", "ldis-k4", "ldis-k8", "ldis-mt-2"})
 }
 
 // BenchmarkAblationFootprintNoise models wrong-path pollution (paper
@@ -415,23 +371,6 @@ func benchmarkDistillKnob(b *testing.B, benchmark string, knobs []distillKnob) {
 			b.ReportMetric(mpki, "MPKI")
 		})
 	}
-}
-
-// BenchmarkAblationVictimCache contrasts true distillation against a
-// plain victim cache with the same data budget: forcing every distilled
-// line to occupy a full 8-slot group turns the WOC into a 2-way
-// full-line victim buffer, isolating how much of LDIS's win comes from
-// *filtering* rather than from the extra associativity.
-func BenchmarkAblationVictimCache(b *testing.B) {
-	benchmarkKeys(b, "health", []string{"distill", "victim"}, []string{"ldis-base-2", "victim-2"})
-}
-
-// BenchmarkAblationPrefetchCompose measures next-line prefetching over
-// the baseline and the distill cache (the paper's Section 9 notes the
-// techniques are orthogonal).
-func BenchmarkAblationPrefetchCompose(b *testing.B) {
-	benchmarkKeys(b, "wupwise", []string{"baseline", "baseline-pf2", "distill-pf2"},
-		[]string{"base-1MB", "base-1MB+pf2", "ldis-mt-rc-2+pf2"})
 }
 
 // BenchmarkAblationDRAMRowBuffer contrasts the paper's closed-page

@@ -7,8 +7,7 @@ import (
 
 // This file registers the design-space ablations DESIGN.md calls out as
 // first-class experiments, so `ldisexp ablation-...` regenerates them
-// like any paper figure. The corresponding Benchmark* functions in
-// bench_test.go run reduced versions of the same sweeps.
+// like any paper figure, and is the one place they are measured.
 
 // mpkiAblation runs one windowed cell per (benchmark, key) and renders
 // the window MPKI of each key as one column. defaults, when non-nil,

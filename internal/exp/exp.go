@@ -220,23 +220,6 @@ func cellStream(prof *workload.Profile, co *obs.Cell) *timedStream {
 	return &timedStream{bs: trace.Batched(prof.Stream()), sp: co.Spans()}
 }
 
-// driveBatches feeds up to n records from bs into sink in buf-sized
-// blocks, stopping early if the stream ends.
-func driveBatches(sink func([]trace.Record), bs trace.BatchStream, n int, buf []trace.Record) {
-	for done := 0; done < n; {
-		want := len(buf)
-		if want > n-done {
-			want = n - done
-		}
-		got := bs.NextBatch(buf[:want])
-		sink(buf[:got])
-		done += got
-		if got < want {
-			return
-		}
-	}
-}
-
 // runWindowed drives a profile through a system with warmup, returning
 // the measurement window. The drive is batched: records flow in
 // o.batchSize() blocks from the stream into System.DoBatch, with the
@@ -245,9 +228,9 @@ func driveBatches(sink func([]trace.Record), bs trace.BatchStream, n int, buf []
 func runWindowed(sys *hierarchy.System, prof *workload.Profile, o Options, co *obs.Cell) *hierarchy.Window {
 	bs := cellStream(prof, co)
 	buf := make([]trace.Record, o.batchSize())
-	driveBatches(sys.DoBatch, bs, o.warmup(), buf)
+	trace.Drive(bs, o.warmup(), buf, sys.DoBatch)
 	w := sys.StartWindow()
-	driveBatches(sys.DoBatch, bs, o.measure(), buf)
+	trace.Drive(bs, o.measure(), buf, sys.DoBatch)
 	return w
 }
 

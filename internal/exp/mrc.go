@@ -92,9 +92,9 @@ func MRC(o Options) ([]MRCResult, error) {
 		}
 		bs := cellStream(prof, co)
 		buf := make([]trace.Record, o.batchSize())
-		driveBatches(eng.AccessBatch, bs, o.warmup(), buf)
+		trace.Drive(bs, o.warmup(), buf, eng.AccessBatch)
 		eng.ResetCounts()
-		driveBatches(eng.AccessBatch, bs, o.measure(), buf)
+		trace.Drive(bs, o.measure(), buf, eng.AccessBatch)
 		return mrcCell{
 			Line: eng.LineCurve("line " + label),
 			Word: eng.WordCurve("word " + label),

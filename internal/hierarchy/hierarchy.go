@@ -5,6 +5,8 @@
 package hierarchy
 
 import (
+	"math"
+
 	"ldis/internal/cache"
 	"ldis/internal/compress"
 	"ldis/internal/distill"
@@ -194,20 +196,10 @@ func (s *System) RunBatch(bs trace.BatchStream, n int) int {
 	if s.batchBuf == nil {
 		s.batchBuf = make([]trace.Record, trace.DefaultBatchSize)
 	}
-	done := 0
-	for n <= 0 || done < n {
-		want := len(s.batchBuf)
-		if n > 0 && n-done < want {
-			want = n - done
-		}
-		got := bs.NextBatch(s.batchBuf[:want])
-		s.DoBatch(s.batchBuf[:got])
-		done += got
-		if got < want {
-			break
-		}
+	if n <= 0 {
+		n = math.MaxInt
 	}
-	return done
+	return trace.Drive(bs, n, s.batchBuf, s.DoBatch)
 }
 
 // Window captures a measurement window: counter snapshots taken after

@@ -308,6 +308,31 @@ func TestDoBatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// cycleStream serves its records round and round, without allocating.
+type cycleStream struct {
+	recs []trace.Record
+	pos  int
+}
+
+func (c *cycleStream) NextBatch(dst []trace.Record) int {
+	for i := range dst {
+		dst[i] = c.recs[c.pos]
+		c.pos = (c.pos + 1) % len(c.recs)
+	}
+	return len(dst)
+}
+
+// RunBatch is replay's drive loop: once its block buffer exists, a call
+// allocates nothing, DoBatch handed to trace.Drive included.
+func TestRunBatchZeroAllocs(t *testing.T) {
+	sys, recs := warmTradSystem()
+	bs := &cycleStream{recs: recs}
+	sys.RunBatch(bs, 1)
+	if n := testing.AllocsPerRun(100, func() { sys.RunBatch(bs, 2*trace.DefaultBatchSize+17) }); n != 0 {
+		t.Errorf("RunBatch allocates %.1f/op", n)
+	}
+}
+
 func TestDoBatchShardZeroAllocs(t *testing.T) {
 	sys, recs := warmTradSystem()
 	if n := testing.AllocsPerRun(500, func() { sys.doBatchShard(recs, 3, 1) }); n != 0 {

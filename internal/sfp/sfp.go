@@ -83,81 +83,14 @@ type predEntry struct {
 	fp    mem.Footprint
 }
 
-// lineMeta tracks per-resident-line training state: the words actually
-// observed used during this residency and the PC that installed it.
+// lineMeta is one resident line's training state: the words observed
+// used during this residency, the PC that installed it and its last
+// use. A zero lastUse marks a slot that heads no resident line.
 type lineMeta struct {
 	observed mem.Footprint
 	pc       mem.Addr
 	lastUse  uint64
 }
-
-// metaEntry pairs a resident tag with its training state.
-type metaEntry struct {
-	tag uint64
-	m   lineMeta
-}
-
-// metaTable holds per-line training state as a linear-scan table, one
-// entry per resident line. Sets hold at most TagsPerSet lines (single
-// digits to low tens), so a scan beats a map lookup and — with the
-// table preallocated at full capacity — keeps the access path
-// allocation-free.
-type metaTable struct {
-	entries []metaEntry
-}
-
-//ldis:noalloc
-func (t *metaTable) find(tag uint64) int {
-	for i := range t.entries {
-		if t.entries[i].tag == tag {
-			return i
-		}
-	}
-	return -1
-}
-
-// get returns the entry for tag, or the zero lineMeta when absent
-// (mirroring map-read semantics).
-//
-//ldis:noalloc
-func (t *metaTable) get(tag uint64) lineMeta {
-	if i := t.find(tag); i >= 0 {
-		return t.entries[i].m
-	}
-	return lineMeta{}
-}
-
-//ldis:noalloc
-func (t *metaTable) lookup(tag uint64) (lineMeta, bool) {
-	if i := t.find(tag); i >= 0 {
-		return t.entries[i].m, true
-	}
-	return lineMeta{}, false
-}
-
-// put overwrites tag's entry, appending one when absent. The table is
-// preallocated at the tag budget, so the append never grows it.
-//
-//ldis:noalloc
-func (t *metaTable) put(tag uint64, m lineMeta) {
-	if i := t.find(tag); i >= 0 {
-		t.entries[i].m = m
-		return
-	}
-	t.entries = append(t.entries, metaEntry{tag: tag, m: m})
-}
-
-// del removes tag's entry by swap-remove; order is immaterial.
-//
-//ldis:noalloc
-func (t *metaTable) del(tag uint64) {
-	if i := t.find(tag); i >= 0 {
-		t.entries[i] = t.entries[len(t.entries)-1]
-		t.entries = t.entries[:len(t.entries)-1]
-	}
-}
-
-func (t *metaTable) len() int { return len(t.entries) }
 
 // Stats counts SFP cache behaviour. Hole misses here are accesses to
 // words the predictor chose not to install.
@@ -181,7 +114,11 @@ type Cache struct {
 	cfg   Config
 	geom  mem.Geometry
 	store wordstore.Store
-	meta  []metaTable // one per set
+	// meta holds each resident line's training state at its head slot,
+	// (set*Ways + way)*WordsPerLine + start. The store fixes a line's
+	// way and start at install and no two resident lines share a head,
+	// so the state stays put while RemoveAt reorders the set's records.
+	meta  []lineMeta
 	table []predEntry
 	smp   *sampler.Sampler
 	st    Stats
@@ -196,16 +133,8 @@ func New(cfg Config) *Cache {
 	}
 	geom, _ := mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
 	c := &Cache{cfg: cfg, geom: geom, rng: cfg.Seed | 1}
-	// Per-set metadata tables are carved from one backing array:
-	// construction cost scales with the number of arenas, not the
-	// number of sets.
-	numSets := geom.Sets()
-	c.store = wordstore.NewStore(cfg.Ways, numSets, false)
-	c.meta = make([]metaTable, numSets)
-	metaArena := make([]metaEntry, numSets*cfg.TagsPerSet)
-	for i := range c.meta {
-		c.meta[i].entries = metaArena[i*cfg.TagsPerSet : i*cfg.TagsPerSet : (i+1)*cfg.TagsPerSet]
-	}
+	c.store = wordstore.NewStore(cfg.Ways, geom.Sets(), false)
+	c.meta = make([]lineMeta, geom.Sets()*cfg.Ways*mem.WordsPerLine)
 	c.table = make([]predEntry, cfg.PredictorEntries)
 	if cfg.Reverter {
 		sc := sampler.DefaultConfig(cfg.Sets())
@@ -277,7 +206,6 @@ func (c *Cache) train(pc mem.Addr, la mem.LineAddr, observed mem.Footprint) {
 func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit bool, valid mem.Footprint) {
 	c.st.Accesses++
 	si := c.geom.SetIndex(la)
-	meta := &c.meta[si]
 	leader := false
 	forceFull := false
 	if c.smp != nil {
@@ -290,13 +218,12 @@ func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit 
 	tag := c.geom.Tag(la)
 	if idx := c.store.Find(si, tag); idx >= 0 {
 		l := &c.store.Lines(si)[idx]
-		m := meta.get(tag)
+		m := &c.meta[c.head(si, *l)]
 		if l.Words.Has(word) {
 			c.st.Hits++
 			c.tick++
 			m.observed = m.observed.Set(word)
 			m.lastUse = c.tick
-			meta.put(tag, m)
 			if write {
 				l.Dirty = l.Dirty.Set(word)
 			}
@@ -309,12 +236,12 @@ func (c *Cache) Access(la mem.LineAddr, word int, pc mem.Addr, write bool) (hit 
 		if leader {
 			c.smp.RecordPolicyMiss(si)
 		}
-		removed := c.store.RemoveAt(si, idx)
-		if removed.Dirty != 0 {
+		if c.store.RemoveAt(si, idx).Dirty != 0 {
 			c.st.Writebacks++
 		}
-		meta.del(tag)
-		c.train(m.pc, la, m.observed.Set(word))
+		old := *m
+		*m = lineMeta{}
+		c.train(old.pc, la, old.observed.Set(word))
 		return false, c.install(si, la, word, pc, write, forceFull)
 	}
 	c.st.LineMisses++
@@ -351,35 +278,40 @@ func (c *Cache) install(si int, la mem.LineAddr, word int, pc mem.Addr, write, f
 		c.evicted(si, ev)
 	}
 	c.tick++
-	c.meta[si].put(nl.Tag(), lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick})
+	l := c.store.Lines(si)[c.store.Find(si, nl.Tag())]
+	c.meta[c.head(si, l)] = lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick}
 	return fp
 }
 
-// lruIndex returns the index of the least-recently-used resident line.
+// head returns the index of a resident line's slot in c.meta.
+func (c *Cache) head(si int, l wordstore.Line) int {
+	return (si*c.cfg.Ways+l.Way())*mem.WordsPerLine + l.Start()
+}
+
+// lruIndex returns the index of the least-recently-used resident line:
+// the one with the smallest stamp (stamps are unique).
 //
 //ldis:noalloc
 func (c *Cache) lruIndex(si int) int {
 	best, bestUse := 0, ^uint64(0)
-	lines := c.store.Lines(si)
-	for i := range lines {
-		if u := c.meta[si].get(lines[i].Tag()).lastUse; u < bestUse {
+	for i, l := range c.store.Lines(si) {
+		if u := c.meta[c.head(si, l)].lastUse; u < bestUse {
 			best, bestUse = i, u
 		}
 	}
 	return best
 }
 
-// evicted trains the predictor with the line's observed footprint and
-// accounts for dirty writebacks.
+// evicted trains the predictor with the line's observed footprint,
+// clears its slot and accounts for dirty writebacks.
 func (c *Cache) evicted(si int, l wordstore.Line) {
 	c.st.Evictions++
 	if l.Dirty != 0 {
 		c.st.Writebacks++
 	}
-	if m, ok := c.meta[si].lookup(l.Tag()); ok {
-		c.train(m.pc, c.geom.Line(l.Tag(), si), m.observed)
-		c.meta[si].del(l.Tag())
-	}
+	m := &c.meta[c.head(si, l)]
+	c.train(m.pc, c.geom.Line(l.Tag(), si), m.observed)
+	*m = lineMeta{}
 }
 
 // WritebackFromL1 accepts an L1D eviction notice, mirroring the distill
@@ -393,10 +325,8 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 	tag := c.geom.Tag(la)
 	if idx := c.store.Find(si, tag); idx >= 0 {
 		l := &c.store.Lines(si)[idx]
-		meta := &c.meta[si]
-		m := meta.get(tag)
+		m := &c.meta[c.head(si, *l)]
 		m.observed = m.observed.Or(footprint & l.Words)
-		meta.put(tag, m)
 		l.Dirty = l.Dirty.Or(dirty & l.Words)
 		if dirty&^l.Words != 0 {
 			c.st.Writebacks++
@@ -428,7 +358,13 @@ func (c *Cache) PredictorStorageBytes() int { return c.cfg.PredictorEntries * 4 
 // CheckInvariants validates internal consistency; tests call it after
 // stress runs.
 func (c *Cache) CheckInvariants() error {
-	for i := range c.meta {
+	live := 0
+	for _, m := range c.meta {
+		if m.lastUse != 0 {
+			live++
+		}
+	}
+	for i := range c.geom.Sets() {
 		if err := c.store.CheckInvariants(i); err != nil {
 			return fmt.Errorf("set %d: %v", i, err)
 		}
@@ -437,13 +373,14 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("set %d: %d lines exceed tag budget %d", i, len(lines), c.cfg.TagsPerSet)
 		}
 		for _, l := range lines {
-			if _, ok := c.meta[i].lookup(l.Tag()); !ok {
-				return fmt.Errorf("set %d: line %x missing metadata", i, l.Tag())
+			if c.meta[c.head(i, l)].lastUse == 0 {
+				return fmt.Errorf("set %d: line %x has no training state", i, l.Tag())
 			}
 		}
-		if c.meta[i].len() != len(lines) {
-			return fmt.Errorf("set %d: %d meta entries for %d lines", i, c.meta[i].len(), len(lines))
-		}
+		live -= len(lines)
+	}
+	if live != 0 {
+		return fmt.Errorf("%d training-state slots without a resident line", live)
 	}
 	return nil
 }

@@ -215,6 +215,29 @@ func TestStressInvariants(t *testing.T) {
 	}
 }
 
+// CheckInvariants ties the training state to the store: a resident
+// line whose head slot lost its state, and a slot holding state for no
+// resident line, are both errors.
+func TestCheckInvariantsTrainingState(t *testing.T) {
+	c := New(tinyConfig())
+	c.Access(0, 0, 0x400, false)
+	c.Access(4, 0, 0x404, false)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h := c.head(0, c.store.Lines(0)[0])
+	saved := c.meta[h]
+	c.meta[h] = lineMeta{}
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("a resident line without training state passed")
+	}
+	c.meta[h] = saved
+	c.meta[len(c.meta)-1] = lineMeta{pc: 0x400, lastUse: 1}
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("training state without a resident line passed")
+	}
+}
+
 // The steady-state access path, predictor lookups and training
 // included, must not allocate.
 func TestAccessZeroAllocs(t *testing.T) {
@@ -225,7 +248,7 @@ func TestAccessZeroAllocs(t *testing.T) {
 			c.Access(mem.LineAddr(i%1024), i%8, mem.Addr(0x400+4*(i%97)), i%5 == 0)
 		}
 	}
-	access() // steady state: meta tables at capacity
+	access() // steady state: the sets full, so misses evict
 	if n := testing.AllocsPerRun(500, access); n != 0 {
 		t.Errorf("Access allocates %.1f per 256 accesses", n)
 	}

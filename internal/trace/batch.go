@@ -33,6 +33,24 @@ func Batched(s Stream) BatchStream {
 	return &streamBatcher{s: s}
 }
 
+// Drive feeds up to n records from bs into sink in blocks of len(buf)
+// records, the last one short when n is not a multiple, so it refills
+// ceil(n/len(buf)) times. It stops early when the stream ends, never
+// reads past n records, and returns how many it fed.
+func Drive(bs BatchStream, n int, buf []Record, sink func([]Record)) int {
+	done := 0
+	for done < n {
+		want := min(len(buf), n-done)
+		got := bs.NextBatch(buf[:want])
+		sink(buf[:got])
+		done += got
+		if got < want {
+			break
+		}
+	}
+	return done
+}
+
 // streamBatcher lifts a scalar Stream into a BatchStream.
 type streamBatcher struct{ s Stream }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,35 @@ func TestSliceStream(t *testing.T) {
 	}
 	if _, ok := s.Next(); ok {
 		t.Error("exhausted stream should report !ok")
+	}
+}
+
+// Drive refills ceil(n/B) times in B-record blocks, stops at the end
+// of the stream, and leaves the records past n for the next caller.
+func TestDriveBlockSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		n, fed int
+		blocks []int
+	}{
+		{0, 0, nil},
+		{3, 3, []int{3}},
+		{8, 8, []int{4, 4}},
+		{9, 9, []int{4, 4, 1}},
+		{12, 10, []int{4, 4, 2}},
+	} {
+		ss := NewSliceStream(sampleTrace(10))
+		var blocks []int
+		var got []mem.Access
+		fed := Drive(ss, tc.n, make([]Record, 4), func(b []Record) {
+			blocks = append(blocks, len(b))
+			got = append(got, b...)
+		})
+		if fed != tc.fed || !slices.Equal(blocks, tc.blocks) || !slices.Equal(got, sampleTrace(10)[:tc.fed]) {
+			t.Errorf("Drive(n=%d) fed %d in blocks %v, want %d in %v", tc.n, fed, blocks, tc.fed, tc.blocks)
+		}
+		if rest := Collect(ss, 0); len(rest) != 10-tc.fed {
+			t.Errorf("Drive(n=%d) left %d records, want %d", tc.n, len(rest), 10-tc.fed)
+		}
 	}
 }
 
