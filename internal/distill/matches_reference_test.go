@@ -19,15 +19,17 @@ import (
 
 // twin drives distill.Cache and the reference cache with the same
 // calls and fails at the first call whose outcome, returned valid bits
-// or Stats differ, or after which the called set's WOC lines sit in
-// different places or hold different words. It is a hierarchy.L2, so a System's L1D produces
-// the calls exactly as in a simulation.
+// or Stats differ, or after which the called set's LOC lines differ in
+// order, footprint or dirty words, or its WOC lines sit in different
+// places or hold different words. It is a hierarchy.L2, so a System's
+// L1D produces the calls exactly as in a simulation.
 type twin struct {
-	tb       testing.TB
-	c        *distill.Cache
-	r        *refCache
-	calls    int
-	got, ref []distill.WOCLine // reused WOC listings
+	tb             testing.TB
+	c              *distill.Cache
+	r              *refCache
+	calls          int
+	got, ref       []distill.WOCLine // reused WOC listings
+	gotLOC, refLOC []distill.LOCLine // reused LOC listings
 	// highTag records whether the WOC ever held a line whose tag
 	// reaches bit 32, past the packed tag's 32-bit field.
 	highTag bool
@@ -59,8 +61,8 @@ func (w *twin) writeback(la mem.LineAddr, fp, dirty mem.Footprint) {
 	w.check(la)
 }
 
-// check compares the counters and the called set's WOC after every
-// call, and the histograms and the reverter's state every 4096 calls
+// check compares the counters and the called set's LOC and WOC after
+// every call, and the histograms and the reverter's state every 4096 calls
 // and at the end (verify).
 func (w *twin) check(la mem.LineAddr) {
 	w.calls++
@@ -69,6 +71,10 @@ func (w *twin) check(la mem.LineAddr) {
 	want.WordsUsedAtEvict, want.FPChangePos = nil, nil
 	if got != want {
 		w.tb.Fatalf("call %d: stats\n got %+v\nwant %+v", w.calls, got, want)
+	}
+	w.gotLOC, w.refLOC = distill.LOCSet(w.c, la, w.gotLOC), w.r.locSet(la, w.refLOC)
+	if !slices.Equal(w.gotLOC, w.refLOC) {
+		w.tb.Fatalf("call %d: LOC of %v's set\n got %+v\nwant %+v", w.calls, la, w.gotLOC, w.refLOC)
 	}
 	w.got, w.ref = distill.WOCSet(w.c, la, w.got), w.r.wocSet(la, w.ref)
 	if !slices.Equal(w.got, w.ref) {
@@ -107,6 +113,16 @@ func (w *twin) verify() {
 	if err := w.c.CheckInvariants(); err != nil {
 		w.tb.Fatalf("call %d: %v", w.calls, err)
 	}
+}
+
+// locSet lists the reference's LOC lines in la's set, MRU first,
+// appending to out[:0].
+func (r *refCache) locSet(la mem.LineAddr, out []distill.LOCLine) []distill.LOCLine {
+	out = out[:0]
+	for _, e := range r.sets[uint64(la)%uint64(len(r.sets))].loc {
+		out = append(out, distill.LOCLine{Line: e.line, Instr: e.instr, FP: e.fp, Dirty: e.dirty, FPPos: e.fpPos})
+	}
+	return out
 }
 
 // wocSet lists the reference's WOC lines in la's set in position order,
