@@ -95,54 +95,17 @@ func (s *Stats) Misses() uint64 { return s.HoleMisses + s.LineMisses }
 // Hits returns the total hit count.
 func (s *Stats) Hits() uint64 { return s.LOCHits + s.WOCHits }
 
-// locEntry is a LOC tag entry, packed into 8 bytes: the tag's low 32
-// bits, the per-word footprint and dirty mask, the Figure-2 recency
-// instrumentation, and a flag byte holding the installing tenant
-// (always 0 outside partitioned mode; it follows the line into the WOC
-// to pick its install-way mask), the instruction bit and the tag's
-// bits 32-33 (mem.PackTag).
-type locEntry struct {
-	tagLo    uint32
-	fp       mem.Footprint
-	dirty    mem.Footprint
-	maxFPPos uint8
-	flags    uint8
-}
-
-// The flag byte's fields below mem.TagHighMask.
-const (
-	locTenantMask uint8 = cache.MaxPartitionTenants - 1
-	// locInstr marks instruction lines, which are never distilled
-	// (Section 4).
-	locInstr uint8 = cache.MaxPartitionTenants
-)
-
-// The tenant and instruction bits must stay clear of the tag bits.
-var _ [1<<mem.TagHighShift - 2*cache.MaxPartitionTenants]struct{}
-
-func (e *locEntry) tag() uint64             { return mem.UnpackTag(e.tagLo, e.flags) }
-func (e *locEntry) holds(k mem.TagKey) bool { return k.Matches(e.tagLo, e.flags) }
-func (e *locEntry) tenant() uint8           { return e.flags & locTenantMask }
-func (e *locEntry) instr() bool             { return e.flags&locInstr != 0 }
-
-// setHdr is one set's state outside its LOC and WOC storage: how many
-// LOC entries are valid (always a prefix of the MRU-first LOC), and
-// whether the reverter has switched the set to traditional mode, where
-// its LOC has all Ways entries and its WOC is empty; in distill mode
-// the LOC has LOCWays entries.
-type setHdr struct {
-	n    uint8
-	trad bool
-}
-
 // Cache is the distill cache.
 type Cache struct {
 	cfg  Config
 	geom mem.Geometry
-	// loc holds every set's LOC, Ways entries a set (set si's starts at
-	// si*Ways), so the traditional-mode widening stays in place.
-	loc  []locEntry
-	hdr  []setHdr
+	// loc holds every set's LOC, Ways lines a set (set si's starts at
+	// si*Ways), so the traditional-mode widening stays in place; in
+	// distill mode a set's ways past LOCWays are invalid.
+	loc cache.Set
+	// trad marks the sets the reverter has switched to traditional
+	// mode, where the LOC has all Ways ways and the WOC is empty.
+	trad []bool
 	woc  wordstore.Store
 	smp  *sampler.Sampler
 	mt   *medianFilter
@@ -186,8 +149,8 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, rng: cfg.Seed | 1}
 	c.geom, _ = mem.NewGeometry(cfg.SizeBytes, cfg.Ways) // Validate accepted it
 	numSets := c.geom.Sets()
-	c.loc = make([]locEntry, numSets*cfg.Ways)
-	c.hdr = make([]setHdr, numSets)
+	c.loc = make(cache.Set, numSets*cfg.Ways)
+	c.trad = make([]bool, numSets)
 	c.woc = wordstore.NewStore(cfg.WOCWays, numSets, cfg.WOCLRU)
 	if cfg.Reverter {
 		sc := sampler.DefaultConfig(cfg.Sets())
@@ -241,16 +204,6 @@ func (c *Cache) MedianThreshold() int {
 	return c.mt.Threshold()
 }
 
-func (c *Cache) nextRand() uint64 {
-	// xorshift64*: cheap, deterministic, good enough for replacement.
-	x := c.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	c.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
 // Access performs a complete demand data access for one word,
 // including the fill on a miss (the timing of the memory fetch is
 // modelled separately by the CPU simulator). The returned ValidBits
@@ -287,55 +240,25 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 		c.cb.eng.Access(la, word)
 	}
 	si := c.geom.SetIndex(la)
-	h := &c.hdr[si]
 	leader := false
 	if c.smp != nil {
 		leader = c.smp.IsLeader(si)
 		c.smp.ObserveATD(si, la)
 		if !leader {
 			// Followers lazily adopt the sampler's decision.
-			if wantTrad := !c.smp.Enabled(); wantTrad != h.trad {
-				c.switchMode(h, si, wantTrad)
+			if wantTrad := !c.smp.Enabled(); wantTrad != c.trad[si] {
+				c.switchMode(si, wantTrad)
 			}
 		}
 	}
 	tag := c.geom.Tag(la)
-	key := mem.KeyOf(tag)
-
-	// LOC lookup. MRU fast path first: a hit on way 0 needs no
-	// promotion (and cannot raise maxFPPos), so it updates in place.
-	loc := c.validLOC(si, h)
-	if len(loc) > 0 && loc[0].holds(key) {
-		e := &loc[0]
-		e.fp = e.fp.Set(word)
-		if write {
-			e.dirty = e.dirty.Set(word)
-		}
-		c.st.LOCHits++
-		return AccessResult{Outcome: LOCHit, ValidBits: mem.FullFootprint}
-	}
-	for pos := 1; pos < len(loc); pos++ {
-		if !loc[pos].holds(key) {
-			continue
-		}
-		e := loc[pos]
-		if !e.fp.Has(word) {
-			e.fp = e.fp.Set(word)
-			if uint8(pos) > e.maxFPPos {
-				e.maxFPPos = uint8(pos)
-			}
-		}
-		if write {
-			e.dirty = e.dirty.Set(word)
-		}
-		copy(loc[1:pos+1], loc[0:pos])
-		loc[0] = e
+	if c.locSet(si).Access(mem.KeyOf(tag), word, write) {
 		c.st.LOCHits++
 		return AccessResult{Outcome: LOCHit, ValidBits: mem.FullFootprint}
 	}
 
 	// WOC lookup (inactive in traditional mode).
-	if !h.trad {
+	if !c.trad[si] {
 		tok := c.obsSpans.Begin(obs.StageWOCLookup)
 		var idx int
 		if c.touche != nil {
@@ -367,7 +290,7 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 			if leader {
 				c.smp.RecordPolicyMiss(si)
 			}
-			c.installLOC(h, si, tag, word, write, instr, removed.Dirty, tenant)
+			c.installLOC(si, la, tag, word, write, instr, removed.Dirty, tenant)
 			return AccessResult{Outcome: HoleMiss, ValidBits: mem.FullFootprint}
 		}
 	}
@@ -377,91 +300,67 @@ func (c *Cache) access(la mem.LineAddr, word int, write, instr bool, tenant int)
 	if leader {
 		c.smp.RecordPolicyMiss(si)
 	}
-	c.installLOC(h, si, tag, word, write, instr, 0, tenant)
+	c.installLOC(si, la, tag, word, write, instr, 0, tenant)
 	return AccessResult{Outcome: LineMiss, ValidBits: mem.FullFootprint}
 }
 
-// validLOC returns set si's valid LOC entries, MRU first.
-func (c *Cache) validLOC(si int, h *setHdr) []locEntry {
-	base := si * c.cfg.Ways
-	return c.loc[base : base+int(h.n)]
-}
-
-// installLOC fills the line as MRU in the LOC, distilling the LRU
-// victim if the set is full (under the tenant's way quota when a
-// partition is installed). mergedDirty carries dirty words recovered
-// from a hole-missed WOC copy.
-func (c *Cache) installLOC(h *setHdr, si int, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
-	width := c.cfg.Ways
-	if !h.trad {
+// locSet returns set si's LOC, MRU first: LOCWays ways in distill
+// mode, all Ways in traditional mode.
+func (c *Cache) locSet(si int) cache.Set {
+	base, width := si*c.cfg.Ways, c.cfg.Ways
+	if !c.trad[si] {
 		width -= c.cfg.WOCWays
 	}
-	loc := c.loc[si*c.cfg.Ways : si*c.cfg.Ways+width]
-	n := int(h.n)
-	victimPos := width - 1
-	if c.locQuota.Active() {
-		var owners cache.Owners
-		for pos := range loc {
-			owners.Add(pos, pos < n, loc[pos].tenant())
-		}
-		victimPos = c.locQuota.Victim(&owners, tenant)
-	}
-	mem.CheckLine(c.geom.Line(tag, si))
-	if victimPos < n {
+	return c.loc[base : base+width]
+}
+
+// installLOC fills line la, whose tag is tag, as MRU in set si's LOC,
+// first distilling the victim (the LRU line, or the tenant's under its
+// way quota when a partition is installed) if it is valid. mergedDirty
+// carries dirty words recovered from a hole-missed WOC copy.
+func (c *Cache) installLOC(si int, la mem.LineAddr, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
+	loc := c.locSet(si)
+	pos := loc.Victim(&c.locQuota, tenant)
+	if v := loc[pos]; v.Valid() {
 		tok := c.obsSpans.Begin(obs.StageDistillEvict)
-		c.evictLOC(h, si, loc[victimPos])
+		c.evictLOC(si, v)
 		c.obsSpans.End(obs.StageDistillEvict, tok)
-	} else {
-		// A free way: the valid entries are a prefix, so the new line
-		// extends it.
-		victimPos = n
-		h.n++
 	}
-	k := mem.PackTag(tag)
-	e := locEntry{
-		tagLo: k.Lo,
-		fp:    mem.FootprintOfWord(word).Or(mergedDirty),
-		dirty: mergedDirty,
-		flags: k.Hi | uint8(tenant)&locTenantMask,
-	}
-	if instr {
-		e.flags |= locInstr
-	}
+	fp, dirty := mem.FootprintOfWord(word).Or(mergedDirty), mergedDirty
 	if write {
-		e.dirty = e.dirty.Set(word)
+		dirty = dirty.Set(word)
 	}
 	if c.cfg.FootprintNoise > 0 {
 		// Wrong-path pollution (paper footnote 8): a speculative access
 		// may mark an extra word used.
-		r := c.nextRand()
+		r := mem.NextRand(&c.rng)
 		if float64(r>>11)/(1<<53) < c.cfg.FootprintNoise {
-			e.fp = e.fp.Set(int(r % mem.WordsPerLine))
+			fp = fp.Set(int(r % mem.WordsPerLine))
 		}
 	}
-	copy(loc[1:victimPos+1], loc[0:victimPos])
-	loc[0] = e
+	loc.Install(pos, cache.NewLine(la, tag, fp, dirty, tenant, instr))
 }
 
 // evictLOC handles a LOC victim: record statistics, then either distill
 // its used words into the WOC or evict it entirely (traditional mode or
 // filtered by MT).
-func (c *Cache) evictLOC(h *setHdr, si int, v locEntry) {
-	if v.instr() {
+func (c *Cache) evictLOC(si int, v cache.Line) {
+	if v.Instr() {
 		// Instruction lines bypass distillation and the data-footprint
 		// statistics (Section 4: LDIS only for data lines).
 		c.st.InstrEvictions++
-		if v.dirty != 0 {
+		if v.Dirty() != 0 {
 			c.st.Writebacks++
 		}
 		return
 	}
-	used := v.fp.Count()
+	used := v.Footprint().Count()
 	c.st.WordsUsedAtEvict.Add(used)
-	c.st.FPChangePos.Add(int(v.maxFPPos))
+	c.st.FPChangePos.Add(v.MaxFPPos())
 
-	if h.trad {
+	if c.trad[si] {
 		c.st.TradEvictions++
-		if v.dirty != 0 {
+		if v.Dirty() != 0 {
 			c.st.Writebacks++
 		}
 		return
@@ -469,7 +368,7 @@ func (c *Cache) evictLOC(h *setHdr, si int, v locEntry) {
 	if !c.admit(used) {
 		c.st.ThresholdSkips++
 		c.obsThresholdSkips.Inc()
-		if v.dirty != 0 {
+		if v.Dirty() != 0 {
 			c.st.Writebacks++
 		}
 		return
@@ -477,9 +376,9 @@ func (c *Cache) evictLOC(h *setHdr, si int, v locEntry) {
 	slots := mem.Pow2WordsFor(used)
 	if c.cfg.Slots != nil {
 		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
-		slots = c.cfg.Slots(c.geom.Line(v.tag(), si), v.fp)
+		slots = c.cfg.Slots(c.geom.Line(v.Tag(), si), v.Footprint())
 	}
-	c.installWOC(si, wordstore.NewLine(v.tag(), v.fp, v.dirty, slots), v.tenant())
+	c.installWOC(si, wordstore.NewLine(v.Tag(), v.Footprint(), v.Dirty(), slots), v.Tenant())
 }
 
 // installWOC places a distilled line and accounts for displaced lines.
@@ -510,13 +409,13 @@ func (c *Cache) wocInsert(si int, wl wordstore.Line, tenant uint8) {
 	}
 	var evicted []wordstore.Line
 	if c.cfg.WOCLRU {
-		evicted = c.woc.InstallLRU(si, wl, c.tick)
+		_, evicted = c.woc.InstallLRU(si, wl, c.tick)
 	} else {
 		var mask uint64 // every WOC way
 		if int(tenant) < len(c.wocMask) {
 			mask = c.wocMask[tenant]
 		}
-		evicted = c.woc.Install(si, wl, c.nextRand(), mask)
+		_, evicted = c.woc.Install(si, wl, mem.NextRand(&c.rng), mask)
 	}
 	for _, ev := range evicted {
 		c.st.WOCEvictions++
@@ -561,7 +460,7 @@ func (c *Cache) SetPartition(locQuota []int, wocMask []uint64) {
 // organization (reverter fallback). Entering traditional mode empties
 // the WOC (writing back dirty words) and widens the LOC to all ways;
 // returning to distill mode narrows the LOC, distilling the overflow.
-func (c *Cache) switchMode(h *setHdr, si int, trad bool) {
+func (c *Cache) switchMode(si int, trad bool) {
 	c.st.ModeSwitches++
 	c.obsModeSwitches.Inc()
 	if trad {
@@ -570,18 +469,20 @@ func (c *Cache) switchMode(h *setHdr, si int, trad bool) {
 				c.st.Writebacks++
 			}
 		}
-		h.trad = true
+		c.trad[si] = true
 		return
 	}
-	// Distill the entries that no longer fit, LRU-most first. The set is
-	// back in distill mode before they leave, so evictLOC distills them
-	// instead of evicting them traditionally.
-	h.trad = false
-	loc := c.validLOC(si, h)
-	for i := len(loc) - 1; i >= c.cfg.LOCWays(); i-- {
-		c.evictLOC(h, si, loc[i])
+	// Distill the lines that no longer fit, LRU-most first, and clear
+	// their ways. The set is back in distill mode before they leave, so
+	// evictLOC distills them instead of evicting them traditionally.
+	c.trad[si] = false
+	wide := c.loc[si*c.cfg.Ways : (si+1)*c.cfg.Ways]
+	for i := len(wide) - 1; i >= c.cfg.LOCWays(); i-- {
+		if v := wide[i]; v.Valid() {
+			c.evictLOC(si, v)
+		}
+		wide[i] = cache.Line{}
 	}
-	h.n = uint8(min(len(loc), c.cfg.LOCWays()))
 }
 
 // admit applies the configured distillation threshold: the running
@@ -600,30 +501,17 @@ func (c *Cache) admit(used int) bool {
 }
 
 // WritebackFromL1 accepts an L1D eviction notice: the accumulated
-// footprint is ORed into the LOC entry (Section 4.1) and dirty words
+// footprint is ORed into the LOC line (Section 4.1) and dirty words
 // update whichever structure holds the line; dirty data for an absent
 // line goes to memory.
 func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint) {
 	footprint = footprint.Or(dirty) // written words are used words
 	si := c.geom.SetIndex(la)
-	h := &c.hdr[si]
 	tag := c.geom.Tag(la)
-	key := mem.KeyOf(tag)
-	loc := c.validLOC(si, h)
-	for pos := range loc {
-		if loc[pos].holds(key) {
-			e := &loc[pos]
-			if merged := e.fp.Or(footprint); merged != e.fp {
-				e.fp = merged
-				if uint8(pos) > e.maxFPPos {
-					e.maxFPPos = uint8(pos)
-				}
-			}
-			e.dirty = e.dirty.Or(dirty)
-			return
-		}
+	if c.locSet(si).Merge(mem.KeyOf(tag), footprint, dirty) {
+		return
 	}
-	if !h.trad {
+	if !c.trad[si] {
 		if idx := c.woc.Find(si, tag); idx >= 0 {
 			wl := &c.woc.Lines(si)[idx]
 			// Dirty words the WOC copy stores stay with it; words it
@@ -644,7 +532,7 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 	// (Config.CopyBack) the reuse predictor decides whether its used
 	// words are worth a WOC slot; otherwise — as in the base design —
 	// the line is dropped.
-	if c.cb != nil && !h.trad && footprint != 0 {
+	if c.cb != nil && !c.trad[si] && footprint != 0 {
 		within, known := c.cb.predict(la)
 		switch {
 		case !known:
@@ -665,15 +553,11 @@ func (c *Cache) WritebackFromL1(la mem.LineAddr, footprint, dirty mem.Footprint)
 // ""); exposed for tests.
 func (c *Cache) Present(la mem.LineAddr) string {
 	si := c.geom.SetIndex(la)
-	h := &c.hdr[si]
 	tag := c.geom.Tag(la)
-	key := mem.KeyOf(tag)
-	for _, e := range c.validLOC(si, h) {
-		if e.holds(key) {
-			return "loc"
-		}
+	if c.locSet(si).Find(mem.KeyOf(tag)) >= 0 {
+		return "loc"
 	}
-	if !h.trad && c.woc.Find(si, tag) >= 0 {
+	if !c.trad[si] && c.woc.Find(si, tag) >= 0 {
 		return "woc"
 	}
 	return ""
@@ -683,7 +567,7 @@ func (c *Cache) Present(la mem.LineAddr) string {
 // (zero if not in the WOC).
 func (c *Cache) WOCValidBits(la mem.LineAddr) mem.Footprint {
 	si := c.geom.SetIndex(la)
-	if c.hdr[si].trad {
+	if c.trad[si] {
 		return 0
 	}
 	if idx := c.woc.Find(si, c.geom.Tag(la)); idx >= 0 {
@@ -707,8 +591,7 @@ func (c *Cache) CheckInvariants() error {
 		}
 		return false
 	}
-	for i := range c.hdr {
-		h := &c.hdr[i]
+	for i, trad := range c.trad {
 		if err := c.woc.CheckInvariants(i); err != nil {
 			return fmt.Errorf("set %d: %v", i, err)
 		}
@@ -717,23 +600,25 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("set %d: %v", i, err)
 			}
 		}
-		width := c.cfg.LOCWays()
-		if h.trad {
-			width = c.cfg.Ways
-		}
-		if int(h.n) > width {
-			return fmt.Errorf("set %d: %d valid LOC entries in %d ways", i, h.n, width)
-		}
-		if h.trad && len(c.woc.Lines(i)) != 0 {
+		if trad && len(c.woc.Lines(i)) != 0 {
 			return fmt.Errorf("set %d: traditional mode with %d WOC lines", i, len(c.woc.Lines(i)))
 		}
-		seen = seen[:0]
-		for _, e := range c.validLOC(i, h) {
-			if contains(e.tag()) {
-				return fmt.Errorf("set %d: duplicate LOC tag %x", i, e.tag())
+		loc := c.locSet(i)
+		for _, e := range c.loc[i*c.cfg.Ways+len(loc) : (i+1)*c.cfg.Ways] {
+			if e.Valid() {
+				return fmt.Errorf("set %d: valid LOC line past the %d LOC ways", i, len(loc))
 			}
-			seen = append(seen, e.tag())
-			if e.dirty&^e.fp != 0 {
+		}
+		seen = seen[:0]
+		for _, e := range loc {
+			if !e.Valid() {
+				continue
+			}
+			if contains(e.Tag()) {
+				return fmt.Errorf("set %d: duplicate LOC tag %x", i, e.Tag())
+			}
+			seen = append(seen, e.Tag())
+			if e.Dirty()&^e.Footprint() != 0 {
 				return fmt.Errorf("set %d: LOC dirty outside footprint", i)
 			}
 		}

@@ -1,6 +1,7 @@
 // Package distill implements the paper's primary contribution: the
 // Distill Cache (Section 5). Each set splits into a Line-Organized
-// Cache (LOC) — ordinary ways whose tag entries carry a footprint — and
+// Cache (LOC) — ordinary ways whose tag entries carry a footprint, the
+// traditional cache's LRU tag array (cache.Set) — and
 // a Word-Organized Cache (WOC) whose ways are logically partitioned
 // into 8B word entries. Lines evicted from the LOC are *distilled*:
 // their used words move to the WOC at a power-of-two aligned position
@@ -103,8 +104,9 @@ func (c Config) LOCWays() int { return c.Ways - c.WOCWays }
 // WOCEntries returns the number of word entries per set.
 func (c Config) WOCEntries() int { return c.WOCWays * mem.WordsPerLine }
 
-// maxWays bounds Ways: a set header counts its LOC entries, up to Ways
-// in traditional mode, in one byte.
+// maxWays bounds Ways: a LOC line records the deepest recency position
+// its footprint changed at, up to Ways-1 in traditional mode, in one
+// byte (cache.Line.MaxFPPos).
 const maxWays = math.MaxUint8
 
 // Validate checks structural invariants.

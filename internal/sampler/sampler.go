@@ -10,6 +10,7 @@ package sampler
 import (
 	"fmt"
 
+	"ldis/internal/cache"
 	"ldis/internal/mem"
 	"ldis/internal/stats"
 )
@@ -71,11 +72,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type atdEntry struct {
-	valid bool
-	tag   uint64
-}
-
 // Sampler tracks the leader-set ATD and the PSEL decision.
 type Sampler struct {
 	cfg     Config
@@ -83,7 +79,7 @@ type Sampler struct {
 	geom    mem.Geometry // the shadowed traditional cache's set mapping, for ATD tags
 	psel    *stats.SatCounter
 	enabled bool
-	atd     []atdEntry // LeaderSets LRU tag lists of ATDWays entries each, MRU-first
+	atd     cache.Set // LeaderSets LRU tag sets of ATDWays lines each
 
 	// Counters for observability.
 	PolicyMisses uint64 // leader-set misses under the experimental policy
@@ -101,7 +97,7 @@ func New(cfg Config) *Sampler {
 		stride:  cfg.NumSets / cfg.LeaderSets,
 		psel:    stats.NewSatCounter(uint32(1)<<cfg.PSELBits - 1),
 		enabled: true, // the experimental policy starts enabled
-		atd:     make([]atdEntry, cfg.LeaderSets*cfg.ATDWays),
+		atd:     make(cache.Set, cfg.LeaderSets*cfg.ATDWays),
 	}
 	// The ATD shadows a NumSets-set, ATDWays-way traditional cache;
 	// Validate accepted both counts.
@@ -131,8 +127,8 @@ func (s *Sampler) RecordPolicyMiss(setIdx int) {
 }
 
 // ObserveATD replays the access in the traditional-cache tag directory
-// for leader sets; an ATD miss increments PSEL. Non-leader sets are
-// ignored.
+// for leader sets, an ATDWays-way LRU tag array (cache.Set); an ATD
+// miss increments PSEL. Non-leader sets are ignored.
 func (s *Sampler) ObserveATD(setIdx int, line mem.LineAddr) {
 	if !s.IsLeader(setIdx) {
 		return
@@ -141,19 +137,15 @@ func (s *Sampler) ObserveATD(setIdx int, line mem.LineAddr) {
 	li := s.leaderIndex(setIdx)
 	set := s.atd[li*w : (li+1)*w]
 	tag := s.geom.Tag(line)
-	for pos := range set {
-		if set[pos].valid && set[pos].tag == tag {
-			e := set[pos]
-			copy(set[1:pos+1], set[0:pos])
-			set[0] = e
-			return
-		}
+	// The ATD reads only hit or miss, so word 0 stands in for the
+	// demand word.
+	if set.Access(mem.KeyOf(tag), 0, false) {
+		return
 	}
 	s.ATDMisses++
 	s.psel.Inc()
 	s.decide()
-	copy(set[1:], set[:len(set)-1])
-	set[0] = atdEntry{valid: true, tag: tag}
+	set.Install(w-1, cache.NewLine(line, tag, 0, 0, 0, false))
 }
 
 // decide applies the hysteresis rule.
