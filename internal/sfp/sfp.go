@@ -152,26 +152,10 @@ func (c *Cache) Stats() *Stats { return &c.st }
 // Sampler exposes the reverter's sampler (nil when disabled).
 func (c *Cache) Sampler() *sampler.Sampler { return c.smp }
 
-func (c *Cache) nextRand() uint64 {
-	x := c.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	c.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // predIndex hashes (pc, line) into the footprint history table; the
 // upper hash bits form the alias-filter tag.
 func (c *Cache) predIndex(pc mem.Addr, la mem.LineAddr) (int, uint8) {
-	h := mix(uint64(pc)>>2 ^ uint64(la)<<17)
+	h := mem.SplitMix64(uint64(pc)>>2 ^ uint64(la)<<17)
 	return int(h % uint64(len(c.table))), uint8(h >> 48)
 }
 
@@ -274,12 +258,12 @@ func (c *Cache) install(si int, la mem.LineAddr, word int, pc mem.Addr, write, f
 		(!c.store.HasFreeRegion(si, nl.Slots()) || len(c.store.Lines(si))+1 > c.cfg.TagsPerSet) {
 		c.evicted(si, c.store.RemoveAt(si, c.lruIndex(si)))
 	}
-	for _, ev := range c.store.Install(si, nl, c.nextRand(), 0) {
+	placed, evicted := c.store.Install(si, nl, mem.NextRand(&c.rng), 0)
+	for _, ev := range evicted {
 		c.evicted(si, ev)
 	}
 	c.tick++
-	l := c.store.Lines(si)[c.store.Find(si, nl.Tag())]
-	c.meta[c.head(si, l)] = lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick}
+	c.meta[c.head(si, placed)] = lineMeta{observed: mem.FootprintOfWord(word), pc: pc, lastUse: c.tick}
 	return fp
 }
 

@@ -171,22 +171,12 @@ func (t *ToucheTags) Config() ToucheConfig {
 // SuperblockEntries returns the per-set compressed tag entry budget.
 func (t *ToucheTags) SuperblockEntries() int { return t.sbEntries }
 
-// toucheMix is splitmix64's finalizer: the signature/checksum hash.
-func toucheMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 func (t *ToucheTags) sig(sb uint64) uint64 {
-	return toucheMix(sb^t.cfg.Seed) & t.sigMask
+	return mem.Mix64(sb^t.cfg.Seed) & t.sigMask
 }
 
 func (t *ToucheTags) checksum(sb uint64) uint64 {
-	return toucheMix(sb^t.cfg.Seed^0x9e3779b97f4a7c15) & t.ckMask
+	return mem.Mix64(sb^t.cfg.Seed^0x9e3779b97f4a7c15) & t.ckMask
 }
 
 // Find is the compressed-tag demand lookup: the hardware compares the

@@ -279,10 +279,11 @@ func pickRegion(ways []wayBits, wayMask uint64, slots int, rnd uint64) (way, sta
 // WOC ways to confine its distilled lines there; the mask restricts
 // where nl is placed, never which lines a placement may evict —
 // alignment means a region's victims always live in the region's own
-// way. It returns the evicted lines, valid until the next mutation.
+// way. It returns nl as placed (its Way and Start set) and the evicted
+// lines, valid until the next mutation.
 //
 //ldis:noalloc
-func (st *Store) Install(si int, nl Line, rnd, wayMask uint64) []Line {
+func (st *Store) Install(si int, nl Line, rnd, wayMask uint64) (placed Line, evicted []Line) {
 	st.checkInstall(si, nl)
 	way, start := pickRegion(st.setBits(si), clipWays(wayMask, st.ways), nl.Slots(), rnd)
 	return st.place(si, nl, way, start)
@@ -303,10 +304,11 @@ func clipWays(wayMask uint64, ways int) uint64 {
 // eligible region whose youngest resident line is oldest, the first
 // such region on ties (a variable-size LRU approximation — the policy
 // the paper's footnote 4 says random replacement approximates). nl is
-// stamped as used at now. The store must keep recency stamps.
+// stamped as used at now. The store must keep recency stamps. It
+// returns what Install returns.
 //
 //ldis:noalloc
-func (st *Store) InstallLRU(si int, nl Line, now uint64) []Line {
+func (st *Store) InstallLRU(si int, nl Line, now uint64) (placed Line, evicted []Line) {
 	st.checkInstall(si, nl)
 	k := sizeClass(nl.Slots())
 	ways := st.setBits(si)
@@ -340,10 +342,10 @@ func (st *Store) InstallLRU(si int, nl Line, now uint64) []Line {
 	return st.placeStamped(si, nl, bestWay, bestStart, now)
 }
 
-func (st *Store) placeStamped(si int, nl Line, way, start int, now uint64) []Line {
-	evicted := st.place(si, nl, way, start)
+func (st *Store) placeStamped(si int, nl Line, way, start int, now uint64) (Line, []Line) {
+	placed, evicted := st.place(si, nl, way, start)
 	st.Touch(si, int(st.count[si])-1, now)
-	return evicted
+	return placed, evicted
 }
 
 // validSlots reports whether n is a legal slot count: a power of two
@@ -360,9 +362,9 @@ func (st *Store) checkInstall(si int, nl Line) {
 // place evicts every line starting inside the chosen region (alignment
 // guarantees such lines are fully contained or fully cover it; the
 // paper's head-bit rule evicts them whole either way) and installs nl
-// as the set's last line. The returned slice aliases the store's
-// reusable eviction buffer.
-func (st *Store) place(si int, nl Line, way, start int) []Line {
+// as the set's last line, returning it as placed. The returned slice
+// aliases the store's reusable eviction buffer.
+func (st *Store) place(si int, nl Line, way, start int) (Line, []Line) {
 	evicted := st.evictBuf[:0]
 	slots := nl.Slots()
 	region := RegionMask(start, slots)
@@ -392,7 +394,7 @@ func (st *Store) place(si int, nl Line, way, start int) []Line {
 	b.heads |= RegionMask(start, 1)
 	st.lines[si*st.lineCap+int(st.count[si])] = nl
 	st.count[si]++
-	return evicted
+	return nl, evicted
 }
 
 // HasFreeRegion reports whether some aligned region of set si of the

@@ -39,7 +39,7 @@ func TestRegionMask(t *testing.T) {
 
 func TestWOCInstallIntoFree(t *testing.T) {
 	s := newSet(2)
-	ev := s.Install(0, NewLine(1, mem.FootprintOfWord(0), 0, 1), 0, 0)
+	_, ev := s.Install(0, NewLine(1, mem.FootprintOfWord(0), 0, 1), 0, 0)
 	if len(ev) != 0 {
 		t.Fatalf("install into empty set evicted %d lines", len(ev))
 	}
@@ -61,7 +61,7 @@ func TestWOCAlignment(t *testing.T) {
 		for w := 0; w < sz; w++ {
 			words = words.Set(w)
 		}
-		ev := s.Install(0, NewLine(uint64(i+1), words, 0, sz), uint64(i*3+1), 0)
+		_, ev := s.Install(0, NewLine(uint64(i+1), words, 0, sz), uint64(i*3+1), 0)
 		if len(ev) != 0 {
 			t.Fatalf("install %d evicted %d lines prematurely", i, len(ev))
 		}
@@ -86,7 +86,7 @@ func TestWOCReplacementEvictsWholeLines(t *testing.T) {
 	s.Install(0, NewLine(1, mem.Footprint(0b1111), 0, 4), 0, 0)
 	s.Install(0, NewLine(2, mem.Footprint(0b1111), 0, 4), 0, 0)
 	// Installing an 8-slot line must evict both.
-	ev := s.Install(0, NewLine(3, mem.FullFootprint, 0, 8), 5, 0)
+	_, ev := s.Install(0, NewLine(3, mem.FullFootprint, 0, 8), 5, 0)
 	if len(ev) != 2 {
 		t.Fatalf("evicted %d lines, want 2", len(ev))
 	}
@@ -103,7 +103,7 @@ func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 	s.Install(0, NewLine(1, mem.FullFootprint, 0, 8), 0, 0)
 	// A 1-slot install: the only eligible candidate is the head (slot 0)
 	// of the 8-slot line, which must be evicted whole (head-bit rule).
-	ev := s.Install(0, NewLine(2, mem.FootprintOfWord(3), 0, 1), 9, 0)
+	_, ev := s.Install(0, NewLine(2, mem.FootprintOfWord(3), 0, 1), 9, 0)
 	if len(ev) != 1 || ev[0].Tag() != 1 {
 		t.Fatalf("evictions = %+v", ev)
 	}
@@ -112,7 +112,7 @@ func TestWOCSmallInstallEvictsContainingLine(t *testing.T) {
 	}
 	// The freed 7 slots are available for subsequent installs.
 	for i := 0; i < 7; i++ {
-		if ev := s.Install(0, NewLine(uint64(10+i), mem.FootprintOfWord(0), 0, 1), uint64(i), 0); len(ev) != 0 {
+		if _, ev := s.Install(0, NewLine(uint64(10+i), mem.FootprintOfWord(0), 0, 1), uint64(i), 0); len(ev) != 0 {
 			t.Fatalf("install %d into freed space evicted %d lines", i, len(ev))
 		}
 	}
@@ -225,7 +225,7 @@ func TestInstallLRUPrefersOldest(t *testing.T) {
 	s.InstallLRU(0, NewLine(1, 0b1111, 0, 4), 10)
 	s.InstallLRU(0, NewLine(2, 0b1111, 0, 4), 20)
 	// No free 4-region remains: LRU install must evict tag 1 (older).
-	ev := s.InstallLRU(0, NewLine(3, 0b1111, 0, 4), 30)
+	_, ev := s.InstallLRU(0, NewLine(3, 0b1111, 0, 4), 30)
 	if len(ev) != 1 || ev[0].Tag() != 1 {
 		t.Errorf("evicted %+v, want tag 1", ev)
 	}
@@ -241,7 +241,7 @@ func TestInstallLRUUsesFreeRegionFirst(t *testing.T) {
 	s := newSet(1)
 	s.InstallLRU(0, NewLine(1, 0b1111, 0, 4), 1)
 	// Half the way is free: no eviction expected.
-	if ev := s.InstallLRU(0, NewLine(2, 0b1111, 0, 4), 2); len(ev) != 0 {
+	if _, ev := s.InstallLRU(0, NewLine(2, 0b1111, 0, 4), 2); len(ev) != 0 {
 		t.Errorf("free region available but evicted %+v", ev)
 	}
 }
