@@ -219,33 +219,6 @@ func corpusBytes(path string) ([]byte, error) {
 	return []byte(s), nil
 }
 
-// TestLimitEdges covers the degenerate Limit configurations (satellite
-// coverage): n = 0, negative n, and an inner stream that is exhausted
-// before the limit.
-func TestLimitEdges(t *testing.T) {
-	if _, ok := NewLimit(NewSliceStream(sampleTrace(5)), 0).Next(); ok {
-		t.Error("n=0 limit yielded an access")
-	}
-	if _, ok := NewLimit(NewSliceStream(sampleTrace(5)), -3).Next(); ok {
-		t.Error("negative limit yielded an access")
-	}
-	// Exhausted inner stream: Next stays false and the limiter latches
-	// closed even if the inner stream were to revive.
-	l := NewLimit(NewSliceStream(sampleTrace(2)), 10)
-	if n := len(Collect(l, 0)); n != 2 {
-		t.Fatalf("drained %d accesses", n)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := l.Next(); ok {
-			t.Fatal("exhausted limit stream yielded an access")
-		}
-	}
-	// A limit over an already-empty stream.
-	if _, ok := NewLimit(NewSliceStream(nil), 4).Next(); ok {
-		t.Error("limit over empty stream yielded an access")
-	}
-}
-
 // TestInterleaveZeroAndDropout: zero streams yield nothing; a stream
 // that runs dry mid-rotation drops out without disturbing the order of
 // the survivors.

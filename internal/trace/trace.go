@@ -52,61 +52,6 @@ func Collect(s Stream, limit int) []mem.Access {
 	return out
 }
 
-// Limit wraps a stream and truncates it after n accesses.
-type Limit struct {
-	inner Stream
-	left  int
-}
-
-// NewLimit returns a stream yielding at most n accesses from inner.
-func NewLimit(inner Stream, n int) *Limit {
-	return &Limit{inner: inner, left: n}
-}
-
-// Next implements Stream.
-func (l *Limit) Next() (mem.Access, bool) {
-	if l.left <= 0 {
-		return mem.Access{}, false
-	}
-	a, ok := l.inner.Next()
-	if !ok {
-		l.left = 0
-		return mem.Access{}, false
-	}
-	l.left--
-	return a, true
-}
-
-// Filter wraps a stream and yields only accesses for which keep returns
-// true. Instret of dropped accesses is folded into the next surviving
-// access so instruction counts (and therefore MPKI) are preserved.
-type Filter struct {
-	inner   Stream
-	keep    func(mem.Access) bool
-	carried uint32
-}
-
-// NewFilter returns the filtered stream.
-func NewFilter(inner Stream, keep func(mem.Access) bool) *Filter {
-	return &Filter{inner: inner, keep: keep}
-}
-
-// Next implements Stream.
-func (f *Filter) Next() (mem.Access, bool) {
-	for {
-		a, ok := f.inner.Next()
-		if !ok {
-			return mem.Access{}, false
-		}
-		if f.keep(a) {
-			a.Instret += f.carried
-			f.carried = 0
-			return a, true
-		}
-		f.carried += a.Instret
-	}
-}
-
 // Interleave round-robins accesses from several streams, modelling
 // independent reference streams sharing a cache. A stream that runs dry
 // drops out of the rotation.

@@ -82,42 +82,6 @@ func TestCollectLimit(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	l := NewLimit(NewSliceStream(sampleTrace(10)), 4)
-	if n := len(Collect(l, 0)); n != 4 {
-		t.Errorf("Limit yielded %d accesses", n)
-	}
-	// Limit larger than the stream just drains it.
-	l2 := NewLimit(NewSliceStream(sampleTrace(2)), 100)
-	if n := len(Collect(l2, 0)); n != 2 {
-		t.Errorf("oversize Limit yielded %d", n)
-	}
-}
-
-func TestFilterPreservesInstret(t *testing.T) {
-	accs := []mem.Access{
-		{Addr: 0, Kind: mem.IFetch, Instret: 3},
-		{Addr: 64, Kind: mem.Load, Instret: 2},
-		{Addr: 128, Kind: mem.IFetch, Instret: 5},
-		{Addr: 192, Kind: mem.Store, Instret: 1},
-	}
-	f := NewFilter(NewSliceStream(accs), func(a mem.Access) bool { return a.Kind.IsData() })
-	out := Collect(f, 0)
-	if len(out) != 2 {
-		t.Fatalf("Filter kept %d accesses", len(out))
-	}
-	if out[0].Instret != 5 { // 3 (dropped) + 2
-		t.Errorf("first Instret = %d, want 5", out[0].Instret)
-	}
-	if out[1].Instret != 6 { // 5 (dropped) + 1
-		t.Errorf("second Instret = %d, want 6", out[1].Instret)
-	}
-	total := CountInstructions(accs)
-	if got := CountInstructions(out); got != total {
-		t.Errorf("instructions not preserved: %d != %d", got, total)
-	}
-}
-
 func TestInterleave(t *testing.T) {
 	a := NewSliceStream([]mem.Access{{Addr: 1}, {Addr: 2}})
 	b := NewSliceStream([]mem.Access{{Addr: 10}, {Addr: 20}, {Addr: 30}})
