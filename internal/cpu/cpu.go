@@ -285,15 +285,6 @@ func newBranchStream(prof *workload.Profile) *branchStream {
 	return b
 }
 
-// xorshift advances the stream's generator state by one step; a draw
-// is the new state times the xorshift* multiplier.
-func xorshift(x uint64) uint64 {
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	return x
-}
-
 // run advances the stream by instret instructions and returns the number
 // of mispredicted branches. Each branch draws its site, and a
 // data-dependent site draws its outcome too. The second draw is always
@@ -303,21 +294,20 @@ func xorshift(x uint64) uint64 {
 //
 //ldis:noalloc
 func (b *branchStream) run(instret uint32) int {
-	const mul = 0x2545f4914f6cdd1d
 	b.acc += float64(instret) * b.perInst
 	miss := 0
 	for b.acc >= 1 {
 		b.acc--
-		x1 := xorshift(b.rng)
-		site := x1 * mul & (branchSites - 1)
-		x2 := xorshift(x1)
+		x1 := mem.XorShift(b.rng)
+		site := x1 * mem.XorShiftMul & (branchSites - 1)
+		x2 := mem.XorShift(x1)
 
 		cls := b.sites[site] ^ 1<<siteParity
 		b.sites[site] = cls
 		random := bit(cls, siteRandom)
 		b.rng = x1 ^ (x1^x2)&-random
 
-		outcome := x2*mul>>33&1 ^ 1
+		outcome := x2*mem.XorShiftMul>>33&1 ^ 1
 		taken := random&outcome | bit(cls, siteLoop)&bit(cls, siteParity) | bit(cls, siteBiased)
 		pc := mem.Addr(0x700000 + site*4)
 		if b.pred.PredictAndUpdate(pc, taken != 0) {

@@ -20,18 +20,6 @@ import (
 	"ldis/internal/trace"
 )
 
-// splitmix64 is the avalanche mixer all injectors derive their
-// decisions from.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // hashKey folds a site key into a seed (FNV-1a then splitmix).
 func hashKey(seed uint64, key string) uint64 {
 	h := uint64(14695981039346656037)
@@ -39,7 +27,7 @@ func hashKey(seed uint64, key string) uint64 {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return splitmix64(h ^ seed)
+	return mem.SplitMix64(h ^ seed)
 }
 
 // frac maps a hash to [0,1).
@@ -135,7 +123,7 @@ func NewCorruptReader(r io.Reader, seed uint64, rate float64) *CorruptReader {
 func (c *CorruptReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	for i := 0; i < n; i++ {
-		h := splitmix64(c.seed ^ uint64(c.off+int64(i)))
+		h := mem.SplitMix64(c.seed ^ uint64(c.off+int64(i)))
 		if frac(h) < c.rate {
 			p[i] ^= 1 << (h >> 56 & 7)
 		}
@@ -168,12 +156,12 @@ type FaultyStream struct {
 }
 
 // NewFaultyStream wraps inner. The fault position is
-// splitmix64(seed) % window (window must be positive).
+// mem.SplitMix64(seed) % window (window must be positive).
 func NewFaultyStream(inner trace.Stream, mode StreamFault, seed uint64, window int64) *FaultyStream {
 	if window <= 0 {
 		panic("faultinject: NewFaultyStream window must be positive")
 	}
-	return &FaultyStream{inner: inner, mode: mode, seed: seed, at: int64(splitmix64(seed) % uint64(window))}
+	return &FaultyStream{inner: inner, mode: mode, seed: seed, at: int64(mem.SplitMix64(seed) % uint64(window))}
 }
 
 // FaultPos returns the access index at which the fault fires.
@@ -196,7 +184,7 @@ func (f *FaultyStream) Next() (mem.Access, bool) {
 		if !ok {
 			return mem.Access{}, false
 		}
-		h := splitmix64(f.seed ^ uint64(pos))
+		h := mem.SplitMix64(f.seed ^ uint64(pos))
 		a.Addr ^= mem.Addr(1) << (h % 32)
 		return a, true
 	}

@@ -34,14 +34,6 @@ func newLineSet() lineSet {
 	return lineSet{slots: make([]lineChunk, lineSetInitial)}
 }
 
-// lineSetMix is splitmix64's finalizer: it spreads the low-entropy
-// chunk-key bits across the table.
-func lineSetMix(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // testAndSet reports whether la was already present, inserting it if
 // not (so the first call for a line returns false, all later ones
 // true).
@@ -51,7 +43,7 @@ func (s *lineSet) testAndSet(la mem.LineAddr) bool {
 	chunk := uint64(la) >> 6
 	bit := uint64(1) << (uint64(la) & 63)
 	mask := uint64(len(s.slots) - 1)
-	i := lineSetMix(chunk) & mask
+	i := mem.Mix64(chunk) & mask
 	for {
 		c := &s.slots[i]
 		switch c.key {
@@ -85,7 +77,7 @@ func (s *lineSet) grow() {
 		if c.key == 0 {
 			continue
 		}
-		i := lineSetMix(c.key-1) & mask
+		i := mem.Mix64(c.key-1) & mask
 		for s.slots[i].key != 0 {
 			i = (i + 1) & mask
 		}

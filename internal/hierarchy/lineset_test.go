@@ -12,7 +12,7 @@ func lineSetKeys(seed uint64, n int, span uint64) []mem.LineAddr {
 	keys := make([]mem.LineAddr, n)
 	for i := range keys {
 		seed += 0x9e3779b97f4a7c15
-		keys[i] = mem.LineAddr(lineSetMix(seed) % span)
+		keys[i] = mem.LineAddr(mem.Mix64(seed) % span)
 	}
 	return keys
 }

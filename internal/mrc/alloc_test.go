@@ -75,7 +75,7 @@ func TestAccessAllocs(t *testing.T) {
 				x, i, compactions, now := uint64(1), 0, 0, e.now
 				n := mallocs(runs, func() {
 					if i%st.every == 0 {
-						x = splitmix64(x)
+						x = mem.SplitMix64(x)
 					}
 					e.Access(mem.LineAddr(x%lines), (int(x>>32)+i)&7)
 					i++
@@ -117,13 +117,13 @@ func TestFixedSizeEngineNeverReallocates(t *testing.T) {
 	tracked, compactions, now := 0, 0, e.now
 	x := uint64(5)
 	for line := mem.LineAddr(64); tracked < 4*maxSamples; line++ {
-		if splitmix64(uint64(line)^e.cfg.Seed) < e.threshold {
+		if mem.SplitMix64(uint64(line)^e.cfg.Seed) < e.threshold {
 			tracked++
 		}
 		e.Access(line, 0)
 		// Reuse a few recent lines so the clock ticks past first touches.
 		for j := 0; j < 3; j++ {
-			x = splitmix64(x)
+			x = mem.SplitMix64(x)
 			e.Access(line-mem.LineAddr(x%64), int(x>>32)&7)
 		}
 		if e.now < now {

@@ -142,7 +142,7 @@ type Engine struct {
 	buckets int // curve points: MaxBytes / ResolutionBytes
 
 	sampled   bool
-	threshold uint64 // track line iff splitmix64(line^seed) < threshold
+	threshold uint64 // track line iff mem.SplitMix64(line^seed) < threshold
 	invR      float64
 
 	// The stack: the tree holds each live line's weights at its
@@ -254,7 +254,7 @@ func (e *Engine) touch(line mem.LineAddr, word int) (dLine, dWord float64, reuse
 	key := uint64(line)
 	var h uint64
 	if e.sampled {
-		h = splitmix64(key ^ e.cfg.Seed)
+		h = mem.SplitMix64(key ^ e.cfg.Seed)
 		if h >= e.threshold {
 			return 0, 0, false
 		}
@@ -539,7 +539,7 @@ func (e *Engine) fillMissRatios(dst []float64, stepBytes int, hist []float64) {
 //ldis:noalloc
 func (e *Engine) CurrentLineDistanceBytes(line mem.LineAddr) (bytes float64, ok bool) {
 	key := uint64(line)
-	if e.sampled && splitmix64(key^e.cfg.Seed) >= e.threshold {
+	if e.sampled && mem.SplitMix64(key^e.cfg.Seed) >= e.threshold {
 		return 0, false
 	}
 	idx := e.tab.find(key)

@@ -207,7 +207,7 @@ func TestCurveMonotone(t *testing.T) {
 		e := mustNew(t, cfg)
 		x := uint64(1)
 		for i := 0; i < 20000; i++ {
-			x = splitmix64(x)
+			x = mem.SplitMix64(x)
 			e.Access(mem.LineAddr(x%4096), int(x>>32)&7)
 		}
 		for _, c := range []Curve{e.LineCurve("line"), e.WordCurve("word")} {
@@ -230,7 +230,7 @@ func TestSampledDeterminism(t *testing.T) {
 		e := mustNew(t, Config{SampleRate: 0.2, MaxSamples: 128, Seed: seed})
 		x := uint64(9)
 		for i := 0; i < 30000; i++ {
-			x = splitmix64(x)
+			x = mem.SplitMix64(x)
 			e.Access(mem.LineAddr(x%8192), int(x)&7)
 		}
 		return e.LineCurve("line")
@@ -262,7 +262,7 @@ func TestFixedSizeBound(t *testing.T) {
 	exact := mustNew(t, Config{})
 	x := uint64(17)
 	for i := 0; i < 20000; i++ {
-		x = splitmix64(x)
+		x = mem.SplitMix64(x)
 		line, word := mem.LineAddr(x%512), int(x>>40)&7
 		e.Access(line, word)
 		exact.Access(line, word)
@@ -289,7 +289,7 @@ func TestSampledScaling(t *testing.T) {
 	sampled := mustNew(t, Config{SampleRate: 0.3, Seed: 11})
 	x := uint64(5)
 	for i := 0; i < 40000; i++ {
-		x = splitmix64(x)
+		x = mem.SplitMix64(x)
 		line, word := mem.LineAddr(x%2048), int(x>>33)&7
 		exact.Access(line, word)
 		sampled.Access(line, word)

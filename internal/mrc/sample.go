@@ -2,19 +2,6 @@ package mrc
 
 import "ldis/internal/mem"
 
-// splitmix64 is the spatial hash behind SHARDS sampling: a line is
-// tracked iff splitmix64(line^seed) falls below the current threshold,
-// so the sample set is a deterministic function of (address, seed) —
-// no wall clock, no map iteration, identical at any worker count.
-//
-//ldis:noalloc
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // emptyKey marks an unused slot in lineTable. Line addresses occupy at
 // most PhysAddrBits-LineShift bits, so all-ones can never collide with
 // a real line.
@@ -65,7 +52,7 @@ func tableSlotsFor(keys int) int {
 //ldis:noalloc
 func (t *lineTable) find(key uint64) int {
 	mask := uint64(len(t.keys) - 1)
-	for i := splitmix64(key) & mask; ; i = (i + 1) & mask {
+	for i := mem.SplitMix64(key) & mask; ; i = (i + 1) & mask {
 		switch t.keys[i] {
 		case key:
 			return int(i)
@@ -84,7 +71,7 @@ func (t *lineTable) insert(key uint64) int {
 		t.grow()
 	}
 	mask := uint64(len(t.keys) - 1)
-	i := splitmix64(key) & mask
+	i := mem.SplitMix64(key) & mask
 	for t.keys[i] != emptyKey {
 		i = (i + 1) & mask
 	}
@@ -103,7 +90,7 @@ func (t *lineTable) remove(i int) {
 	mask := uint64(len(t.keys) - 1)
 	hole := uint64(i)
 	for j := (hole + 1) & mask; t.keys[j] != emptyKey; j = (j + 1) & mask {
-		home := splitmix64(t.keys[j]) & mask
+		home := mem.SplitMix64(t.keys[j]) & mask
 		if (j-home)&mask < (j-hole)&mask {
 			continue // home in (hole, j]: moving it back would hide it
 		}

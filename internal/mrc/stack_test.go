@@ -42,7 +42,7 @@ func (n *naiveStack) gate(key uint64) (hash uint64, ok bool) {
 	if n.cfg.SampleRate >= 1 {
 		return 0, true
 	}
-	hash = splitmix64(key ^ n.cfg.Seed)
+	hash = mem.SplitMix64(key ^ n.cfg.Seed)
 	return hash, hash < n.threshold
 }
 
@@ -222,7 +222,7 @@ func phasedOps(n int, seed uint64) []stackOp {
 	ops := make([]stackOp, 0, n)
 	x := seed
 	for i := 0; len(ops) < n; i++ {
-		x = splitmix64(x)
+		x = mem.SplitMix64(x)
 		ws := sizes[(i/4000)%len(sizes)]
 		line := mem.LineAddr(x % ws)
 		if x>>60 == 0 {
@@ -276,7 +276,7 @@ func TestEngineMatchesNaiveStack(t *testing.T) {
 func TestFixedSizeEvictsNewTop(t *testing.T) {
 	cfg := Config{MaxBytes: 4096, ResolutionBytes: 64, SampleRate: 0.75, MaxSamples: 2, Seed: 11}
 	threshold := uint64(cfg.SampleRate * twoPow64)
-	hash := func(l mem.LineAddr) uint64 { return splitmix64(uint64(l) ^ cfg.Seed) }
+	hash := func(l mem.LineAddr) uint64 { return mem.SplitMix64(uint64(l) ^ cfg.Seed) }
 	// Two tracked lines, then a third whose hash tops both: inserting it
 	// overflows the two-line sample and evicts it at once.
 	var lines []mem.LineAddr
@@ -318,7 +318,7 @@ func TestSampleTableStaysBounded(t *testing.T) {
 	e := mustNew(t, Config{SampleRate: 0.5, MaxSamples: maxSamples, Seed: 9})
 	x := uint64(21)
 	for i := 0; i < 1_000_000; i++ {
-		x = splitmix64(x)
+		x = mem.SplitMix64(x)
 		e.Access(mem.LineAddr(x%(512<<10)), int(x>>40)&7)
 		if e.tab.n > 2*maxSamples {
 			t.Fatalf("access %d: table holds %d entries for a %d-line sample", i, e.tab.n, maxSamples)

@@ -88,19 +88,10 @@ func NewModel(seed uint64, mix Mix) *Model {
 	return m
 }
 
-// splitmix64 is a strong 64-bit mixer; deterministic hashing keeps the
-// whole memory image implicit.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // ClassAt returns the class of the 32-bit datum at byte address a
 // (which is truncated to 4-byte alignment).
 func (m *Model) ClassAt(a mem.Addr) Class {
-	h := splitmix64(uint64(a)>>2 ^ m.seed)
+	h := mem.SplitMix64(uint64(a)>>2 ^ m.seed)
 	u := float64(h>>11) / (1 << 53) // uniform in [0,1)
 	for c := Zero; c < numClasses; c++ {
 		if u < m.thresholds[c] {
@@ -115,7 +106,7 @@ func (m *Model) ClassAt(a mem.Addr) Class {
 // Full-> a value with a nonzero upper half.
 func (m *Model) Word32(a mem.Addr) uint32 {
 	c := m.ClassAt(a)
-	h := splitmix64(uint64(a)>>2 ^ m.seed ^ 0xabcdef)
+	h := mem.SplitMix64(uint64(a)>>2 ^ m.seed ^ 0xabcdef)
 	switch c {
 	case Zero:
 		return 0

@@ -127,13 +127,13 @@ const (
 // maskFor deterministically derives the footprint mask of a line from
 // the profile seed, so every visit to the same line agrees on its mask.
 func maskFor(seed uint64, line mem.LineAddr, c *countCDF, style MaskStyle) mem.Footprint {
-	h := splitmix64(uint64(line) ^ seed)
+	h := mem.SplitMix64(uint64(line) ^ seed)
 	u := float64(h>>11) / (1 << 53)
 	n := c.sample(u)
 	if n >= mem.WordsPerLine {
 		return mem.FullFootprint
 	}
-	h2 := splitmix64(h)
+	h2 := mem.SplitMix64(h)
 	var f mem.Footprint
 	switch style {
 	case MaskContig:
@@ -156,7 +156,7 @@ func maskFor(seed uint64, line mem.LineAddr, c *countCDF, style MaskStyle) mem.F
 		chosen := 0
 		for chosen < n {
 			w := int(perm % mem.WordsPerLine)
-			perm = splitmix64(perm)
+			perm = mem.SplitMix64(perm)
 			if !f.Has(w) {
 				f = f.Set(w)
 				chosen++
@@ -181,13 +181,6 @@ var maskWords = func() (t [1 << mem.WordsPerLine][]int) {
 	}
 	return t
 }()
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // LinesPerMB is the number of 64B lines in one megabyte.
 const LinesPerMB = 1 << 20 / mem.LineSize

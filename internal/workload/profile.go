@@ -118,7 +118,7 @@ func (p *Profile) Stream() trace.Stream {
 		prof:    p,
 		visitor: p.Pattern.build(p.Seed, p.BaseLine),
 		gap:     1000 / p.MemRefsPerKInst,
-		rng:     splitmix64(p.Seed ^ 0x57ea),
+		rng:     mem.SplitMix64(p.Seed ^ 0x57ea),
 	}
 }
 
@@ -191,7 +191,7 @@ func (s *profileStream) Next() (mem.Access, bool) {
 	s.gapAcc -= float64(instret)
 	s.ifetchAcc += float64(instret) * s.prof.L1IMPKI / 1000
 
-	s.rng = splitmix64(s.rng)
+	s.rng = mem.SplitMix64(s.rng)
 	kind := mem.Load
 	if float64(s.rng>>11)/(1<<53) < s.prof.StoreFrac {
 		kind = mem.Store

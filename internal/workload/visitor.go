@@ -61,7 +61,7 @@ func (b *burstState) wordsOf(line mem.LineAddr) []int {
 	}
 	// Rotate a window of size burst through the mask, advancing with
 	// each visit so successive visits to a line touch fresh words.
-	start := int((b.visitCount ^ splitmix64(uint64(line))) % uint64(n))
+	start := int((b.visitCount ^ mem.SplitMix64(uint64(line))) % uint64(n))
 	return ws[start : start+b.burst : start+b.burst]
 }
 
@@ -98,7 +98,7 @@ func (s TierSpec) build(seed uint64, base mem.LineAddr) visitor {
 		spec: s,
 		base: base,
 		bs:   newBurstState(seed, s.Words, s.Style, s.Burst),
-		rng:  splitmix64(seed ^ 0x7115),
+		rng:  mem.SplitMix64(seed ^ 0x7115),
 	}
 }
 
@@ -110,7 +110,7 @@ type tierVisitor struct {
 }
 
 func (v *tierVisitor) nextU64() uint64 {
-	v.rng = splitmix64(v.rng)
+	v.rng = mem.SplitMix64(v.rng)
 	return v.rng
 }
 
@@ -135,7 +135,7 @@ func (v *tierVisitor) next() visit {
 	if pcs < 1 {
 		pcs = 1
 	}
-	pc := mem.Addr(0x400000) + mem.Addr(splitmix64(uint64(line))%uint64(pcs))*4
+	pc := mem.Addr(0x400000) + mem.Addr(mem.SplitMix64(uint64(line))%uint64(pcs))*4
 	return visit{line: line, words: v.bs.wordsOf(line), pc: pc}
 }
 
@@ -193,7 +193,7 @@ func (v *scanVisitor) next() visit {
 	if pcs < 1 {
 		pcs = 1
 	}
-	pc := mem.Addr(0x500000) + mem.Addr(splitmix64(uint64(line)>>4)%uint64(pcs))*4
+	pc := mem.Addr(0x500000) + mem.Addr(mem.SplitMix64(uint64(line)>>4)%uint64(pcs))*4
 	return visit{line: line, words: v.bs.wordsOf(line), pc: pc}
 }
 
@@ -259,7 +259,7 @@ func (v *twoPhaseVisitor) next() visit {
 	v.phase = false
 	gap := v.spec.GapShortLines
 	lineIdx := v.pos - gap
-	h := splitmix64(uint64(v.pos-v.spec.GapLongLines) ^ v.seed)
+	h := mem.SplitMix64(uint64(v.pos-v.spec.GapLongLines) ^ v.seed)
 	if float64(h>>11)/(1<<53) < v.spec.LongFrac {
 		gap = v.spec.GapLongLines
 		lineIdx = v.pos - gap
@@ -269,7 +269,7 @@ func (v *twoPhaseVisitor) next() visit {
 		lineIdx += v.spec.Lines // wrap during warm-up
 	}
 	line := v.base + mem.LineAddr(lineIdx%v.spec.Lines)
-	pc := mem.Addr(0x600100) + mem.Addr(splitmix64(uint64(line))%uint64(pcs))*4
+	pc := mem.Addr(0x600100) + mem.Addr(mem.SplitMix64(uint64(line))%uint64(pcs))*4
 	return visit{line: line, words: fullLineWords, pc: pc}
 }
 
@@ -299,11 +299,11 @@ func (s MixSpec) build(seed uint64, base mem.LineAddr) visitor {
 	if len(s.Components) == 0 {
 		panic("workload: MixSpec needs components")
 	}
-	mv := &mixVisitor{seed: splitmix64(seed ^ 0xa11ce)}
+	mv := &mixVisitor{seed: mem.SplitMix64(seed ^ 0xa11ce)}
 	offset := mem.LineAddr(0)
 	for i, c := range s.Components {
 		mv.fracs = append(mv.fracs, c.Frac)
-		mv.subs = append(mv.subs, c.Spec.build(splitmix64(seed+uint64(i)*0x9e37), base+offset))
+		mv.subs = append(mv.subs, c.Spec.build(mem.SplitMix64(seed+uint64(i)*0x9e37), base+offset))
 		region := c.RegionLines
 		if region <= 0 {
 			region = MB(16) // generous default separation
@@ -321,7 +321,7 @@ type mixVisitor struct {
 
 //ldis:noalloc
 func (v *mixVisitor) next() visit {
-	v.seed = splitmix64(v.seed)
+	v.seed = mem.SplitMix64(v.seed)
 	u := float64(v.seed>>11) / (1 << 53)
 	acc := 0.0
 	for i, f := range v.fracs {
